@@ -4,7 +4,7 @@ Everything downstream rests on this layer, so the demo exercises each piece
 on the numbers the analyses actually use. No floating point appears anywhere;
 all values are exact integers, rationals, or polynomials over the rationals.
 """
-from dtgcert import Poly, cyclic_order, exp_compare, factorize, is_prime
+from dtgcert import Poly, cyclic_order, exp_compare, factorize
 
 t = Poly.var()
 
@@ -20,11 +20,10 @@ print(f"integer-valued rational polynomial: {half!r}")
 print(f"  at t=7: {half.eval_int(7)}")
 
 print()
-print("== deterministic factorization ==")
+print("== factorization by trial division ==")
 for n in (217, 2107, 2808, 10847222568):
     parts = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factorize(n).items())
     print(f"  {n} = {parts}")
-print(f"  is_prime(2^61 - 1) = {is_prime(2**61 - 1)}")
 
 print()
 print("== cyclic group element orders ==")

@@ -5,58 +5,16 @@ The package transcribes the suborbit tables of the two actions (a subfield
 family and a twisted ree family inside G2(q)), verifies them by exact mass
 and divisibility identities, and replays the elimination arguments as
 decision procedures producing machine-checkable certificates.
+
+The names in __all__ are the supported API; everything else is reached
+through its submodule.
 """
-from .exact import Poly, cyclic_order, exp_compare, factorize, is_power_of, is_prime
-from .fusion import (
-    FusionConstraint,
-    LengthGroup,
-    excludes_diameter_two,
-    exhaustive_min_fused_classes,
-    length_groups,
-    min_fused_classes,
-    fused_diameter_bound,
-    smallest_fused_candidates,
-)
-from .gates import (
-    GateVerdict,
-    KernelPrimeData,
-    Order4Witness,
-    bcn_small_case_gate,
-    bhk_gate,
-    involution_gate,
-    kernel_chain_gate,
-    kernel_prime_data,
-    multiplicity_free_gate,
-    order4_witness,
-    sigma_in_x_gate,
-)
-from .groups import (
-    REE,
-    SUBFIELD,
-    CaseFamily,
-    OuterOption,
-    TorusData,
-    coset_index,
-    get_family,
-    h_order_at,
-    outer_subgroup_options,
-    torus_orders,
-)
-from .pipeline import (
-    VERSION,
-    Certificate,
-    RunReport,
-    TableCheckReport,
-    analyze_ree,
-    analyze_subfield,
-    conclude,
-    emit,
-    verify_tables,
-)
+from .exact import Poly, cyclic_order, exp_compare, factorize
+from .fusion import FusionConstraint, length_groups, min_fused_classes
+from .gates import bhk_gate, kernel_prime_data
+from .groups import REE, SUBFIELD
+from .pipeline import VERSION, analyze_ree, analyze_subfield, emit
 from .tables import (
-    ConcreteTable,
-    SuborbitTable,
-    TranscriptionError,
     build_table,
     distinct_nontrivial_lengths,
     dump,
@@ -74,49 +32,16 @@ __all__ = [
     "cyclic_order",
     "exp_compare",
     "factorize",
-    "is_power_of",
-    "is_prime",
     "FusionConstraint",
-    "LengthGroup",
-    "excludes_diameter_two",
-    "exhaustive_min_fused_classes",
     "length_groups",
     "min_fused_classes",
-    "fused_diameter_bound",
-    "smallest_fused_candidates",
-    "GateVerdict",
-    "KernelPrimeData",
-    "Order4Witness",
-    "bcn_small_case_gate",
     "bhk_gate",
-    "involution_gate",
-    "kernel_chain_gate",
     "kernel_prime_data",
-    "multiplicity_free_gate",
-    "order4_witness",
-    "sigma_in_x_gate",
     "REE",
     "SUBFIELD",
-    "CaseFamily",
-    "OuterOption",
-    "TorusData",
-    "coset_index",
-    "get_family",
-    "h_order_at",
-    "outer_subgroup_options",
-    "torus_orders",
-    "VERSION",
-    "Certificate",
-    "RunReport",
-    "TableCheckReport",
     "analyze_ree",
     "analyze_subfield",
-    "conclude",
     "emit",
-    "verify_tables",
-    "ConcreteTable",
-    "SuborbitTable",
-    "TranscriptionError",
     "build_table",
     "distinct_nontrivial_lengths",
     "dump",
@@ -125,5 +50,4 @@ __all__ = [
     "suborbit_count",
     "verify_mass",
     "verify_mass_symbolic",
-    "__version__",
 ]

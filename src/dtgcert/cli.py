@@ -3,11 +3,11 @@
 Subcommands:
   analyze        run a gate pipeline over a parameter range, emit certificates
   verify-tables  check table consistency at concrete parameters
-  factor         deterministic integer factorization
-  bound          query the diameter-cutoff gate for one ree case
 
 Exit codes: 0 all certificates conclude no_dtg (or checks pass), 2 at least
-one undetermined certificate (or failed check), 1 usage or internal error.
+one undetermined certificate (or failed check), 1 usage or internal error,
+including an analyze sweep that yields no certificate (a reversed n range, or
+an --x filter that matches no outer subgroup).
 """
 from __future__ import annotations
 
@@ -16,10 +16,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import pipeline, tables
-from .exact import factorize
-from .fusion import FusionConstraint
-from .gates import bhk_gate
-from .groups import REE
 from .pipeline import VERSION
 
 
@@ -59,14 +55,6 @@ def build_parser() -> _Parser:
         help="comma-separated parameter values (e.g. 3,27,243) or a step range like 0..3",
     )
     verify.add_argument("--symbolic", action="store_true", help="also check the polynomial mass identity")
-
-    factor = sub.add_parser("factor", help="deterministic integer factorization")
-    factor.add_argument("n", help="decimal integer >= 1")
-
-    bound = sub.add_parser("bound", help="query the diameter-cutoff gate for one ree case")
-    bound.add_argument("--case", required=True, choices=("ree",))
-    bound.add_argument("--n", required=True, type=int, help="step n with q = 3**(2n+1)")
-    bound.add_argument("--x-order", required=True, type=int, help="order of the outer subgroup X")
 
     return parser
 
@@ -132,6 +120,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     x_filter = _parse_x(args.x)
     runner = pipeline.analyze_subfield if args.case == "subfield" else pipeline.analyze_ree
     report = runner(n_min, n_max, x_filter=x_filter, strict=args.strict)
+    if not report.certificates:
+        raise _UsageError(f"--x {' '.join(args.x)} selects no outer subgroup for n in {n_min}..{n_max}")
     _write(pipeline.emit(report, args.format), args.out)
     return 0 if all(c.conclusion == pipeline.NO_DTG for c in report.certificates) else 2
 
@@ -143,28 +133,6 @@ def _run_verify_tables(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
-def _run_factor(args: argparse.Namespace) -> int:
-    try:
-        value = int(args.n)
-    except ValueError:
-        raise _UsageError(f"not a decimal integer: {args.n!r}") from None
-    factors = factorize(value)
-    if not factors:
-        body = "1"
-    else:
-        body = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors.items())
-    print(f"{value} = {body}")
-    return 0
-
-
-def _run_bound(args: argparse.Namespace) -> int:
-    q = REE.param_for_n(args.n)
-    verdict = bhk_gate(REE, q, FusionConstraint(args.x_order))
-    print(f"case=ree n={args.n} q={q} x_order={args.x_order}")
-    print(pipeline.gate_text(verdict))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -173,10 +141,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_analyze(args)
         if args.command == "verify-tables":
             return _run_verify_tables(args)
-        if args.command == "factor":
-            return _run_factor(args)
-        if args.command == "bound":
-            return _run_bound(args)
         raise _UsageError(f"unknown command: {args.command!r}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

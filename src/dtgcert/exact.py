@@ -2,25 +2,16 @@
 
 Everything in this package reduces to computations done here: arbitrary
 precision integers, rationals in lowest terms, dense univariate polynomials
-over the rationals, deterministic integer factorization, cyclic-group element
-orders, and exact comparison of huge powers. No floating point anywhere.
+over the rationals, integer factorization by trial division, cyclic-group
+element orders, and exact comparison of huge powers. No floating point anywhere.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
-
-#: Witness bases making Miller-Rabin deterministic below _CERTIFIED_BOUND.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-#: Primality results are proven for n below this bound (about 3.3e24).
-_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
-
-#: Trial-division cutoff used by factorize before switching to rho.
-_TRIAL_BOUND = 10**6
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -193,110 +184,28 @@ class Poly:
         return f"Poly({text})"
 
 
-def _miller_rabin_probable_prime(n: int) -> bool:
-    """Strong-probable-prime test to all bases in _MR_BASES; n odd, > 37."""
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test.
-
-    Proven correct for n < 3.3e24 by the fixed Miller-Rabin base set; larger
-    inputs raise ValueError rather than return an uncertified answer.
-    """
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n >= _CERTIFIED_BOUND:
-        raise ValueError(f"primality is only certified below {_CERTIFIED_BOUND}")
-    return _miller_rabin_probable_prime(n)
-
-
-def _brent_rho(n: int) -> int:
-    """Deterministic Brent-cycle rho: a nontrivial factor of composite n."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho parameter sweep exhausted on {n}")
-
-
 def factorize(n: int) -> dict[int, int]:
     """Complete prime factorization of n >= 1 as an ordered {prime: exponent} map.
 
-    Deterministic: trial division to 1e6, then Brent rho with certified
-    Miller-Rabin primality on the cofactors. A cofactor too large to certify
-    (>= 3.3e24 and probably prime) raises ValueError instead of guessing.
+    Plain trial division up to the square root, so every factor found is
+    proven prime. The kernel chain, the only caller, factors q -+ 3m + 1 for
+    q <= 2187, all below 2300. Inputs of 10**12 or more, which would need
+    over a million trial divisors, raise ValueError instead of running on.
     """
     if n <= 0:
         raise ValueError("factorize requires n >= 1")
+    if n >= 10**12:
+        raise ValueError(f"factorize handles n < 10**12 only: {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d, step = 7, 4
-    while d * d <= n and d <= _TRIAL_BOUND:
+    d = 2
+    while d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += step
-        step = 6 - step
+        d += 1
     if n > 1:
-        if d * d > n:
-            out[n] = out.get(n, 0) + 1
-        else:
-            stack = [n]
-            while stack:
-                v = stack.pop()
-                if v < _CERTIFIED_BOUND:
-                    if is_prime(v):
-                        out[v] = out.get(v, 0) + 1
-                        continue
-                elif _miller_rabin_probable_prime(v):
-                    raise ValueError(f"cannot certify primality of cofactor {v}")
-                g = _brent_rho(v)
-                stack.append(g)
-                stack.append(v // g)
-    return dict(sorted(out.items()))
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def cyclic_order(n: int, i: int) -> int:

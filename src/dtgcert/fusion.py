@@ -8,9 +8,7 @@ fused orbits, which in turn lower-bounds the diameter of any candidate graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .groups import CaseFamily
 from .tables import ConcreteTable, distinct_nontrivial_lengths
 
 
@@ -47,37 +45,6 @@ def min_fused_classes(groups: tuple[LengthGroup, ...], c: FusionConstraint) -> i
     """
     x = c.x_order
     return sum(-(-g.multiplicity // x) for g in groups)
-
-
-def exhaustive_min_fused_classes(groups: tuple[LengthGroup, ...], c: FusionConstraint) -> int:
-    """Cross-check oracle: minimize parts over all partitions into parts <= |X|.
-
-    Exponential-free dynamic program per length group; guarded to tables with
-    at most 40 nontrivial suborbits since it exists only to validate
-    min_fused_classes on small instances.
-    """
-    total = sum(g.multiplicity for g in groups)
-    if total > 40:
-        raise ValueError(f"exhaustive cross-check limited to 40 suborbits, got {total}")
-    x = c.x_order
-    result = 0
-    for g in groups:
-        best: list[int | None] = [None] * (g.multiplicity + 1)
-        best[0] = 0
-        for t in range(1, g.multiplicity + 1):
-            options = [best[t - p] for p in range(1, min(x, t) + 1) if best[t - p] is not None]
-            best[t] = 1 + min(options)  # type: ignore[type-var]
-        assert best[g.multiplicity] is not None
-        result += best[g.multiplicity]
-    return result
-
-
-def fused_diameter_bound(family: CaseFamily, param: int, c: FusionConstraint) -> Fraction:
-    """The coarse diameter lower bound (q + 6) / |X| for the ree family."""
-    if family.kind != "ree":
-        raise ValueError("the (q + 6) / |X| bound applies to the ree family only")
-    q = family.q_value(param)
-    return Fraction(q + 6, c.x_order)
 
 
 def excludes_diameter_two(ct: ConcreteTable, c: FusionConstraint) -> bool:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 from typing import Union
 
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize, is_power_of
-from .groups import REE, CaseFamily, OuterOption, coset_index, g_order_at
+from .groups import REE, CaseFamily, OuterOption, coset_index, g_order_at, torus_orders
 
 EXCLUDES = "excludes"
 INCONCLUSIVE = "inconclusive"
@@ -77,7 +76,6 @@ class KernelPrimeData:
     plus_value: int
     p_minus: tuple[int, ...]
     p_plus: tuple[int, ...]
-    stripped: tuple[int, ...]
 
 
 def multiplicity_free_gate(q: int, x: OuterOption) -> GateVerdict:
@@ -129,22 +127,18 @@ def sigma_in_x_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> Gat
 def order4_witness(r: int, ct: tables.ConcreteTable) -> Order4Witness:
     """A gamma- or eta-power of order exactly 4.
 
-    Exactly one of r - 1 and r + 1 is divisible by 4 for odd r. The gamma
-    choice is taken only when its rows survive in the table (they vanish at
-    r = 3, where r + 1 = 4 serves instead).
+    The base orders come from torus_orders, which derives them as powers of
+    kappa: gamma has order r - 1 and eta order r + 1, so exactly one of the
+    two is divisible by 4 for odd r. The chosen torus must still have rows
+    in the table, or ArithmeticError is raised.
     """
-    gamma_rows = [row for row in ct.rows if row.z_order == tables.Z_GAMMA]
-    eta_rows = [row for row in ct.rows if row.z_order == tables.Z_ETA]
-    if (r - 1) % 4 == 0:
-        if not gamma_rows:
-            raise ArithmeticError(f"4 | r - 1 but no gamma rows survive at r={r}")
-        base, order = "gamma", r - 1
-    elif (r + 1) % 4 == 0:
-        if not eta_rows:
-            raise ArithmeticError(f"no eta rows survive at r={r}")
-        base, order = "eta", r + 1
+    torus = torus_orders(r)
+    if torus.gamma_order % 4 == 0:
+        base, order, z_order = "gamma", torus.gamma_order, tables.Z_GAMMA
     else:
-        raise ArithmeticError(f"neither r-1 nor r+1 divisible by 4 at r={r}")
+        base, order, z_order = "eta", torus.eta_order, tables.Z_ETA
+    if not any(row.z_order == z_order for row in ct.rows):
+        raise ArithmeticError(f"no {base} rows survive at r={r}")
     return Order4Witness(base, order // 4, order)
 
 
@@ -232,19 +226,10 @@ def bhk_gate(family: CaseFamily, q: int, c: fusion.FusionConstraint) -> GateVerd
     return GateVerdict(GATE_BHK, outcome, witnesses, narrative)
 
 
-def _primes_up_to(limit: int) -> frozenset[int]:
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return frozenset(i for i in range(limit + 1) if sieve[i])
-
-
-def kernel_prime_data(q: int, strip: frozenset[int] = DEFAULT_STRIP) -> KernelPrimeData:
+def kernel_prime_data(q: int) -> KernelPrimeData:
     """Certifying primes of the factors q - 3m + 1 and q + 3m + 1.
 
-    The two factors multiply to q*q - q + 1. Primes in the strip set cannot
+    The two factors multiply to q*q - q + 1. Primes in DEFAULT_STRIP cannot
     certify (they may divide fused kernel multipliers), so they are removed.
     """
     n = REE.n_of_param(q)
@@ -253,16 +238,15 @@ def kernel_prime_data(q: int, strip: frozenset[int] = DEFAULT_STRIP) -> KernelPr
     plus_value = q + 3 * m + 1
     if minus_value * plus_value != q * q - q + 1:
         raise ArithmeticError(f"factor identity failed at q={q}")
-    p_minus = tuple(p for p in factorize(minus_value) if p not in strip)
-    p_plus = tuple(p for p in factorize(plus_value) if p not in strip)
-    return KernelPrimeData(q, m, minus_value, plus_value, p_minus, p_plus, tuple(sorted(strip)))
+    p_minus = tuple(p for p in factorize(minus_value) if p not in DEFAULT_STRIP)
+    p_plus = tuple(p for p in factorize(plus_value) if p not in DEFAULT_STRIP)
+    return KernelPrimeData(q, m, minus_value, plus_value, p_minus, p_plus)
 
 
 def kernel_chain_gate(
     ct: tables.ConcreteTable,
     q: int,
     c: fusion.FusionConstraint,
-    strict_strip: bool = False,
 ) -> GateVerdict:
     """Kernel divisibility chain for the ree family at q >= 27.
 
@@ -273,16 +257,13 @@ def kernel_chain_gate(
     that no first-sphere candidate stabilizer is divisible by any certifying
     prime and no row stabilizer is divisible by certifying primes from both
     factors.
-
-    strict_strip derives the discarded primes from the fusion multipliers
-    (all primes <= |Out|) instead of using the fixed default strip set.
     """
     narrative = "kernel divisibility chain on suborbit stabilizers"
     if ct.family.kind != "ree":
         raise ValueError("the kernel chain gate applies to the ree family only")
     if q == 3:
         return GateVerdict(GATE_KERNEL_CHAIN, NOT_APPLICABLE, {"q": q}, narrative)
-    n = ct.family.n_of_param(q)
+    ct.family.n_of_param(q)
 
     def fail(step: str, **extra: Witness) -> GateVerdict:
         witnesses: dict[str, Witness] = {"failed_step": step}
@@ -292,8 +273,7 @@ def kernel_chain_gate(
     if not tables.proper_divisor_premise(ct):
         return fail("proper_divisor_premise")
 
-    strip = _primes_up_to(2 * (2 * n + 1)) if strict_strip else DEFAULT_STRIP
-    data = kernel_prime_data(q, strip)
+    data = kernel_prime_data(q)
     if not data.p_minus or not data.p_plus:
         return fail(
             "no_certifying_primes",

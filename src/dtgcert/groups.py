@@ -100,10 +100,6 @@ def coset_index(family: CaseFamily, param: int) -> int:
     return family.index.eval_int(family.table_variable(param))
 
 
-def h_order_at(family: CaseFamily, param: int) -> int:
-    return family.h_order.eval_int(family.table_variable(param))
-
-
 def g_order_at(family: CaseFamily, param: int) -> int:
     return family.g_order.eval_int(family.table_variable(param))
 

@@ -199,6 +199,8 @@ def analyze_subfield(
     """Run the subfield pipeline for every n in range and every X descriptor."""
     if n_min < SUBFIELD.min_n:
         raise ValueError(f"subfield analysis requires n >= {SUBFIELD.min_n}")
+    if n_min > n_max:
+        raise ValueError(f"empty step range {n_min}..{n_max}")
     certificates = []
     for n in range(n_min, n_max + 1):
         r = SUBFIELD.param_for_n(n)
@@ -213,6 +215,8 @@ def analyze_ree(
     """Run the ree pipeline for every n in range and every X descriptor."""
     if n_min < REE.min_n:
         raise ValueError(f"ree analysis requires n >= {REE.min_n}")
+    if n_min > n_max:
+        raise ValueError(f"empty step range {n_min}..{n_max}")
     certificates = []
     for n in range(n_min, n_max + 1):
         q = REE.param_for_n(n)
@@ -270,10 +274,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _witness_str(value: Union[int, str]) -> str:
-    return str(value)
-
-
 def certificate_jsonable(cert: Certificate) -> dict:
     return {
         "case": cert.case,
@@ -285,7 +285,7 @@ def certificate_jsonable(cert: Certificate) -> dict:
             {
                 "name": verdict.gate_name,
                 "verdict": verdict.outcome,
-                "witnesses": {k: _witness_str(v) for k, v in verdict.witnesses.items()},
+                "witnesses": {k: str(v) for k, v in verdict.witnesses.items()},
                 "paper_anchor": verdict.narrative,
             }
             for verdict in cert.gates
@@ -298,7 +298,7 @@ def certificate_jsonable(cert: Certificate) -> dict:
 def gate_text(verdict: gates.GateVerdict) -> str:
     """One-line rendering: gate name, verdict, then each witness, two-space separated."""
     parts = [f"gate: {verdict.gate_name}", f"verdict: {_VERDICT_TEXT[verdict.outcome]}"]
-    parts.extend(f"{k}: {_witness_str(v)}" for k, v in verdict.witnesses.items())
+    parts.extend(f"{k}: {v}" for k, v in verdict.witnesses.items())
     return "  ".join(parts)
 
 
@@ -366,32 +366,6 @@ def _table_report_text(report: TableCheckReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_report_jsonable(report: TableCheckReport) -> dict:
-    return {
-        "tool_version": VERSION,
-        "case": report.case,
-        "generated_at": _timestamp(),
-        "symbolic_checked": report.symbolic_checked,
-        "symbolic_ok": report.symbolic_ok,
-        "ok": report.ok,
-        "checks": [
-            {
-                "param": str(check.param),
-                "error": check.error,
-                "index": str(check.index),
-                "mass_total": str(check.mass_total),
-                "mass_ok": check.mass_ok,
-                "lengths_divide": check.lengths_divide,
-                "proper_divisors": check.proper_divisors,
-                "suborbit_total": check.suborbit_total,
-                "suborbit_expected": check.suborbit_expected,
-                "ok": check.ok,
-            }
-            for check in report.checks
-        ],
-    }
-
-
 def emit(report: Union[RunReport, TableCheckReport], format: str = "json") -> bytes:
     """Deterministic serialization (modulo the generated_at timestamp)."""
     if format not in ("json", "text"):
@@ -402,6 +376,6 @@ def emit(report: Union[RunReport, TableCheckReport], format: str = "json") -> by
         return _run_report_text(report).encode()
     if isinstance(report, TableCheckReport):
         if format == "json":
-            return (json.dumps(_table_report_jsonable(report), indent=2) + "\n").encode()
+            raise ValueError("table check reports are emitted as text only")
         return _table_report_text(report).encode()
     raise TypeError(f"cannot emit {type(report).__name__}")

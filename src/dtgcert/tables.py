@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Poly
-from .groups import REE, SUBFIELD, CaseFamily, h_order_at
+from .groups import CaseFamily
 
 Z_ONE = "one"
 Z_TWO = "two"

@@ -5,31 +5,6 @@ import pytest
 from dtgcert.cli import main
 
 
-def test_factor_command(capsys):
-    assert main(["factor", "123456"]) == 0
-    assert capsys.readouterr().out == "123456 = 2^6 * 3 * 643\n"
-    assert main(["factor", "1"]) == 0
-    assert capsys.readouterr().out == "1 = 1\n"
-    assert main(["factor", "97"]) == 0
-    assert capsys.readouterr().out == "97 = 97\n"
-
-
-def test_factor_command_errors(capsys):
-    assert main(["factor", "zero"]) == 1
-    assert "error" in capsys.readouterr().err
-    assert main(["factor", "0"]) == 1
-    assert "error" in capsys.readouterr().err
-
-
-def test_bound_command(capsys):
-    assert main(["bound", "--case", "ree", "--n", "1", "--x-order", "6"]) == 0
-    out = capsys.readouterr().out
-    assert "case=ree n=1 q=27 x_order=6" in out
-    assert "gate: bhk_diameter  verdict: Inconclusive" in out
-    assert main(["bound", "--case", "ree", "--n", "4", "--x-order", "18"]) == 0
-    assert "verdict: Excludes" in capsys.readouterr().out
-
-
 def test_verify_tables_command(capsys):
     assert main(["verify-tables", "--case", "ree", "--params", "3,27", "--symbolic"]) == 0
     out = capsys.readouterr().out
@@ -74,6 +49,25 @@ def test_analyze_single_step_and_filter(capsys):
     out = capsys.readouterr().out
     assert "x_order=2 x_graph=true" in out
     assert "gate: bcn_small_case  verdict: AssumedExternal" in out
+    # one diameter-cutoff query: a single step and a single X
+    assert main(["analyze", "--case", "ree", "--n", "1", "--x", "6"]) == 0
+    assert "gate: bhk_diameter  verdict: Inconclusive  d0: 33/6" in capsys.readouterr().out
+    assert main(["analyze", "--case", "ree", "--n", "4", "--x", "18"]) == 0
+    assert "gate: bhk_diameter  verdict: Excludes  d0: 19689/18" in capsys.readouterr().out
+
+
+def test_analyze_empty_sweep_is_an_error(tmp_path, capsys):
+    # a sweep without certificates must not report "all no_dtg" about nothing
+    out_path = tmp_path / "report.json"
+    assert main(["analyze", "--case", "ree", "--n", "5..2", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error: empty step range 5..2" in captured.err
+    assert captured.out == ""
+    assert main(["analyze", "--case", "ree", "--n", "1", "--x", "7", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error: --x 7 selects no outer subgroup" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
 
 
 def test_analyze_strict_exit_code(capsys):
@@ -105,6 +99,14 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_help_lists_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{analyze,verify-tables}" in out
 
 
 def test_version_flag(capsys):

@@ -5,12 +5,10 @@ import pytest
 
 from dtgcert.exact import (
     Poly,
-    _CERTIFIED_BOUND,
     cyclic_order,
     exp_compare,
     factorize,
     is_power_of,
-    is_prime,
 )
 
 
@@ -109,58 +107,17 @@ def _naive_factor(n):
     return out
 
 
-def test_is_prime_small_exhaustive():
-    sieve = [True] * 2000
-    sieve[0] = sieve[1] = False
-    for i in range(2, 45):
-        if sieve[i]:
-            for j in range(i * i, 2000, i):
-                sieve[j] = False
-    for n in range(2000):
-        assert is_prime(n) == sieve[n], n
-
-
-def test_is_prime_rejects_strong_pseudoprimes():
-    # Carmichael numbers and the smallest strong pseudoprime to bases 2,3,5,7
-    for n in (561, 1105, 1729, 3215031751):
-        assert not is_prime(n)
-    assert is_prime(2**61 - 1)
-    assert not is_prime(-7)
-    assert not is_prime(0)
-
-
-def test_is_prime_refuses_uncertified_range():
-    n = _CERTIFIED_BOUND
-    while any(n % p == 0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
-        n += 1
-    with pytest.raises(ValueError):
-        is_prime(n)
-
-
 def test_factorize_exhaustive_small_range():
     for n in range(1, 60001):
         assert factorize(n) == _naive_factor(n)
 
 
-def test_factorize_random_large():
-    rng = random.Random(20260816)
-    for _ in range(60):
-        n = rng.randrange(10**12, 10**15)
-        factors = factorize(n)
-        prod = 1
-        for p, e in factors.items():
-            assert is_prime(p)
-            prod *= p**e
-        assert prod == n
-        assert list(factors) == sorted(factors)
-
-
 def test_factorize_rho_and_edge_cases():
     assert factorize(1) == {}
     assert factorize(2**10 * 3**5 * 97) == {2: 10, 3: 5, 97: 1}
-    # both primes above the trial-division cutoff, forcing the rho path
-    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
-    assert factorize((2**61 - 1) * 8191) == {8191: 1, 2**61 - 1: 1}
+    # the largest accepted input, a prime: trial division runs to its root
+    assert factorize(10**12 - 11) == {10**12 - 11: 1}
+    assert list(factorize(999983 * 999979).items()) == [(999979, 1), (999983, 1)]
     with pytest.raises(ValueError):
         factorize(0)
     with pytest.raises(ValueError):
@@ -168,9 +125,11 @@ def test_factorize_rho_and_edge_cases():
 
 
 def test_factorize_refuses_uncertifiable_cofactor():
-    # 2^89 - 1 is prime but sits above the certified Miller-Rabin bound
+    # 2^89 - 1 is prime; trial division would run for days, so it is refused
     with pytest.raises(ValueError):
         factorize(2**89 - 1)
+    with pytest.raises(ValueError):
+        factorize(10**12)
 
 
 def test_cyclic_order_brute_force():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -7,14 +6,33 @@ from dtgcert.fusion import (
     FusionConstraint,
     LengthGroup,
     excludes_diameter_two,
-    exhaustive_min_fused_classes,
-    fused_diameter_bound,
     length_groups,
     min_fused_classes,
     smallest_fused_candidates,
 )
 from dtgcert.groups import REE, SUBFIELD
 from dtgcert.tables import ConcreteRow, ConcreteTable, Z_UNKNOWN, build_table, instantiate
+
+
+def exhaustive_min_fused_classes(groups: tuple[LengthGroup, ...], c: FusionConstraint) -> int:
+    """Reference oracle for min_fused_classes: minimize parts over all
+    partitions of each length group into parts of size <= |X|.
+
+    A dynamic program per length group, guarded to tables with at most 40
+    nontrivial suborbits since it exists only to validate min_fused_classes
+    on small instances.
+    """
+    total = sum(g.multiplicity for g in groups)
+    if total > 40:
+        raise ValueError(f"exhaustive cross-check limited to 40 suborbits, got {total}")
+    x = c.x_order
+    result = 0
+    for g in groups:
+        best = [0] * (g.multiplicity + 1)
+        for t in range(1, g.multiplicity + 1):
+            best[t] = 1 + min(best[t - p] for p in range(1, min(x, t) + 1))
+        result += best[g.multiplicity]
+    return result
 
 
 def test_fusion_constraint_validation():
@@ -66,16 +84,6 @@ def test_exhaustive_guard():
     groups = (LengthGroup(10, 41),)
     with pytest.raises(ValueError):
         exhaustive_min_fused_classes(groups, FusionConstraint(2))
-
-
-def test_fused_diameter_bound():
-    assert fused_diameter_bound(REE, 27, FusionConstraint(2)) == Fraction(33, 2)
-    assert fused_diameter_bound(REE, 27, FusionConstraint(6)) == Fraction(11, 2)
-    assert fused_diameter_bound(REE, 3, FusionConstraint(1)) == 9
-    with pytest.raises(ValueError):
-        fused_diameter_bound(SUBFIELD, 3, FusionConstraint(2))
-    with pytest.raises(ValueError):
-        fused_diameter_bound(REE, 9, FusionConstraint(2))
 
 
 def test_excludes_diameter_two():

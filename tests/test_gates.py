@@ -214,12 +214,6 @@ def test_kernel_prime_data_frozen():
         assert data.minus_value * data.plus_value == q * q - q + 1
 
 
-def test_kernel_prime_data_strip_variants():
-    bare = kernel_prime_data(243, strip=frozenset())
-    assert bare.p_minus == (7, 31)
-    assert bare.stripped == ()
-
-
 def test_kernel_chain_gate_excludes():
     expect = {
         27: ("19, 37", "19683, 19656"),
@@ -234,14 +228,6 @@ def test_kernel_chain_gate_excludes():
         assert v.witnesses["primes"] == primes
         assert v.witnesses["gamma1_candidates"] == "R2, R6"
         assert v.witnesses["gamma1_stabilizers"] == stabs
-
-
-def test_kernel_chain_gate_strict_strip_agrees():
-    for q in (27, 243, 2187):
-        default = kernel_chain_gate(_ree_table(q), q, FusionConstraint(2))
-        strict = kernel_chain_gate(_ree_table(q), q, FusionConstraint(2), strict_strip=True)
-        assert strict.outcome == EXCLUDES
-        assert strict.witnesses["primes"] == default.witnesses["primes"]
 
 
 def test_kernel_chain_gate_not_applicable_at_q3():
@@ -263,8 +249,8 @@ def test_kernel_chain_gate_premise_failure():
 
 
 def test_kernel_chain_gate_no_certifying_primes(monkeypatch):
-    def hollow(q, strip=gates.DEFAULT_STRIP):
-        return KernelPrimeData(q, 3, 19, 37, (), (), tuple(sorted(strip)))
+    def hollow(q):
+        return KernelPrimeData(q, 3, 19, 37, (), ())
 
     monkeypatch.setattr(gates, "kernel_prime_data", hollow)
     v = kernel_chain_gate(_ree_table(27), 27, FusionConstraint(2))
