@@ -17,8 +17,10 @@ from dtgcert import (
 )
 from dtgcert.pipeline import gate_text
 
+table = build_table(REE)
+
 print("== fused class lower bounds at q = 27 ==")
-ct = instantiate(build_table(REE), 27)
+ct = instantiate(table, 27)
 groups = length_groups(ct)
 print(f"{len(groups)} length classes over {sum(g.multiplicity for g in groups)} nontrivial suborbits")
 for x in (1, 2, 3, 6):
@@ -27,10 +29,11 @@ for x in (1, 2, 3, 6):
 
 print()
 print("== diameter cutoff gate ==")
-# the cutoff d < (8/3) log2(v) fails from n = 4 on, decided exactly
+# the cutoff d < (8/3) log2(v) fails from n = 4 on, decided exactly;
+# q and v come from the table instantiated at q
 for n in (1, 3, 4, 6):
     q = REE.param_for_n(n)
-    verdict = bhk_gate(REE, q, FusionConstraint(2 * (2 * n + 1)))
+    verdict = bhk_gate(instantiate(table, q), FusionConstraint(2 * (2 * n + 1)))
     print(f"  n={n}: {gate_text(verdict)}")
 
 print()

@@ -6,8 +6,8 @@ Subcommands:
 
 Exit codes: 0 all certificates conclude no_dtg (or checks pass), 2 at least
 one undetermined certificate (or failed check), 1 usage or internal error,
-including an analyze sweep that yields no certificate (a reversed n range, or
-an --x filter that matches no outer subgroup).
+including a run that covers nothing: a reversed analyze n range or
+verify-tables step range, or an --x filter that matches no outer subgroup.
 """
 from __future__ import annotations
 
@@ -95,6 +95,8 @@ def _parse_params(case: str, text: str) -> list[int]:
     family = pipeline.get_family(case)
     if ".." in text:
         lo, hi = _parse_range(text)
+        if lo > hi:
+            raise _UsageError(f"empty step range {lo}..{hi}")
         return [family.param_for_n(n) for n in range(lo, hi + 1)]
     try:
         values = [int(part) for part in text.split(",") if part]

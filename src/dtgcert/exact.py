@@ -8,33 +8,57 @@ element orders, and exact comparison of huge powers. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _split(value: Scalar) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact scalar; floats are refused."""
+    if isinstance(value, int):
+        return value, 1
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact arithmetic")
-    return Fraction(value)
+    value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 class Poly:
     """Immutable dense univariate polynomial with rational coefficients.
 
-    Coefficients are stored ascending by degree with no trailing zeros, so
-    equal polynomials compare equal structurally. Evaluation is exact and
-    accepts an integer, a Fraction, or another Poly (composition).
+    The coefficients are stored as integer numerators, ascending by degree,
+    over one positive common denominator, reduced so that the denominator
+    shares no factor with all the numerators and no numerator is a trailing
+    zero; equal polynomials are therefore equal structurally. Arithmetic and
+    evaluation run on plain integers. Evaluation is exact and accepts an
+    integer, a Fraction, or another Poly (composition).
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        pairs = [_split(c) for c in coeffs]
+        den = lcm(*(d for _, d in pairs))
+        self._set([n * (den // d) for n, d in pairs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        """Store num/den in the normal form the class docstring describes."""
+        while num and not num[-1]:
+            num.pop()
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        self._num = tuple(num)
+        self._den = den
+
+    @classmethod
+    def _make(cls, num: list[int], den: int) -> "Poly":
+        p = cls.__new__(cls)
+        p._set(num, den)
+        return p
 
     @classmethod
     def var(cls) -> "Poly":
@@ -47,50 +71,54 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
-        return NotImplemented
+        p = self._coerce(other)
+        if p is None:
+            return NotImplemented
+        return self._num == p._num and self._den == p._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     @staticmethod
     def _coerce(other: object) -> Optional["Poly"]:
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly((other,))
+        if isinstance(other, int):
+            return Poly._make([other], 1)
+        if isinstance(other, Fraction):
+            return Poly._make([other.numerator], other.denominator)
         return None
 
     def __add__(self, other: object) -> "Poly":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        a, b = self._coeffs, p._coeffs
+        da, db = self._den, p._den
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        a = [c * sa for c in self._num]
+        b = [c * sb for c in p._num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a[i] += c
+        return Poly._make(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs))
+        return Poly._make([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> "Poly":
         p = self._coerce(other)
@@ -108,24 +136,25 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        a, b = self._coeffs, p._coeffs
+        a, b = self._num, p._num
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return Poly._make(out, self._den * p._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "Poly":
-        s = _as_fraction(scalar)
-        if s == 0:
+        n, d = _split(scalar)
+        if n == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly(tuple(c / s for c in self._coeffs))
+        if n < 0:
+            n, d = -n, -d
+        return Poly._make([c * d for c in self._num], self._den * n)
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -140,32 +169,50 @@ class Poly:
             e >>= 1
         return result
 
+    def _eval(self, point: Scalar) -> tuple[int, int]:
+        """(numerator, denominator) of the value at an int or Fraction point.
+
+        Horner's rule on the integer numerators; at t = p/s it runs on the
+        homogenized form sum c_k p^k s^(n-k), so no rational is formed.
+        """
+        if not self._num:
+            return 0, 1
+        p, s = _split(point)
+        acc = 0
+        if s == 1:
+            for c in reversed(self._num):
+                acc = acc * p + c
+            return acc, self._den
+        scale = 1
+        for c in reversed(self._num):
+            acc = acc * p + c * scale
+            scale *= s
+        return acc, self._den * (scale // s)
+
     def __call__(self, point: Union[Scalar, "Poly"]) -> Union[Fraction, "Poly"]:
         """Evaluate at an integer or Fraction, or compose with another Poly."""
         if isinstance(point, Poly):
-            acc: Union[Fraction, Poly] = Poly()
-            for c in reversed(self._coeffs):
+            acc = Poly()
+            for c in reversed(self._num):
                 acc = acc * point + c
-            return acc if isinstance(acc, Poly) else Poly((acc,))
-        t = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
+            return acc / self._den
+        return Fraction(*self._eval(point))
 
-    def eval_int(self, point: int) -> int:
-        """Evaluate at an integer point where the value must be an integer."""
-        value = self(point)
-        if value.denominator != 1:
-            raise ValueError(f"polynomial is not integer-valued at {point}: {value}")
-        return value.numerator
+    def eval_int(self, point: Scalar) -> int:
+        """Evaluate at a point where the value must be an integer."""
+        num, den = self._eval(point)
+        value, rest = divmod(num, den)
+        if rest:
+            raise ValueError(f"polynomial is not integer-valued at {point}: {Fraction(num, den)}")
+        return value
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "Poly(0)"
         terms = []
         for k in range(self.degree, -1, -1):
-            c = self._coeffs[k]
+            c = coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)

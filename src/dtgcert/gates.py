@@ -13,7 +13,7 @@ from typing import Union
 
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize, is_power_of
-from .groups import REE, CaseFamily, OuterOption, coset_index, g_order_at, torus_orders
+from .groups import REE, OuterOption, g_order_at, torus_orders
 
 EXCLUDES = "excludes"
 INCONCLUSIVE = "inconclusive"
@@ -191,26 +191,26 @@ def involution_gate(r: int, ct: tables.ConcreteTable, c: fusion.FusionConstraint
     )
 
 
-def bhk_gate(family: CaseFamily, q: int, c: fusion.FusionConstraint) -> GateVerdict:
+def bhk_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> GateVerdict:
     """Exact form of the diameter cutoff d < (8/3) log2(v) for the ree family.
 
-    The fused table has at least d0 = (q + 6) / |X| classes. With d0 = a/b in
-    lowest terms the cutoff fails exactly when 2**(3a) >= v**(8b), decided by
-    exact integer comparison. The sharper class-count bound is reported as an
-    extra witness but does not feed the verdict.
+    q is the table's parameter and v its coset index. The fused table has at
+    least d0 = (q + 6) / |X| classes. With d0 = a/b in lowest terms the
+    cutoff fails exactly when 2**(3a) >= v**(8b), decided by exact integer
+    comparison. The sharper class-count bound from the same table is reported
+    as an extra witness but does not feed the verdict.
     """
-    if family.kind != "ree":
+    if ct.family.kind != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
     narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
+    q = ct.param
     if q == 3:
         return GateVerdict(GATE_BHK, NOT_APPLICABLE, {"q": q}, narrative)
-    family.n_of_param(q)
-    v = coset_index(family, q)
+    v = ct.index
     d0 = Fraction(q + 6, c.x_order)
     a, b = d0.numerator, d0.denominator
     comparison = exp_compare(2, 3 * a, v, 8 * b)
 
-    ct = tables.instantiate(tables.build_table(family), q)
     refined = fusion.min_fused_classes(fusion.length_groups(ct), c)
     refined_excludes = exp_compare(2, 3 * refined, v, 8) >= 0
 

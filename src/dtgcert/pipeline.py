@@ -120,8 +120,8 @@ def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str
     return UNDETERMINED
 
 
-def _checked_table(family: CaseFamily, param: int) -> tables.ConcreteTable:
-    ct = tables.instantiate(tables.build_table(family), param)
+def _checked_table(table: tables.SuborbitTable, param: int) -> tables.ConcreteTable:
+    ct = tables.instantiate(table, param)
     ok, residual = tables.verify_mass(ct)
     if not ok:
         raise tables.TranscriptionError(
@@ -130,12 +130,13 @@ def _checked_table(family: CaseFamily, param: int) -> tables.ConcreteTable:
     return ct
 
 
-def _certificate_subfield(n: int, option: OuterOption, strict: bool) -> Certificate:
-    r = SUBFIELD.param_for_n(n)
+def _certificate_subfield(
+    n: int, ct: tables.ConcreteTable, option: OuterOption, strict: bool
+) -> Certificate:
+    r = ct.param
     q = r * r
     verdicts = [gates.multiplicity_free_gate(q, option)]
     if not verdicts[0].excludes:
-        ct = _checked_table(SUBFIELD, r)
         constraint = fusion.FusionConstraint(option.order)
         sigma = gates.sigma_in_x_gate(ct, constraint)
         verdicts.append(sigma)
@@ -153,16 +154,15 @@ def _certificate_subfield(n: int, option: OuterOption, strict: bool) -> Certific
     )
 
 
-def _certificate_ree(n: int, option: OuterOption, strict: bool) -> Certificate:
-    q = REE.param_for_n(n)
-    ct = _checked_table(REE, q)
+def _certificate_ree(n: int, ct: tables.ConcreteTable, option: OuterOption, strict: bool) -> Certificate:
+    q = ct.param
     constraint = fusion.FusionConstraint(option.order)
     assumptions: list[str] = []
     if q == 3:
         verdicts = [gates.bcn_small_case_gate(ct, constraint)]
         assumptions.append(ASSUMPTION_BCN)
     else:
-        verdicts = [gates.bhk_gate(REE, q, constraint)]
+        verdicts = [gates.bhk_gate(ct, constraint)]
         if not verdicts[0].excludes:
             chain = gates.kernel_chain_gate(ct, q, constraint)
             verdicts.append(chain)
@@ -201,11 +201,13 @@ def analyze_subfield(
         raise ValueError(f"subfield analysis requires n >= {SUBFIELD.min_n}")
     if n_min > n_max:
         raise ValueError(f"empty step range {n_min}..{n_max}")
+    table = tables.build_table(SUBFIELD)
     certificates = []
     for n in range(n_min, n_max + 1):
         r = SUBFIELD.param_for_n(n)
+        ct = _checked_table(table, r)
         for option in _select_options(SUBFIELD, r, x_filter):
-            certificates.append(_certificate_subfield(n, option, strict))
+            certificates.append(_certificate_subfield(n, ct, option, strict))
     return RunReport(VERSION, "subfield", n_min, n_max, strict, tuple(certificates))
 
 
@@ -217,11 +219,13 @@ def analyze_ree(
         raise ValueError(f"ree analysis requires n >= {REE.min_n}")
     if n_min > n_max:
         raise ValueError(f"empty step range {n_min}..{n_max}")
+    table = tables.build_table(REE)
     certificates = []
     for n in range(n_min, n_max + 1):
         q = REE.param_for_n(n)
+        ct = _checked_table(table, q)
         for option in _select_options(REE, q, x_filter):
-            certificates.append(_certificate_ree(n, option, strict))
+            certificates.append(_certificate_ree(n, ct, option, strict))
     return RunReport(VERSION, "ree", n_min, n_max, strict, tuple(certificates))
 
 

@@ -154,6 +154,14 @@ def build_table(family: CaseFamily) -> SuborbitTable:
     raise ValueError(f"unknown family kind: {family.kind!r}")
 
 
+def _value_at(poly: Poly, var: int) -> int | Fraction:
+    """The value at var: an int when it is integral, else the exact Fraction."""
+    try:
+        return poly.eval_int(var)
+    except ValueError:
+        return poly(var)
+
+
 def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     """Evaluate every row at an admissible parameter, dropping zero counts.
 
@@ -164,15 +172,15 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     var = family.table_variable(param)
     rows = []
     for row in table.rows:
-        count = row.count(var)
-        if count.denominator != 1 or count < 0:
+        count = _value_at(row.count, var)
+        if not isinstance(count, int) or count < 0:
             raise TranscriptionError(f"count of row {row.z.label!r} is {count} at parameter {param}")
         if count == 0:
             continue
-        length = row.length(var)
-        if length.denominator != 1 or length < 1:
+        length = _value_at(row.length, var)
+        if not isinstance(length, int) or length < 1:
             raise TranscriptionError(f"length of row {row.z.label!r} is {length} at parameter {param}")
-        rows.append(ConcreteRow(row.z.label, row.z.z_order, length.numerator, count.numerator))
+        rows.append(ConcreteRow(row.z.label, row.z.z_order, length, count))
     trivial = [r for r in rows if r.length == 1]
     if len(trivial) != 1 or trivial[0].count != 1:
         raise TranscriptionError(f"expected exactly one trivial suborbit at parameter {param}")

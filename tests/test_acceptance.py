@@ -70,9 +70,10 @@ def test_criterion_3_kernel_primes():
 
 def test_criterion_4_diameter_cutoff():
     t0 = time.perf_counter()
+    table = build_table(REE)
     for n in range(1, 9):
         q = REE.param_for_n(n)
-        verdict = bhk_gate(REE, q, FusionConstraint(2 * (2 * n + 1)))
+        verdict = bhk_gate(instantiate(table, q), FusionConstraint(2 * (2 * n + 1)))
         want = "inconclusive" if n <= 3 else "excludes"
         assert verdict.outcome == want, (n, verdict.outcome)
     elapsed = time.perf_counter() - t0

@@ -70,6 +70,14 @@ def test_analyze_empty_sweep_is_an_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_verify_tables_empty_range_is_an_error(capsys):
+    # a step range that checks no parameter must not report "result: PASS"
+    assert main(["verify-tables", "--case", "ree", "--params", "5..2"]) == 1
+    captured = capsys.readouterr()
+    assert "error: empty step range 5..2" in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_strict_exit_code(capsys):
     assert main(["analyze", "--case", "ree", "--n", "0", "--strict"]) == 2
     assert "undetermined" in capsys.readouterr().out

@@ -177,3 +177,149 @@ def test_exp_compare_known_cases():
         exp_compare(0, 1, 2, 1)
     with pytest.raises(ValueError):
         exp_compare(2, -1, 2, 1)
+
+
+# Reference polynomials for the differential test below: plain tuples of
+# Fractions, ascending by degree, trailing zeros stripped.
+
+
+def _ref(coeffs):
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ref(out)
+
+
+def _ref_pow(a, e):
+    out = (Fraction(1),)
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_eval(a, t):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def _ref_compose(a, b):
+    acc = ()
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, b), (c,))
+    return acc
+
+
+def _random_coeffs(rng):
+    """Up to seven coefficients: ints, fractions, zeros, trailing zeros too."""
+    out = []
+    for _ in range(rng.randrange(0, 8)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(0)
+        elif kind == 1:
+            out.append(rng.randrange(-30, 31))
+        else:
+            out.append(Fraction(rng.randrange(-30, 31), rng.randrange(1, 13)))
+    return out
+
+
+def _random_point(rng):
+    if rng.randrange(2):
+        return rng.randrange(-40, 41)
+    return Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 3, 7, 12)))
+
+
+def test_poly_matches_fraction_reference():
+    rng = random.Random(20211)
+    for _ in range(300):
+        ca, cb = _random_coeffs(rng), _random_coeffs(rng)
+        a, b = Poly(ca), Poly(cb)
+        ra, rb = _ref(ca), _ref(cb)
+        assert a.coeffs == ra and b.coeffs == rb
+        assert a.degree == len(ra) - 1
+        assert (a + b).coeffs == _ref_add(ra, rb)
+        assert (a - b).coeffs == _ref_add(ra, tuple(-c for c in rb))
+        assert (-a).coeffs == tuple(-c for c in ra)
+        assert (a * b).coeffs == _ref_mul(ra, rb)
+        e = rng.randrange(0, 5)
+        assert (a**e).coeffs == _ref_pow(ra, e)
+        s = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 20), rng.randrange(1, 9))
+        assert (a / s).coeffs == tuple(c / s for c in ra)
+        k = rng.randrange(-9, 10) or -3
+        assert (a / k).coeffs == tuple(c / k for c in ra)
+        assert (s + a).coeffs == _ref_add((s,), ra)
+        assert (a * k).coeffs == _ref_mul(ra, (Fraction(k),))
+        t = _random_point(rng)
+        assert a(t) == _ref_eval(ra, t) and isinstance(a(t), Fraction)
+        assert a(b).coeffs == _ref_compose(ra, rb)
+
+
+def test_poly_eval_int_matches_fraction_reference():
+    rng = random.Random(20212)
+    t = Poly.var()
+    # integer-valued with fractional coefficients: binomial-style factors
+    shapes = (t * (t + 1) / 2, t * (t - 1) * (t - 2) / 6, (t**2 - 1) / 4, Poly((1,)))
+    for _ in range(300):
+        p = Poly(_random_coeffs(rng))
+        if rng.randrange(2):
+            p = Poly([rng.randrange(-9, 10) for _ in range(3)]) * rng.choice(shapes) + rng.randrange(-5, 6)
+        point = rng.randrange(-60, 61)
+        want = _ref_eval(p.coeffs, point)
+        if want.denominator == 1:
+            assert p.eval_int(point) == want.numerator
+        else:
+            with pytest.raises(ValueError):
+                p.eval_int(point)
+    # (t^2 - 1)/4 is an integer at odd points only
+    assert ((t**2 - 1) / 4).eval_int(7) == 12
+    with pytest.raises(ValueError):
+        ((t**2 - 1) / 4).eval_int(6)
+
+
+def test_poly_normal_form_is_structural():
+    rng = random.Random(20213)
+    for _ in range(100):
+        ca, cb = _random_coeffs(rng), _random_coeffs(rng)
+        a, b = Poly(ca), Poly(cb)
+        twins = [
+            (a * b, b * a),
+            ((a + b) - b, a),
+            (Poly(ca + [0, Fraction(0, 7)]), a),
+            (Poly(Fraction(2 * c, 2) for c in ca), a),
+            (a / Fraction(-2, 3), a * Fraction(-3, 2)),
+            (a(Poly.var()), a),
+        ]
+        for x, y in twins:
+            assert x == y and hash(x) == hash(y)
+    zero = Poly((0, Fraction(0, 5), 0))
+    assert zero == Poly(()) == 0 and hash(zero) == hash(Poly(()))
+    assert zero.degree == -1 and zero.coeffs == () and not zero
+    t = Poly.var()
+    assert (t / 3 - t / 3) == zero and hash(t / 3 - t / 3) == hash(zero)
+    assert Poly((Fraction(1, 2), 0, 0)).coeffs == (Fraction(1, 2),)
+    assert zero(Fraction(1, 3)) == 0 and zero.eval_int(5) == 0
+    with pytest.raises(TypeError):
+        Poly((Fraction(1, 2), 1.5))
+    with pytest.raises(TypeError):
+        t * 1.5
+    with pytest.raises(TypeError):
+        t.eval_int(0.5)

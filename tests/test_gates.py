@@ -170,14 +170,14 @@ def test_bhk_gate_frozen_outcomes():
     # full outer group: |X| = 2(2n+1)
     for n in range(1, 9):
         q = REE.param_for_n(n)
-        v = bhk_gate(REE, q, FusionConstraint(2 * (2 * n + 1)))
+        v = bhk_gate(_ree_table(q), FusionConstraint(2 * (2 * n + 1)))
         assert v.gate_name == GATE_BHK
         want = INCONCLUSIVE if n <= 3 else EXCLUDES
         assert v.outcome == want, n
 
 
 def test_bhk_gate_witnesses_n1():
-    v = bhk_gate(REE, 27, FusionConstraint(6))
+    v = bhk_gate(_ree_table(27), FusionConstraint(6))
     assert v.witnesses["d0"] == "33/6"
     assert v.witnesses["d0_lowest_terms"] == "11/2"
     assert v.witnesses["vertices"] == 10847222568
@@ -187,16 +187,17 @@ def test_bhk_gate_witnesses_n1():
 
 def test_bhk_gate_small_x_excludes_earlier():
     # with trivial X the class count d0 = q + 6 is much larger
-    assert bhk_gate(REE, 2187, FusionConstraint(1)).outcome == EXCLUDES
-    assert bhk_gate(REE, 27, FusionConstraint(1)).outcome == INCONCLUSIVE
+    assert bhk_gate(_ree_table(2187), FusionConstraint(1)).outcome == EXCLUDES
+    assert bhk_gate(_ree_table(27), FusionConstraint(1)).outcome == INCONCLUSIVE
 
 
 def test_bhk_gate_edges():
-    assert bhk_gate(REE, 3, FusionConstraint(2)).outcome == NOT_APPLICABLE
+    assert bhk_gate(_ree_table(3), FusionConstraint(2)).outcome == NOT_APPLICABLE
     with pytest.raises(ValueError):
-        bhk_gate(SUBFIELD, 9, FusionConstraint(2))
+        bhk_gate(_sub_table(9), FusionConstraint(2))
+    # 9 is no ree parameter, so there is no table to run the gate on
     with pytest.raises(ValueError):
-        bhk_gate(REE, 9, FusionConstraint(2))
+        _ree_table(9)
 
 
 def test_kernel_prime_data_frozen():

@@ -1,10 +1,13 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
 import dtgcert.gates as gates
 import dtgcert.pipeline as pipeline
+import dtgcert.tables as tables
+from dtgcert.groups import REE
 from dtgcert.gates import (
     ASSUMED_EXTERNAL,
     EXCLUDES,
@@ -148,17 +151,36 @@ def test_verify_tables_error_rows():
     assert report.checks[0].param == 9
 
 
-def test_verify_tables_detects_broken_override():
-    from dtgcert.exact import Poly
-    from dtgcert.tables import SuborbitRow, SuborbitTable, build_table
-    from dtgcert.groups import REE
+def _count_calls(monkeypatch, module, names):
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
-    base = build_table(REE)
+
+def test_verify_tables_detects_broken_override(monkeypatch):
+    base = tables.build_table(REE)
     row = base.rows[1]
-    rows = (base.rows[0], SuborbitRow(row.z, row.length + 1, row.count)) + base.rows[2:]
-    report = verify_tables("ree", [3, 27], symbolic=True, table=SuborbitTable(REE, rows))
+    rows = (base.rows[0], tables.SuborbitRow(row.z, row.length + 1, row.count)) + base.rows[2:]
+    mutant = tables.SuborbitTable(REE, rows)
+    # the mutant is checked as given: no table keyed by its family stands in
+    calls = _count_calls(monkeypatch, tables, ("build_table", "instantiate"))
+    report = verify_tables("ree", [3, 27], symbolic=True, table=mutant)
+    assert calls == {"instantiate": 2}
     assert not report.ok
     assert not report.symbolic_ok
+
+
+def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):
+    calls = _count_calls(monkeypatch, tables, ("build_table", "instantiate"))
+    analyze_ree(0, 12)
+    assert calls == {"build_table": 1, "instantiate": 13}
+    calls.clear()
+    analyze_subfield(1, 12)
+    assert calls == {"build_table": 1, "instantiate": 12}
 
 
 def test_certificate_json_schema():
