@@ -179,10 +179,6 @@ class Poly:
             return 0, 1
         p, s = _split(point)
         acc = 0
-        if s == 1:
-            for c in reversed(self._num):
-                acc = acc * p + c
-            return acc, self._den
         scale = 1
         for c in reversed(self._num):
             acc = acc * p + c * scale

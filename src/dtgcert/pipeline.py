@@ -131,12 +131,17 @@ def _checked_table(table: tables.SuborbitTable, param: int) -> tables.ConcreteTa
 
 
 def _certificate_subfield(
-    n: int, ct: tables.ConcreteTable, option: OuterOption, strict: bool
+    n: int,
+    r: int,
+    screen: gates.GateVerdict,
+    ct: Optional[tables.ConcreteTable],
+    option: OuterOption,
+    strict: bool,
 ) -> Certificate:
-    r = ct.param
+    """Certificate from the multiplicity-free verdict; ct is None only when it excludes."""
     q = r * r
-    verdicts = [gates.multiplicity_free_gate(q, option)]
-    if not verdicts[0].excludes:
+    verdicts = [screen]
+    if not screen.excludes:
         constraint = fusion.FusionConstraint(option.order)
         sigma = gates.sigma_in_x_gate(ct, constraint)
         verdicts.append(sigma)
@@ -205,9 +210,12 @@ def analyze_subfield(
     certificates = []
     for n in range(n_min, n_max + 1):
         r = SUBFIELD.param_for_n(n)
-        ct = _checked_table(table, r)
+        ct = None
         for option in _select_options(SUBFIELD, r, x_filter):
-            certificates.append(_certificate_subfield(n, ct, option, strict))
+            screen = gates.multiplicity_free_gate(r * r, option)
+            if ct is None and not screen.excludes:
+                ct = _checked_table(table, r)
+            certificates.append(_certificate_subfield(n, r, screen, ct, option, strict))
     return RunReport(VERSION, "subfield", n_min, n_max, strict, tuple(certificates))
 
 
@@ -223,8 +231,11 @@ def analyze_ree(
     certificates = []
     for n in range(n_min, n_max + 1):
         q = REE.param_for_n(n)
+        options = _select_options(REE, q, x_filter)
+        if not options:
+            continue
         ct = _checked_table(table, q)
-        for option in _select_options(REE, q, x_filter):
+        for option in options:
             certificates.append(_certificate_ree(n, ct, option, strict))
     return RunReport(VERSION, "ree", n_min, n_max, strict, tuple(certificates))
 

@@ -154,14 +154,6 @@ def build_table(family: CaseFamily) -> SuborbitTable:
     raise ValueError(f"unknown family kind: {family.kind!r}")
 
 
-def _value_at(poly: Poly, var: int) -> int | Fraction:
-    """The value at var: an int when it is integral, else the exact Fraction."""
-    try:
-        return poly.eval_int(var)
-    except ValueError:
-        return poly(var)
-
-
 def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     """Evaluate every row at an admissible parameter, dropping zero counts.
 
@@ -172,13 +164,19 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     var = family.table_variable(param)
     rows = []
     for row in table.rows:
-        count = _value_at(row.count, var)
-        if not isinstance(count, int) or count < 0:
+        try:
+            count = row.count.eval_int(var)
+        except ValueError as exc:
+            raise TranscriptionError(f"count of row {row.z.label!r} at parameter {param}: {exc}") from exc
+        if count < 0:
             raise TranscriptionError(f"count of row {row.z.label!r} is {count} at parameter {param}")
         if count == 0:
             continue
-        length = _value_at(row.length, var)
-        if not isinstance(length, int) or length < 1:
+        try:
+            length = row.length.eval_int(var)
+        except ValueError as exc:
+            raise TranscriptionError(f"length of row {row.z.label!r} at parameter {param}: {exc}") from exc
+        if length < 1:
             raise TranscriptionError(f"length of row {row.z.label!r} is {length} at parameter {param}")
         rows.append(ConcreteRow(row.z.label, row.z.z_order, length, count))
     trivial = [r for r in rows if r.length == 1]

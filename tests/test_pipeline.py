@@ -183,6 +183,20 @@ def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):
     assert calls == {"build_table": 1, "instantiate": 12}
 
 
+def test_sweeps_instantiate_only_where_a_gate_reads_the_table(monkeypatch):
+    calls = _count_calls(monkeypatch, tables, ("build_table", "instantiate"))
+    # Every subfield X of order 2 lacks the graph automorphism, so the
+    # multiplicity-free gate excludes it without reading a table.
+    report = analyze_subfield(1, 4, x_filter=((2, False),))
+    assert len(report.certificates) == 4
+    assert calls == {"build_table": 1}
+    calls.clear()
+    # An X of order 3 exists only at n = 1 and n = 4 in 0..4.
+    report = analyze_ree(0, 4, x_filter=((3, False),))
+    assert [c.n for c in report.certificates] == [1, 4]
+    assert calls == {"build_table": 1, "instantiate": 2}
+
+
 def test_certificate_json_schema():
     report = analyze_ree(0, 1)
     for cert in report.certificates:
