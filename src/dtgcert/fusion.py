@@ -47,7 +47,7 @@ def min_fused_classes(groups: tuple[LengthGroup, ...], c: FusionConstraint) -> i
     return sum(-(-g.multiplicity // x) for g in groups)
 
 
-def excludes_diameter_two(ct: ConcreteTable, c: FusionConstraint) -> bool:
+def excludes_diameter_two(ct: ConcreteTable) -> bool:
     """True when >= 3 distinct nontrivial lengths force diameter >= 3.
 
     Fusion only merges equal lengths, so three distinct nontrivial lengths
@@ -56,7 +56,7 @@ def excludes_diameter_two(ct: ConcreteTable, c: FusionConstraint) -> bool:
     return len(distinct_nontrivial_lengths(ct)) >= 3
 
 
-def smallest_fused_candidates(ct: ConcreteTable, c: FusionConstraint) -> tuple[str, ...]:
+def smallest_fused_candidates(ct: ConcreteTable) -> tuple[str, ...]:
     """Labels of all rows whose length is among the two smallest nontrivial lengths.
 
     Fusion never shrinks an orbit, so any fused orbit that is among the two

@@ -4,11 +4,18 @@ Each gate replays one step of the case analysis on exact table data and
 returns a GateVerdict. A gate only ever returns "excludes" when every one of
 its sub-checks passed; any failed sub-check yields "inconclusive" with the
 failing step named, never a silent exclusion.
+
+A gate reads its parameter (q or r) from the ConcreteTable it is given, so
+the table and the parameter cannot disagree; only the gates that bound fused
+class counts also take a FusionConstraint (|X|). A verdict lists the
+ASSUMPTION_* texts it relies on, and a certificate's assumptions are the
+union of its verdicts' lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from . import fusion, tables
@@ -27,6 +34,19 @@ GATE_BHK = "bhk_diameter"
 GATE_KERNEL_CHAIN = "kernel_chain"
 GATE_BCN = "bcn_small_case"
 
+ASSUMPTION_MULTIPLICITY_FREE = (
+    "multiplicity-free classification of the subfield coset action taken as external input"
+)
+ASSUMPTION_OUTER_EVEN = (
+    "outer subgroup descriptors for even field-automorphism order come from the cyclic model, unverified"
+)
+ASSUMPTION_BCN = (
+    "absence of a feasible intersection array at 2808 vertices taken from published tables"
+)
+ASSUMPTION_KERNEL = (
+    "nontrivial kernel on every suborbit (proper-divisor premise) assumed for the kernel chain"
+)
+
 #: Small primes discarded when selecting certifying kernel primes.
 DEFAULT_STRIP = frozenset({2, 3, 5, 7})
 
@@ -39,6 +59,7 @@ class GateVerdict:
     outcome: str
     witnesses: dict[str, Witness] = field(default_factory=dict)
     narrative: str = ""
+    assumptions: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.outcome == EXCLUDES and not self.witnesses:
@@ -78,38 +99,36 @@ class KernelPrimeData:
     p_plus: tuple[int, ...]
 
 
+def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict:
+    """An inconclusive verdict naming the sub-check that did not pass."""
+    return GateVerdict(gate, INCONCLUSIVE, {"failed_step": step, **extra}, narrative)
+
+
 def multiplicity_free_gate(q: int, x: OuterOption) -> GateVerdict:
     """Necessary condition on the subfield action: q a power of 3 and the
     graph involution inside X; anything else already excludes a graph."""
     narrative = "multiplicity-free classification of the subfield coset action"
     exponent = is_power_of(q, 3) if q >= 1 else None
     if exponent is None:
-        return GateVerdict(
-            GATE_MULTIPLICITY_FREE,
-            EXCLUDES,
-            {"q": q, "power_of_3": "no"},
-            narrative,
-        )
-    if not x.contains_graph_auto:
-        return GateVerdict(
-            GATE_MULTIPLICITY_FREE,
-            EXCLUDES,
-            {"q": q, "x_order": x.order, "contains_graph_auto": "false"},
-            narrative,
-        )
+        outcome, witnesses = EXCLUDES, {"q": q, "power_of_3": "no"}
+    else:
+        graph = x.contains_graph_auto
+        outcome = INCONCLUSIVE if graph else EXCLUDES
+        witnesses = {"q": q, "x_order": x.order, "contains_graph_auto": "true" if graph else "false"}
     return GateVerdict(
         GATE_MULTIPLICITY_FREE,
-        INCONCLUSIVE,
-        {"q": q, "x_order": x.order, "contains_graph_auto": "true"},
+        outcome,
+        witnesses,
         narrative,
+        (ASSUMPTION_MULTIPLICITY_FREE, ASSUMPTION_OUTER_EVEN),
     )
 
 
-def sigma_in_x_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> GateVerdict:
+def sigma_in_x_gate(ct: tables.ConcreteTable) -> GateVerdict:
     """Diameter >= 3 licenses assuming the centralizing involution lies in X."""
     narrative = "diameter >= 3 forces the centralizing involution into X"
     count = len(tables.distinct_nontrivial_lengths(ct))
-    if not fusion.excludes_diameter_two(ct, c):
+    if not fusion.excludes_diameter_two(ct):
         return GateVerdict(
             GATE_SIGMA_IN_X,
             NOT_APPLICABLE,
@@ -124,14 +143,17 @@ def sigma_in_x_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> Gat
     )
 
 
-def order4_witness(r: int, ct: tables.ConcreteTable) -> Order4Witness:
-    """A gamma- or eta-power of order exactly 4.
+def order4_witness(ct: tables.ConcreteTable) -> Order4Witness:
+    """A gamma- or eta-power of order exactly 4 in a subfield table at r.
 
     The base orders come from torus_orders, which derives them as powers of
     kappa: gamma has order r - 1 and eta order r + 1, so exactly one of the
     two is divisible by 4 for odd r. The chosen torus must still have rows
     in the table, or ArithmeticError is raised.
     """
+    if ct.family.kind != "subfield":
+        raise ValueError("order-4 torus witnesses apply to the subfield family only")
+    r = ct.param
     torus = torus_orders(r)
     if torus.gamma_order % 4 == 0:
         base, order, z_order = "gamma", torus.gamma_order, tables.Z_GAMMA
@@ -142,7 +164,7 @@ def order4_witness(r: int, ct: tables.ConcreteTable) -> Order4Witness:
     return Order4Witness(base, order // 4, order)
 
 
-def involution_gate(r: int, ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> GateVerdict:
+def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
     """Commuting-involution argument for the subfield family.
 
     Replays the four-case elimination: a commuting pair exists (the
@@ -150,29 +172,27 @@ def involution_gate(r: int, ct: tables.ConcreteTable, c: fusion.FusionConstraint
     2-group case, neighbors cannot commute (all first-sphere candidates have
     order 3), and an order-4 torus power rules out the remaining case.
     """
+    if ct.family.kind != "subfield":
+        raise ValueError("the involution gate applies to the subfield family only")
     narrative = "commuting-involution pair forces an odd-prime product order; all four cases fail"
-
-    def fail(step: str, **extra: Witness) -> GateVerdict:
-        witnesses: dict[str, Witness] = {"failed_step": step}
-        witnesses.update(extra)
-        return GateVerdict(GATE_INVOLUTION, INCONCLUSIVE, witnesses, narrative)
+    fail = partial(_fail, GATE_INVOLUTION, narrative)
 
     pair_rows = [row for row in ct.rows if row.z_order == tables.Z_TWO]
     if not pair_rows:
         return fail("commuting_pair")
 
-    if not fusion.excludes_diameter_two(ct, c):
+    if not fusion.excludes_diameter_two(ct):
         return fail("diameter_at_least_3")
     if g_order_at(ct.family, ct.param) % 3 != 0:
         return fail("odd_prime_in_group_order")
 
-    candidates = fusion.smallest_fused_candidates(ct, c)
+    candidates = fusion.smallest_fused_candidates(ct)
     bad = [label for label in candidates if ct.row(label).z_order != tables.Z_THREE]
     if bad:
         return fail("candidate_z_orders", offending_rows=", ".join(bad))
 
     try:
-        witness = order4_witness(r, ct)
+        witness = order4_witness(ct)
     except ArithmeticError as exc:
         return fail("order4_witness", detail=str(exc))
 
@@ -243,11 +263,7 @@ def kernel_prime_data(q: int) -> KernelPrimeData:
     return KernelPrimeData(q, m, minus_value, plus_value, p_minus, p_plus)
 
 
-def kernel_chain_gate(
-    ct: tables.ConcreteTable,
-    q: int,
-    c: fusion.FusionConstraint,
-) -> GateVerdict:
+def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     """Kernel divisibility chain for the ree family at q >= 27.
 
     The strictly decreasing kernel chain would have to start from a first
@@ -256,19 +272,15 @@ def kernel_chain_gate(
     q + 3m + 1. Stabilizer orders upper-bound kernel orders, so it is enough
     that no first-sphere candidate stabilizer is divisible by any certifying
     prime and no row stabilizer is divisible by certifying primes from both
-    factors.
+    factors. An exclusion rests on ASSUMPTION_KERNEL.
     """
     narrative = "kernel divisibility chain on suborbit stabilizers"
     if ct.family.kind != "ree":
         raise ValueError("the kernel chain gate applies to the ree family only")
+    q = ct.param
     if q == 3:
         return GateVerdict(GATE_KERNEL_CHAIN, NOT_APPLICABLE, {"q": q}, narrative)
-    ct.family.n_of_param(q)
-
-    def fail(step: str, **extra: Witness) -> GateVerdict:
-        witnesses: dict[str, Witness] = {"failed_step": step}
-        witnesses.update(extra)
-        return GateVerdict(GATE_KERNEL_CHAIN, INCONCLUSIVE, witnesses, narrative)
+    fail = partial(_fail, GATE_KERNEL_CHAIN, narrative)
 
     if not tables.proper_divisor_premise(ct):
         return fail("proper_divisor_premise")
@@ -282,7 +294,7 @@ def kernel_chain_gate(
         )
     specials = data.p_minus + data.p_plus
 
-    candidates = fusion.smallest_fused_candidates(ct, c)
+    candidates = fusion.smallest_fused_candidates(ct)
     expected_lengths = {(q**3 + 1) * (q - 1), q**2 * (q**2 - q + 1)}
     candidate_lengths = {ct.row(label).length for label in candidates}
     if candidate_lengths != expected_lengths:
@@ -312,6 +324,7 @@ def kernel_chain_gate(
             "gamma1_stabilizers": ", ".join(str(s) for s in candidate_stabs),
         },
         narrative,
+        (ASSUMPTION_KERNEL,),
     )
 
 
@@ -330,4 +343,5 @@ def bcn_small_case_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) ->
         ASSUMED_EXTERNAL,
         {"vertices": ct.index, "diameter_lower_bound": bound, "x_order": c.x_order},
         narrative,
+        (ASSUMPTION_BCN,),
     )

@@ -95,11 +95,6 @@ def get_family(kind: str) -> CaseFamily:
         raise ValueError(f"unknown case family: {kind!r}") from None
 
 
-def coset_index(family: CaseFamily, param: int) -> int:
-    """Number of vertices |G|/|H| at a concrete admissible parameter."""
-    return family.index.eval_int(family.table_variable(param))
-
-
 def g_order_at(family: CaseFamily, param: int) -> int:
     return family.g_order.eval_int(family.table_variable(param))
 

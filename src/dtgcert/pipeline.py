@@ -20,19 +20,6 @@ VERSION = "0.1.0"
 NO_DTG = "no_dtg"
 UNDETERMINED = "undetermined"
 
-ASSUMPTION_MULTIPLICITY_FREE = (
-    "multiplicity-free classification of the subfield coset action taken as external input"
-)
-ASSUMPTION_OUTER_EVEN = (
-    "outer subgroup descriptors for even field-automorphism order come from the cyclic model, unverified"
-)
-ASSUMPTION_BCN = (
-    "absence of a feasible intersection array at 2808 vertices taken from published tables"
-)
-ASSUMPTION_KERNEL = (
-    "nontrivial kernel on every suborbit (proper-divisor premise) assumed for the kernel chain"
-)
-
 _VERDICT_TEXT = {
     gates.EXCLUDES: "Excludes",
     gates.INCONCLUSIVE: "Inconclusive",
@@ -52,7 +39,11 @@ class Certificate:
     x_graph: bool
     gates: tuple[gates.GateVerdict, ...]
     conclusion: str
-    assumptions: tuple[str, ...]
+
+    @property
+    def assumptions(self) -> tuple[str, ...]:
+        """The union of the assumptions its gates report, in gate order."""
+        return tuple(dict.fromkeys(a for verdict in self.gates for a in verdict.assumptions))
 
 
 @dataclass(frozen=True)
@@ -97,14 +88,11 @@ class ParamCheck:
 class TableCheckReport:
     case: str
     checks: tuple[ParamCheck, ...]
-    symbolic_checked: bool
     symbolic_ok: Optional[bool]
 
     @property
     def ok(self) -> bool:
-        if self.symbolic_checked and not self.symbolic_ok:
-            return False
-        return all(check.ok for check in self.checks)
+        return self.symbolic_ok is not False and all(check.ok for check in self.checks)
 
 
 def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str:
@@ -130,59 +118,29 @@ def _checked_table(table: tables.SuborbitTable, param: int) -> tables.ConcreteTa
     return ct
 
 
-def _certificate_subfield(
-    n: int,
-    r: int,
-    screen: gates.GateVerdict,
-    ct: Optional[tables.ConcreteTable],
-    option: OuterOption,
-    strict: bool,
-) -> Certificate:
-    """Certificate from the multiplicity-free verdict; ct is None only when it excludes."""
-    q = r * r
-    verdicts = [screen]
-    if not screen.excludes:
-        constraint = fusion.FusionConstraint(option.order)
-        sigma = gates.sigma_in_x_gate(ct, constraint)
-        verdicts.append(sigma)
-        if sigma.outcome == gates.INCONCLUSIVE:
-            verdicts.append(gates.involution_gate(r, ct, constraint))
-    return Certificate(
-        case="subfield",
-        n=n,
-        q=q,
-        x_order=option.order,
-        x_graph=option.contains_graph_auto,
-        gates=tuple(verdicts),
-        conclusion=conclude(verdicts, strict),
-        assumptions=(ASSUMPTION_MULTIPLICITY_FREE, ASSUMPTION_OUTER_EVEN),
-    )
+def _subfield_chain(ct: tables.ConcreteTable) -> list[gates.GateVerdict]:
+    """The gates after a multiplicity-free screen that did not exclude."""
+    sigma = gates.sigma_in_x_gate(ct)
+    if sigma.outcome != gates.INCONCLUSIVE:
+        return [sigma]
+    return [sigma, gates.involution_gate(ct)]
 
 
-def _certificate_ree(n: int, ct: tables.ConcreteTable, option: OuterOption, strict: bool) -> Certificate:
-    q = ct.param
+def _ree_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.GateVerdict]:
     constraint = fusion.FusionConstraint(option.order)
-    assumptions: list[str] = []
-    if q == 3:
-        verdicts = [gates.bcn_small_case_gate(ct, constraint)]
-        assumptions.append(ASSUMPTION_BCN)
-    else:
-        verdicts = [gates.bhk_gate(ct, constraint)]
-        if not verdicts[0].excludes:
-            chain = gates.kernel_chain_gate(ct, q, constraint)
-            verdicts.append(chain)
-            if chain.excludes:
-                assumptions.append(ASSUMPTION_KERNEL)
-    return Certificate(
-        case="ree",
-        n=n,
-        q=q,
-        x_order=option.order,
-        x_graph=option.contains_graph_auto,
-        gates=tuple(verdicts),
-        conclusion=conclude(verdicts, strict),
-        assumptions=tuple(assumptions),
-    )
+    if ct.param == 3:
+        return [gates.bcn_small_case_gate(ct, constraint)]
+    bhk = gates.bhk_gate(ct, constraint)
+    if bhk.excludes:
+        return [bhk]
+    return [bhk, gates.kernel_chain_gate(ct)]
+
+
+def _certificate(
+    case: str, n: int, q: int, option: OuterOption, verdicts: list[gates.GateVerdict], strict: bool
+) -> Certificate:
+    verdicts = tuple(verdicts)
+    return Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
 
 
 def _select_options(family: CaseFamily, param: int, x_filter: XFilter) -> tuple[OuterOption, ...]:
@@ -198,24 +156,34 @@ def _select_options(family: CaseFamily, param: int, x_filter: XFilter) -> tuple[
     return tuple(chosen)
 
 
+def _sweep_table(family: CaseFamily, n_min: int, n_max: int) -> tables.SuborbitTable:
+    """The family's table, built once for a sweep over a valid step range."""
+    if n_min < family.min_n:
+        raise ValueError(f"{family.kind} analysis requires n >= {family.min_n}")
+    if n_min > n_max:
+        raise ValueError(f"empty step range {n_min}..{n_max}")
+    return tables.build_table(family)
+
+
 def analyze_subfield(
     n_min: int, n_max: int, x_filter: XFilter = None, strict: bool = False
 ) -> RunReport:
-    """Run the subfield pipeline for every n in range and every X descriptor."""
-    if n_min < SUBFIELD.min_n:
-        raise ValueError(f"subfield analysis requires n >= {SUBFIELD.min_n}")
-    if n_min > n_max:
-        raise ValueError(f"empty step range {n_min}..{n_max}")
-    table = tables.build_table(SUBFIELD)
+    """Run the subfield pipeline for every n in range and every X descriptor.
+
+    The table is instantiated at r only if some screen does not exclude.
+    """
+    table = _sweep_table(SUBFIELD, n_min, n_max)
     certificates = []
     for n in range(n_min, n_max + 1):
         r = SUBFIELD.param_for_n(n)
         ct = None
         for option in _select_options(SUBFIELD, r, x_filter):
-            screen = gates.multiplicity_free_gate(r * r, option)
-            if ct is None and not screen.excludes:
-                ct = _checked_table(table, r)
-            certificates.append(_certificate_subfield(n, r, screen, ct, option, strict))
+            verdicts = [gates.multiplicity_free_gate(r * r, option)]
+            if not verdicts[0].excludes:
+                if ct is None:
+                    ct = _checked_table(table, r)
+                verdicts += _subfield_chain(ct)
+            certificates.append(_certificate("subfield", n, r * r, option, verdicts, strict))
     return RunReport(VERSION, "subfield", n_min, n_max, strict, tuple(certificates))
 
 
@@ -223,11 +191,7 @@ def analyze_ree(
     n_min: int, n_max: int, x_filter: XFilter = None, strict: bool = False
 ) -> RunReport:
     """Run the ree pipeline for every n in range and every X descriptor."""
-    if n_min < REE.min_n:
-        raise ValueError(f"ree analysis requires n >= {REE.min_n}")
-    if n_min > n_max:
-        raise ValueError(f"empty step range {n_min}..{n_max}")
-    table = tables.build_table(REE)
+    table = _sweep_table(REE, n_min, n_max)
     certificates = []
     for n in range(n_min, n_max + 1):
         q = REE.param_for_n(n)
@@ -236,7 +200,7 @@ def analyze_ree(
             continue
         ct = _checked_table(table, q)
         for option in options:
-            certificates.append(_certificate_ree(n, ct, option, strict))
+            certificates.append(_certificate("ree", n, q, option, _ree_chain(ct, option), strict))
     return RunReport(VERSION, "ree", n_min, n_max, strict, tuple(certificates))
 
 
@@ -282,7 +246,7 @@ def verify_tables(
             )
         )
     symbolic_ok = tables.verify_mass_symbolic(tab) if symbolic else None
-    return TableCheckReport(case, tuple(checks), symbolic, symbolic_ok)
+    return TableCheckReport(case, tuple(checks), symbolic_ok)
 
 
 def _timestamp() -> str:
@@ -323,9 +287,8 @@ def certificate_text(cert: Certificate) -> str:
     for verdict in cert.gates:
         lines.append(f"  {gate_text(verdict)}")
     lines.append(f"  conclusion: {cert.conclusion}")
-    if cert.assumptions:
-        for assumption in cert.assumptions:
-            lines.append(f"  assumption: {assumption}")
+    for assumption in cert.assumptions:
+        lines.append(f"  assumption: {assumption}")
     return "\n".join(lines)
 
 
@@ -373,7 +336,7 @@ def _table_report_text(report: TableCheckReport) -> str:
         lines.append(
             f"suborbits: {'ok' if check.suborbit_ok else 'FAIL'} total={check.suborbit_total} expected={check.suborbit_expected}"
         )
-    if report.symbolic_checked:
+    if report.symbolic_ok is not None:
         lines.append("")
         lines.append(f"symbolic mass identity: {'ok' if report.symbolic_ok else 'FAIL'}")
     lines.append("")

@@ -87,10 +87,10 @@ def test_criterion_5_first_sphere_candidates():
     subfield_expected = {"x_{3a+2b}(1)", "x_{2a+b}(1)", "x_{2a+b}(1)x_{3a+2b}(1)"}
     for r in SUBFIELD_PARAMS:
         ct = instantiate(build_table(SUBFIELD), r)
-        assert set(smallest_fused_candidates(ct, FusionConstraint(4))) == subfield_expected
+        assert set(smallest_fused_candidates(ct)) == subfield_expected
     for q in REE_PARAMS:
         ct = instantiate(build_table(REE), q)
-        labels = smallest_fused_candidates(ct, FusionConstraint(2))
+        labels = smallest_fused_candidates(ct)
         lengths = {ct.row(label).length for label in labels}
         assert lengths == {(q**3 + 1) * (q - 1), q**2 * (q**2 - q + 1)}, q
     print("criterion 5 (first-sphere candidate sets): PASS")
@@ -100,11 +100,11 @@ def test_criterion_6_order4_witnesses():
     table = build_table(SUBFIELD)
     for n in range(1, 11):
         r = 3**n
-        witness = order4_witness(r, instantiate(table, r))
+        witness = order4_witness(instantiate(table, r))
         assert cyclic_order(witness.base_order, witness.exponent) == 4
         expected_base = "gamma" if (r - 1) % 4 == 0 else "eta"
         assert witness.torus_base == expected_base, r
-    r3 = order4_witness(3, instantiate(table, 3))
+    r3 = order4_witness(instantiate(table, 3))
     assert r3.torus_base == "eta"
     print("criterion 6 (order-4 torus witnesses n=1..10): PASS")
 

@@ -88,7 +88,7 @@ def test_exhaustive_guard():
 
 def test_excludes_diameter_two():
     for fam, param in ((REE, 3), (REE, 27), (SUBFIELD, 3), (SUBFIELD, 9)):
-        assert excludes_diameter_two(instantiate(build_table(fam), param), FusionConstraint(2))
+        assert excludes_diameter_two(instantiate(build_table(fam), param))
     flat = ConcreteTable(
         REE, 3, 2808, 1512,
         (
@@ -97,13 +97,13 @@ def test_excludes_diameter_two():
             ConcreteRow("B", Z_UNKNOWN, 11, 1),
         ),
     )
-    assert not excludes_diameter_two(flat, FusionConstraint(2))
+    assert not excludes_diameter_two(flat)
 
 
 def test_smallest_fused_candidates_subfield():
     for r in (3, 9, 27):
         ct = instantiate(build_table(SUBFIELD), r)
-        labels = smallest_fused_candidates(ct, FusionConstraint(4))
+        labels = smallest_fused_candidates(ct)
         assert set(labels) == {"x_{3a+2b}(1)", "x_{2a+b}(1)", "x_{2a+b}(1)x_{3a+2b}(1)"}
         assert len(labels) == 3
         # ordering: by (length, label), the two equal-length rows first
@@ -113,7 +113,7 @@ def test_smallest_fused_candidates_subfield():
 def test_smallest_fused_candidates_ree():
     for q in (3, 27, 243):
         ct = instantiate(build_table(REE), q)
-        labels = smallest_fused_candidates(ct, FusionConstraint(2))
+        labels = smallest_fused_candidates(ct)
         assert labels == ("R2", "R6")
         assert ct.row("R2").length == (q**3 + 1) * (q - 1)
         assert ct.row("R6").length == q**2 * (q**2 - q + 1)

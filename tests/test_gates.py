@@ -69,7 +69,7 @@ def test_multiplicity_free_gate():
 
 
 def test_sigma_in_x_gate():
-    v = sigma_in_x_gate(_sub_table(3), FusionConstraint(4))
+    v = sigma_in_x_gate(_sub_table(3))
     assert v.gate_name == GATE_SIGMA_IN_X
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["distinct_nontrivial_lengths"] == 12
@@ -77,15 +77,15 @@ def test_sigma_in_x_gate():
         SUBFIELD, 3, 100, 50,
         (ConcreteRow("1", "one", 1, 1), ConcreteRow("A", Z_UNKNOWN, 7, 2)),
     )
-    assert sigma_in_x_gate(flat, FusionConstraint(4)).outcome == NOT_APPLICABLE
+    assert sigma_in_x_gate(flat).outcome == NOT_APPLICABLE
 
 
 def test_order4_witness_values():
-    w3 = order4_witness(3, _sub_table(3))
+    w3 = order4_witness(_sub_table(3))
     assert (w3.torus_base, w3.exponent, w3.base_order) == ("eta", 1, 4)
-    w9 = order4_witness(9, _sub_table(9))
+    w9 = order4_witness(_sub_table(9))
     assert (w9.torus_base, w9.exponent, w9.base_order) == ("gamma", 2, 8)
-    w27 = order4_witness(27, _sub_table(27))
+    w27 = order4_witness(_sub_table(27))
     assert (w27.torus_base, w27.base_order) == ("eta", 28)
 
 
@@ -103,12 +103,19 @@ def test_order4_witness_requires_surviving_rows():
     rows = tuple(r for r in _sub_table(9).rows if not r.z_order.startswith("torus:gamma"))
     stripped = ConcreteTable(SUBFIELD, 9, 1, 1, rows)
     with pytest.raises(ArithmeticError):
-        order4_witness(9, stripped)
+        order4_witness(stripped)
+
+
+def test_subfield_gates_reject_ree_tables():
+    with pytest.raises(ValueError):
+        order4_witness(_ree_table(27))
+    with pytest.raises(ValueError):
+        involution_gate(_ree_table(27))
 
 
 def test_involution_gate_excludes():
     for r, base in ((3, "eta"), (9, "gamma"), (27, "eta")):
-        v = involution_gate(r, _sub_table(r), FusionConstraint(4))
+        v = involution_gate(_sub_table(r))
         assert v.gate_name == GATE_INVOLUTION
         assert v.outcome == EXCLUDES
         assert v.witnesses["commuting_pair_row"] == "h(-1,-1,1)"
@@ -123,7 +130,7 @@ def test_involution_gate_fail_steps():
         SUBFIELD, 3, real.index, real.h_order,
         tuple(r for r in real.rows if r.z_order != Z_TWO),
     )
-    v = involution_gate(3, no_pair, FusionConstraint(4))
+    v = involution_gate(no_pair)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "commuting_pair"
 
@@ -135,7 +142,7 @@ def test_involution_gate_fail_steps():
             ConcreteRow("A", Z_THREE, 7, 1),
         ),
     )
-    v = involution_gate(3, flat, FusionConstraint(4))
+    v = involution_gate(flat)
     assert v.witnesses["failed_step"] == "diameter_at_least_3"
 
     bad_candidate = ConcreteTable(
@@ -148,7 +155,7 @@ def test_involution_gate_fail_steps():
             ConcreteRow("C", Z_THREE, 13, 1),
         ),
     )
-    v = involution_gate(3, bad_candidate, FusionConstraint(4))
+    v = involution_gate(bad_candidate)
     assert v.witnesses["failed_step"] == "candidate_z_orders"
     assert "z" in v.witnesses["offending_rows"] or "B" in v.witnesses["offending_rows"]
 
@@ -162,7 +169,7 @@ def test_involution_gate_fail_steps():
             ConcreteRow("C", Z_THREE, 11, 1),
         ),
     )
-    v = involution_gate(3, no_torus, FusionConstraint(4))
+    v = involution_gate(no_torus)
     assert v.witnesses["failed_step"] == "order4_witness"
 
 
@@ -223,7 +230,7 @@ def test_kernel_chain_gate_excludes():
     }
     for q, (primes, stabs) in expect.items():
         ct = _ree_table(q)
-        v = kernel_chain_gate(ct, q, FusionConstraint(2))
+        v = kernel_chain_gate(ct)
         assert v.gate_name == GATE_KERNEL_CHAIN
         assert v.outcome == EXCLUDES
         assert v.witnesses["primes"] == primes
@@ -232,19 +239,19 @@ def test_kernel_chain_gate_excludes():
 
 
 def test_kernel_chain_gate_not_applicable_at_q3():
-    assert kernel_chain_gate(_ree_table(3), 3, FusionConstraint(2)).outcome == NOT_APPLICABLE
+    assert kernel_chain_gate(_ree_table(3)).outcome == NOT_APPLICABLE
 
 
 def test_kernel_chain_gate_rejects_subfield():
     with pytest.raises(ValueError):
-        kernel_chain_gate(_sub_table(3), 9, FusionConstraint(2))
+        kernel_chain_gate(_sub_table(3))
 
 
 def test_kernel_chain_gate_premise_failure():
     real = _ree_table(27)
     rows = real.rows + (ConcreteRow("X", Z_UNKNOWN, real.h_order, 1),)
     broken = ConcreteTable(REE, 27, real.index, real.h_order, rows)
-    v = kernel_chain_gate(broken, 27, FusionConstraint(2))
+    v = kernel_chain_gate(broken)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "proper_divisor_premise"
 
@@ -254,7 +261,7 @@ def test_kernel_chain_gate_no_certifying_primes(monkeypatch):
         return KernelPrimeData(q, 3, 19, 37, (), ())
 
     monkeypatch.setattr(gates, "kernel_prime_data", hollow)
-    v = kernel_chain_gate(_ree_table(27), 27, FusionConstraint(2))
+    v = kernel_chain_gate(_ree_table(27))
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "no_certifying_primes"
 
@@ -267,7 +274,7 @@ def test_kernel_chain_gate_candidate_shape_failure():
         for r in real.rows
     )
     broken = ConcreteTable(REE, 27, real.index, real.h_order, rows)
-    v = kernel_chain_gate(broken, 27, FusionConstraint(2))
+    v = kernel_chain_gate(broken)
     assert v.witnesses["failed_step"] == "first_sphere_candidates"
 
 
@@ -280,7 +287,7 @@ def test_kernel_chain_gate_divisible_candidate_failure():
         for r in real.rows
     )
     broken = ConcreteTable(REE, 27, real.index, h, rows)
-    v = kernel_chain_gate(broken, 27, FusionConstraint(2))
+    v = kernel_chain_gate(broken)
     assert v.witnesses["failed_step"] in ("first_sphere_candidates", "candidate_stabilizer_divisible")
 
 
@@ -290,7 +297,7 @@ def test_kernel_chain_gate_both_factors_failure():
     assert h % (19 * 37) == 0
     rows = real.rows + (ConcreteRow("X", Z_UNKNOWN, h // (19 * 37), 1),)
     broken = ConcreteTable(REE, 27, real.index, h, rows)
-    v = kernel_chain_gate(broken, 27, FusionConstraint(2))
+    v = kernel_chain_gate(broken)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "stabilizer_divisible_by_both"
     assert v.witnesses["row"] == "X"

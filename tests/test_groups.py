@@ -3,7 +3,6 @@ import pytest
 from dtgcert.groups import (
     REE,
     SUBFIELD,
-    coset_index,
     g_order_at,
     get_family,
     outer_subgroup_options,
@@ -29,17 +28,17 @@ def test_subfield_orders_concrete():
         q = r * r
         assert g_order_at(SUBFIELD, r) == q**6 * (q**6 - 1) * (q**2 - 1)
         assert SUBFIELD.h_order.eval_int(SUBFIELD.table_variable(r)) == r**6 * (r**6 - 1) * (r**2 - 1)
-        assert coset_index(SUBFIELD, r) == r**6 * (r**6 + 1) * (r**2 + 1)
-    assert coset_index(SUBFIELD, 3) == 5321700
+        assert SUBFIELD.index.eval_int(SUBFIELD.table_variable(r)) == r**6 * (r**6 + 1) * (r**2 + 1)
+    assert SUBFIELD.index.eval_int(SUBFIELD.table_variable(3)) == 5321700
 
 
 def test_ree_orders_concrete():
     for q in (3, 27, 243, 2187):
         assert g_order_at(REE, q) == q**6 * (q**6 - 1) * (q**2 - 1)
         assert REE.h_order.eval_int(REE.table_variable(q)) == q**3 * (q**3 + 1) * (q - 1)
-        assert coset_index(REE, q) == q**3 * (q**3 - 1) * (q + 1)
-    assert coset_index(REE, 3) == 2808
-    assert coset_index(REE, 27) == 10847222568
+        assert REE.index.eval_int(REE.table_variable(q)) == q**3 * (q**3 - 1) * (q + 1)
+    assert REE.index.eval_int(REE.table_variable(3)) == 2808
+    assert REE.index.eval_int(REE.table_variable(27)) == 10847222568
 
 
 def test_param_roundtrip():

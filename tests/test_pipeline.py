@@ -5,11 +5,14 @@ from collections import Counter
 import pytest
 
 import dtgcert.gates as gates
-import dtgcert.pipeline as pipeline
 import dtgcert.tables as tables
 from dtgcert.groups import REE
 from dtgcert.gates import (
     ASSUMED_EXTERNAL,
+    ASSUMPTION_BCN,
+    ASSUMPTION_KERNEL,
+    ASSUMPTION_MULTIPLICITY_FREE,
+    ASSUMPTION_OUTER_EVEN,
     EXCLUDES,
     INCONCLUSIVE,
     NOT_APPLICABLE,
@@ -74,15 +77,16 @@ def test_analyze_ree_shape():
         names = [g.gate_name for g in cert.gates]
         if cert.q == 3:
             assert names == ["bcn_small_case"]
-            assert pipeline.ASSUMPTION_BCN in cert.assumptions
+            assert cert.assumptions == (ASSUMPTION_BCN,)
         else:
             assert names[0] == "bhk_diameter"
             if cert.gates[0].excludes:
                 assert names == ["bhk_diameter"]
+                assert cert.assumptions == ()
             else:
                 assert names == ["bhk_diameter", "kernel_chain"]
                 assert cert.gates[1].excludes
-                assert pipeline.ASSUMPTION_KERNEL in cert.assumptions
+                assert cert.assumptions == (ASSUMPTION_KERNEL,)
 
 
 def test_analyze_ree_full_out_uses_kernel_chain():
@@ -127,8 +131,7 @@ def test_analyze_range_validation():
 def test_subfield_assumptions_present():
     report = analyze_subfield(1, 1)
     for cert in report.certificates:
-        assert pipeline.ASSUMPTION_MULTIPLICITY_FREE in cert.assumptions
-        assert pipeline.ASSUMPTION_OUTER_EVEN in cert.assumptions
+        assert cert.assumptions == (ASSUMPTION_MULTIPLICITY_FREE, ASSUMPTION_OUTER_EVEN)
 
 
 def test_verify_tables_ok():
