@@ -42,7 +42,9 @@ def build_parser() -> _Parser:
         default=["all"],
         help="outer subgroup filter: 'all', or orders like '2' or '6,graph'",
     )
-    analyze.add_argument("--strict", action="store_true", help="demand fully computed exclusions")
+    analyze.add_argument(
+        "--strict", action="store_true", help="conclude only from certificates that rely on no assumption"
+    )
     analyze.add_argument("--format", choices=("json", "text"), default="text")
     analyze.add_argument("--out", help="write the report to this path instead of stdout")
     analyze.add_argument("--max-n", type=int, default=12, help="safety cap on the range end")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tables import ConcreteTable, distinct_nontrivial_lengths
+from .tables import ConcreteTable, LengthGroup, distinct_nontrivial_lengths
 
 
 @dataclass(frozen=True)
@@ -23,18 +23,12 @@ class FusionConstraint:
             raise ValueError("x_order must be >= 1")
 
 
-@dataclass(frozen=True)
-class LengthGroup:
-    length: int
-    multiplicity: int
-
-
 def length_groups(ct: ConcreteTable) -> tuple[LengthGroup, ...]:
-    """Nontrivial suborbits grouped by exact length, sorted by length."""
-    groups: dict[int, int] = {}
-    for row in ct.nontrivial_rows:
-        groups[row.length] = groups.get(row.length, 0) + row.count
-    return tuple(LengthGroup(length, mult) for length, mult in sorted(groups.items()))
+    """Nontrivial suborbits grouped by exact length, sorted by length.
+
+    The grouping is computed once per table and shared by every X.
+    """
+    return ct.length_groups
 
 
 def min_fused_classes(groups: tuple[LengthGroup, ...], c: FusionConstraint) -> int:

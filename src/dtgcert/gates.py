@@ -14,8 +14,8 @@ union of its verdicts' lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Union
 
 from . import fusion, tables
@@ -127,20 +127,9 @@ def multiplicity_free_gate(q: int, x: OuterOption) -> GateVerdict:
 def sigma_in_x_gate(ct: tables.ConcreteTable) -> GateVerdict:
     """Diameter >= 3 licenses assuming the centralizing involution lies in X."""
     narrative = "diameter >= 3 forces the centralizing involution into X"
-    count = len(tables.distinct_nontrivial_lengths(ct))
-    if not fusion.excludes_diameter_two(ct):
-        return GateVerdict(
-            GATE_SIGMA_IN_X,
-            NOT_APPLICABLE,
-            {"distinct_nontrivial_lengths": count},
-            narrative,
-        )
-    return GateVerdict(
-        GATE_SIGMA_IN_X,
-        INCONCLUSIVE,
-        {"distinct_nontrivial_lengths": count},
-        narrative,
-    )
+    count = len(ct.distinct_nontrivial_lengths)
+    outcome = INCONCLUSIVE if fusion.excludes_diameter_two(ct) else NOT_APPLICABLE
+    return GateVerdict(GATE_SIGMA_IN_X, outcome, {"distinct_nontrivial_lengths": count}, narrative)
 
 
 def order4_witness(ct: tables.ConcreteTable) -> Order4Witness:
@@ -227,11 +216,11 @@ def bhk_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> GateVerdic
     if q == 3:
         return GateVerdict(GATE_BHK, NOT_APPLICABLE, {"q": q}, narrative)
     v = ct.index
-    d0 = Fraction(q + 6, c.x_order)
-    a, b = d0.numerator, d0.denominator
+    g = gcd(q + 6, c.x_order)
+    a, b = (q + 6) // g, c.x_order // g
     comparison = exp_compare(2, 3 * a, v, 8 * b)
 
-    refined = fusion.min_fused_classes(fusion.length_groups(ct), c)
+    refined = fusion.min_fused_classes(ct.length_groups, c)
     refined_excludes = exp_compare(2, 3 * refined, v, 8) >= 0
 
     witnesses: dict[str, Witness] = {
@@ -337,7 +326,7 @@ def bcn_small_case_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) ->
     narrative = "no feasible intersection array with 2808 vertices at this diameter (external tables)"
     if ct.family.kind != "ree" or ct.param != 3:
         return GateVerdict(GATE_BCN, NOT_APPLICABLE, {"param": ct.param}, narrative)
-    bound = fusion.min_fused_classes(fusion.length_groups(ct), c)
+    bound = fusion.min_fused_classes(ct.length_groups, c)
     return GateVerdict(
         GATE_BCN,
         ASSUMED_EXTERNAL,

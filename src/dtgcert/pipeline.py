@@ -3,13 +3,15 @@
 A certificate records, for one (family, n, X) triple, the ordered gate
 verdicts and the conclusion they support. A run report bundles the
 certificates of a parameter sweep. Serialization is deterministic except for
-an explicit generation timestamp.
+an explicit generation timestamp. Run reports are written as JSON by a
+writer for their fixed schema, in exactly the bytes json.dumps(..., indent=2)
+would give for the same data, or as text.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 from . import fusion, gates, tables
@@ -98,9 +100,14 @@ class TableCheckReport:
 def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str:
     """Fold gate verdicts into a conclusion.
 
-    Any excluding gate settles the case. A terminal externally-assumed gate
-    settles it too unless strict mode demands fully computed exclusions.
+    Any excluding gate settles the case, and so does a terminal
+    externally-assumed gate. Strict mode concludes only from a chain that
+    relies on nothing external: if any verdict lists an assumption, whatever
+    its outcome, the case stays undetermined, and a terminal
+    externally-assumed gate settles nothing.
     """
+    if strict and any(v.assumptions for v in verdicts):
+        return UNDETERMINED
     if any(v.outcome == gates.EXCLUDES for v in verdicts):
         return NO_DTG
     if verdicts and verdicts[-1].outcome == gates.ASSUMED_EXTERNAL and not strict:
@@ -253,27 +260,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def certificate_jsonable(cert: Certificate) -> dict:
-    return {
-        "case": cert.case,
-        "n": cert.n,
-        "q": str(cert.q),
-        "x_order": cert.x_order,
-        "x_graph": cert.x_graph,
-        "gates": [
-            {
-                "name": verdict.gate_name,
-                "verdict": verdict.outcome,
-                "witnesses": {k: str(v) for k, v in verdict.witnesses.items()},
-                "paper_anchor": verdict.narrative,
-            }
-            for verdict in cert.gates
-        ],
-        "conclusion": cert.conclusion,
-        "assumptions": list(cert.assumptions),
-    }
-
-
 def gate_text(verdict: gates.GateVerdict) -> str:
     """One-line rendering: gate name, verdict, then each witness, two-space separated."""
     parts = [f"gate: {verdict.gate_name}", f"verdict: {_VERDICT_TEXT[verdict.outcome]}"]
@@ -292,17 +278,89 @@ def certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def _run_report_jsonable(report: RunReport) -> dict:
-    return {
-        "tool_version": report.tool_version,
-        "case": report.case,
-        "n_min": report.n_min,
-        "n_max": report.n_max,
-        "strict": report.strict,
-        "generated_at": _timestamp(),
-        "summary": report.summary,
-        "certificates": [certificate_jsonable(c) for c in report.certificates],
-    }
+class _JsonStrings(dict):
+    """JSON string literals of the strs and ints of one report, each encoded once."""
+
+    def __missing__(self, value: Union[str, int]) -> str:
+        code = self[value] = encode_basestring_ascii(str(value))
+        return code
+
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _run_report_json(report: RunReport) -> str:
+    """The run report as JSON, in the bytes json.dumps(..., indent=2) gives.
+
+    The schema is fixed, so its lines are written directly and joined once:
+    strings through the encoder json.dumps uses, integers with str, and
+    every list or object with one entry per line, or as [] / {} when empty.
+    Witnesses are written as strings. The same gate names, narratives and
+    table integers recur across a sweep, so their literals are memoized;
+    witnesses of other types, bool among them, bypass the memo because they
+    can compare equal to an int.
+    """
+    enc = encode_basestring_ascii
+    codes = _JsonStrings()
+    summary = report.summary
+    out = [
+        "{",
+        f'  "tool_version": {enc(report.tool_version)},',
+        f'  "case": {enc(report.case)},',
+        f'  "n_min": {report.n_min},',
+        f'  "n_max": {report.n_max},',
+        f'  "strict": {_json_bool(report.strict)},',
+        f'  "generated_at": {enc(_timestamp())},',
+        '  "summary": {',
+        f'    "total": {summary["total"]},',
+        f'    "no_dtg": {summary["no_dtg"]},',
+        f'    "undetermined": {summary["undetermined"]}',
+        "  },",
+    ]
+    append = out.append
+    if not report.certificates:
+        append('  "certificates": []')
+    else:
+        append('  "certificates": [')
+        for cert in report.certificates:
+            append(
+                f'    {{\n      "case": {codes[cert.case]},\n      "n": {cert.n},\n'
+                f'      "q": {enc(str(cert.q))},\n      "x_order": {cert.x_order},\n'
+                f'      "x_graph": {_json_bool(cert.x_graph)},'
+            )
+            if not cert.gates:
+                append('      "gates": [],')
+            else:
+                append('      "gates": [')
+                for verdict in cert.gates:
+                    append(
+                        f'        {{\n          "name": {codes[verdict.gate_name]},\n'
+                        f'          "verdict": {codes[verdict.outcome]},'
+                    )
+                    if not verdict.witnesses:
+                        append('          "witnesses": {},')
+                    else:
+                        append('          "witnesses": {')
+                        append(",\n".join([
+                            f"            {codes[k]}: {codes[v] if type(v) in (int, str) else enc(str(v))}"
+                            for k, v in verdict.witnesses.items()
+                        ]))
+                        append("          },")
+                    append(f'          "paper_anchor": {codes[verdict.narrative]}\n        }},')
+                out[-1] = out[-1][:-1]
+                append("      ],")
+            append(f'      "conclusion": {codes[cert.conclusion]},')
+            assumptions = cert.assumptions
+            if not assumptions:
+                append('      "assumptions": []\n    },')
+            else:
+                items = ",\n".join([f"        {codes[a]}" for a in assumptions])
+                append(f'      "assumptions": [\n{items}\n      ]\n    }},')
+        out[-1] = out[-1][:-1]
+        append("  ]")
+    append("}\n")
+    return "\n".join(out)
 
 
 def _run_report_text(report: RunReport) -> str:
@@ -350,7 +408,7 @@ def emit(report: Union[RunReport, TableCheckReport], format: str = "json") -> by
         raise ValueError(f"unknown format: {format!r}")
     if isinstance(report, RunReport):
         if format == "json":
-            return (json.dumps(_run_report_jsonable(report), indent=2) + "\n").encode()
+            return _run_report_json(report).encode()
         return _run_report_text(report).encode()
     if isinstance(report, TableCheckReport):
         if format == "json":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import Poly
 from .groups import CaseFamily
@@ -62,8 +63,18 @@ class ConcreteRow:
 
 
 @dataclass(frozen=True)
+class LengthGroup:
+    length: int
+    multiplicity: int
+
+
+@dataclass(frozen=True)
 class ConcreteTable:
-    """A table instantiated at one parameter, zero-count rows dropped."""
+    """A table instantiated at one parameter, zero-count rows dropped.
+
+    The nontrivial rows and their grouping by length are computed on first
+    use and kept with the table, so every gate and every X share them.
+    """
 
     family: CaseFamily
     param: int
@@ -77,9 +88,21 @@ class ConcreteTable:
                 return r
         raise KeyError(label)
 
-    @property
+    @cached_property
     def nontrivial_rows(self) -> tuple[ConcreteRow, ...]:
         return tuple(r for r in self.rows if r.length > 1)
+
+    @cached_property
+    def length_groups(self) -> tuple[LengthGroup, ...]:
+        """Nontrivial suborbits grouped by exact length, sorted by length."""
+        groups: dict[int, int] = {}
+        for row in self.nontrivial_rows:
+            groups[row.length] = groups.get(row.length, 0) + row.count
+        return tuple(LengthGroup(length, mult) for length, mult in sorted(groups.items()))
+
+    @cached_property
+    def distinct_nontrivial_lengths(self) -> tuple[int, ...]:
+        return tuple(g.length for g in self.length_groups)
 
 
 def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
@@ -221,7 +244,7 @@ def suborbit_count(ct: ConcreteTable) -> int:
 
 def distinct_nontrivial_lengths(ct: ConcreteTable) -> tuple[int, ...]:
     """Sorted distinct suborbit lengths, the trivial row excluded."""
-    return tuple(sorted({r.length for r in ct.nontrivial_rows}))
+    return ct.distinct_nontrivial_lengths
 
 
 def proper_divisor_premise(ct: ConcreteTable) -> bool:

@@ -155,6 +155,34 @@ def test_is_power_of():
         is_power_of(8, 1)
 
 
+def _is_power_of_one_step(n, p):
+    """Reference: divide by p one step at a time."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e if n == 1 else None
+
+
+def test_is_power_of_matches_one_step_division():
+    for p in (2, 3, 5, 7, 10):
+        assert is_power_of(1, p) == 0
+        for e in range(601):
+            power = p**e
+            for n in (power, 2 * power, 7 * power, power + 1, power - 1):
+                if n >= 1:
+                    assert is_power_of(n, p) == _is_power_of_one_step(n, p), (n, p)
+    for n in range(1, 400):
+        for p in range(2, 30):
+            assert is_power_of(n, p) == _is_power_of_one_step(n, p), (n, p)
+
+
+@pytest.mark.parametrize("n, p", [(0, 3), (-1, 3), (-27, 3), (8, 1), (8, 0), (8, -2), (0, 0), (1, 1)])
+def test_is_power_of_domain(n, p):
+    with pytest.raises(ValueError):
+        is_power_of(n, p)
+
+
 def test_exp_compare_random():
     rng = random.Random(7)
     for _ in range(400):

@@ -21,9 +21,11 @@ from dtgcert.gates import (
 from dtgcert.pipeline import (
     NO_DTG,
     UNDETERMINED,
+    VERSION,
+    Certificate,
+    RunReport,
     analyze_ree,
     analyze_subfield,
-    certificate_jsonable,
     certificate_text,
     conclude,
     emit,
@@ -32,9 +34,54 @@ from dtgcert.pipeline import (
 )
 
 
-def _v(outcome, name="g"):
+def _v(outcome, name="g", assumptions=()):
     witnesses = {"w": 1} if outcome == EXCLUDES else {}
-    return GateVerdict(name, outcome, witnesses)
+    return GateVerdict(name, outcome, witnesses, assumptions=assumptions)
+
+
+def certificate_jsonable(cert):
+    """Reference form of one certificate in a JSON run report."""
+    return {
+        "case": cert.case,
+        "n": cert.n,
+        "q": str(cert.q),
+        "x_order": cert.x_order,
+        "x_graph": cert.x_graph,
+        "gates": [
+            {
+                "name": verdict.gate_name,
+                "verdict": verdict.outcome,
+                "witnesses": {k: str(v) for k, v in verdict.witnesses.items()},
+                "paper_anchor": verdict.narrative,
+            }
+            for verdict in cert.gates
+        ],
+        "conclusion": cert.conclusion,
+        "assumptions": list(cert.assumptions),
+    }
+
+
+def run_report_jsonable(report):
+    """Reference form of a JSON run report, with a fixed timestamp."""
+    return {
+        "tool_version": report.tool_version,
+        "case": report.case,
+        "n_min": report.n_min,
+        "n_max": report.n_max,
+        "strict": report.strict,
+        "generated_at": "2000-01-01T00:00:00Z",
+        "summary": report.summary,
+        "certificates": [certificate_jsonable(c) for c in report.certificates],
+    }
+
+
+_GENERATED_AT = re.compile(rb'^  "generated_at": "[^"\n]*",\n', re.M)
+
+
+def _unstamped(blob):
+    blob, stamps = _GENERATED_AT.subn(b"", blob)
+    assert stamps == 1
+    return blob
 
 
 def test_conclude():
@@ -47,6 +94,18 @@ def test_conclude():
     # an externally assumed gate only settles the case as the last word
     assert conclude([_v(ASSUMED_EXTERNAL), _v(INCONCLUSIVE)]) == UNDETERMINED
     assert conclude([_v(NOT_APPLICABLE)]) == UNDETERMINED
+
+
+def test_conclude_strict_needs_a_chain_without_assumptions():
+    assert conclude([_v(EXCLUDES)], strict=True) == NO_DTG
+    assert conclude([_v(INCONCLUSIVE), _v(EXCLUDES)], strict=True) == NO_DTG
+    assert conclude([_v(EXCLUDES, assumptions=("a",))]) == NO_DTG
+    assert conclude([_v(EXCLUDES, assumptions=("a",))], strict=True) == UNDETERMINED
+    # an assumption anywhere in the chain blocks a strict exclusion
+    chain = [_v(INCONCLUSIVE, assumptions=("a",)), _v(EXCLUDES)]
+    assert conclude(chain) == NO_DTG
+    assert conclude(chain, strict=True) == UNDETERMINED
+    assert conclude([_v(ASSUMED_EXTERNAL, assumptions=("a",))], strict=True) == UNDETERMINED
 
 
 def test_analyze_subfield_shape():
@@ -113,8 +172,24 @@ def test_analyze_x_filter():
 def test_analyze_strict_mode():
     report = analyze_ree(0, 0, strict=True)
     assert all(c.conclusion == UNDETERMINED for c in report.certificates)
+    # every subfield chain starts from the multiplicity-free classification
     report = analyze_subfield(1, 1, strict=True)
+    assert report.certificates
+    assert all(c.conclusion == UNDETERMINED for c in report.certificates)
+    # at n = 1 every X is excluded by the kernel chain, which assumes kernels
+    report = analyze_ree(1, 1, strict=True)
+    assert report.certificates
+    assert all(c.conclusion == UNDETERMINED for c in report.certificates)
+    # at n = 4 bhk excludes every X and assumes nothing
+    report = analyze_ree(4, 4, strict=True)
+    assert report.certificates
     assert all(c.conclusion == NO_DTG for c in report.certificates)
+    # strict mode changes conclusions only where an assumption was used
+    lenient = analyze_ree(0, 4)
+    strict = analyze_ree(0, 4, strict=True)
+    for loose, tight in zip(lenient.certificates, strict.certificates, strict=True):
+        assert loose.gates == tight.gates
+        assert tight.conclusion == (UNDETERMINED if tight.assumptions else loose.conclusion)
 
 
 def test_analyze_range_validation():
@@ -200,10 +275,32 @@ def test_sweeps_instantiate_only_where_a_gate_reads_the_table(monkeypatch):
     assert calls == {"build_table": 1, "instantiate": 2}
 
 
+def test_sweeps_group_lengths_once_per_table(monkeypatch):
+    grouping = vars(tables.ConcreteTable)["length_groups"]
+    calls = Counter()
+
+    def counted(ct, _original=grouping.func):
+        calls[ct.param] += 1
+        return _original(ct)
+
+    monkeypatch.setattr(grouping, "func", counted)
+    report = analyze_ree(0, 12)
+    assert len(report.certificates) == 62
+    assert calls == Counter({REE.param_for_n(n): 1 for n in range(13)})
+    calls.clear()
+    report = analyze_subfield(1, 12)
+    sigma = [c for c in report.certificates if len(c.gates) > 1]
+    assert len(sigma) > 12
+    assert calls == Counter({3**n: 1 for n in range(1, 13)})
+
+
 def test_certificate_json_schema():
     report = analyze_ree(0, 1)
-    for cert in report.certificates:
-        payload = certificate_jsonable(cert)
+    data = json.loads(emit(report, "json"))
+    assert list(data) == [
+        "tool_version", "case", "n_min", "n_max", "strict", "generated_at", "summary", "certificates",
+    ]
+    for cert, payload in zip(report.certificates, data["certificates"], strict=True):
         assert list(payload) == [
             "case", "n", "q", "x_order", "x_graph", "gates", "conclusion", "assumptions",
         ]
@@ -215,6 +312,48 @@ def test_certificate_json_schema():
             assert gate["verdict"] in (
                 "excludes", "inconclusive", "not_applicable", "assumed_external",
             )
+
+
+def _hand_built_report():
+    excluding = GateVerdict(
+        "quoting",
+        EXCLUDES,
+        {
+            "flag": True,
+            "big": 3**201,
+            "text": 'say "no" \\ back\nslash caf\u00e9 \u2713',
+            'key "with" \\ \u00e9': "v",
+        },
+        'anchor "quoted"\t\u00e9',
+        ("ass\u00fcmption \"one\"", "second"),
+    )
+    quiet = GateVerdict("quiet", INCONCLUSIVE, {}, "")
+    certificates = (
+        Certificate("ree", 1, 27, 2, True, (quiet, excluding), NO_DTG),
+        Certificate("subfield", 2, 81, 8, False, (), UNDETERMINED),
+        Certificate("ree", 0, 3, 1, False, (quiet,), UNDETERMINED),
+    )
+    return RunReport(VERSION, "ree", 0, 2, True, certificates)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: analyze_ree(0, 100),
+        lambda: analyze_subfield(1, 12),
+        lambda: analyze_ree(0, 5, strict=True),
+        lambda: analyze_subfield(1, 3, strict=True),
+        lambda: analyze_ree(0, 12, x_filter=((2, False), (6, True))),
+        _hand_built_report,
+        lambda: RunReport(VERSION, "subfield", 1, 1, False, ()),
+        lambda: analyze_subfield(1, 1, x_filter=((2, True),)),
+    ],
+    ids=["ree-0-100", "subfield-1-12", "ree-strict", "subfield-strict", "ree-x", "hand-built", "empty", "filtered-empty"],
+)
+def test_emit_json_matches_json_dumps(make):
+    report = make()
+    expected = (json.dumps(run_report_jsonable(report), indent=2) + "\n").encode()
+    assert _unstamped(emit(report, "json")) == _unstamped(expected)
 
 
 def test_emit_json_roundtrip_and_determinism():
