@@ -4,12 +4,15 @@ Everything in this package reduces to computations done here: arbitrary
 precision integers, rationals in lowest terms, dense univariate polynomials
 over the rationals, integer factorization by trial division, cyclic-group
 element orders, and exact comparison of huge powers. No floating point anywhere.
+
+A sum of products of polynomials (`Poly.sum_of_products`) runs in one integer
+accumulator over a common denominator, with no intermediate Poly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -140,10 +143,7 @@ class Poly:
         if not a or not b:
             return Poly()
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+        _add_product(out, a, b)
         return Poly._make(out, self._den * p._den)
 
     __rmul__ = __mul__
@@ -168,6 +168,21 @@ class Poly:
             base = base * base
             e >>= 1
         return result
+
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
+        """sum(a * b for a, b in pairs), accumulated in one list of integers.
+
+        Every product is scaled to the lcm of the pairs' denominators and
+        added coefficient by coefficient into one list of numerators, which
+        is normalized once at the end; an empty sum is the zero polynomial.
+        """
+        pairs = [(a, b) for a, b in pairs if a._num and b._num]
+        den = lcm(*(a._den * b._den for a, b in pairs))
+        acc = [0] * max((len(a._num) + len(b._num) - 1 for a, b in pairs), default=0)
+        for a, b in pairs:
+            _add_product(acc, a._num, b._num, den // (a._den * b._den))
+        return cls._make(acc, den)
 
     def _eval(self, point: Scalar) -> tuple[int, int]:
         """(numerator, denominator) of the value at an int or Fraction point.
@@ -225,6 +240,22 @@ class Poly:
         for sign, body in terms[1:]:
             text += f" {sign} {body}"
         return f"Poly({text})"
+
+
+def _add_product(acc: list[int], a: Sequence[int], b: Sequence[int], scale: int = 1) -> None:
+    """Add scale * (a * b), the convolution of two numerator lists, into acc in place.
+
+    acc must hold at least len(a) + len(b) - 1 entries. The shorter list is
+    the outer loop, and zero coefficients are skipped.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    for j, cb in enumerate(b):
+        if cb:
+            cb *= scale
+            for i, ca in enumerate(a, j):
+                if ca:
+                    acc[i] += ca * cb
 
 
 def factorize(n: int) -> dict[int, int]:

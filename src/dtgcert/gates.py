@@ -20,7 +20,7 @@ from typing import Union
 
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize, is_power_of
-from .groups import REE, OuterOption, g_order_at, torus_orders
+from .groups import REE, OuterOption, torus_orders
 
 EXCLUDES = "excludes"
 INCONCLUSIVE = "inconclusive"
@@ -172,7 +172,7 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
 
     if not fusion.excludes_diameter_two(ct):
         return fail("diameter_at_least_3")
-    if g_order_at(ct.family, ct.param) % 3 != 0:
+    if ct.h_order * ct.index % 3 != 0:
         return fail("odd_prime_in_group_order")
 
     candidates = fusion.smallest_fused_candidates(ct)

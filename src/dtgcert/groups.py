@@ -95,10 +95,6 @@ def get_family(kind: str) -> CaseFamily:
         raise ValueError(f"unknown case family: {kind!r}") from None
 
 
-def g_order_at(family: CaseFamily, param: int) -> int:
-    return family.g_order.eval_int(family.table_variable(param))
-
-
 @dataclass(frozen=True)
 class OuterOption:
     """Subgroup descriptor for X <= Out: order and graph-involution membership."""

@@ -228,7 +228,7 @@ def verify_tables(
     for param in params:
         try:
             ct = tables.instantiate(tab, param)
-        except (tables.TranscriptionError, ValueError) as exc:
+        except ValueError as exc:
             checks.append(ParamCheck(param=param, error=str(exc)))
             continue
         mass_ok, residual = tables.verify_mass(ct)

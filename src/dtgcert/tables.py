@@ -180,8 +180,9 @@ def build_table(family: CaseFamily) -> SuborbitTable:
 def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     """Evaluate every row at an admissible parameter, dropping zero counts.
 
-    Counts must evaluate to nonnegative integers and lengths of surviving
-    rows to positive integers; anything else raises TranscriptionError.
+    Counts must evaluate to nonnegative integers, lengths of surviving rows
+    to positive integers, and the coset index and |H| to integers; anything
+    else raises TranscriptionError.
     """
     family = table.family
     var = family.table_variable(param)
@@ -205,13 +206,13 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     trivial = [r for r in rows if r.length == 1]
     if len(trivial) != 1 or trivial[0].count != 1:
         raise TranscriptionError(f"expected exactly one trivial suborbit at parameter {param}")
-    return ConcreteTable(
-        family=family,
-        param=param,
-        index=family.index.eval_int(var),
-        h_order=family.h_order.eval_int(var),
-        rows=tuple(rows),
-    )
+    orders = []
+    for name, poly in (("coset index", family.index), ("|H|", family.h_order)):
+        try:
+            orders.append(poly.eval_int(var))
+        except ValueError as exc:
+            raise TranscriptionError(f"{name} at parameter {param}: {exc}") from exc
+    return ConcreteTable(family=family, param=param, index=orders[0], h_order=orders[1], rows=tuple(rows))
 
 
 def verify_mass(ct: ConcreteTable) -> tuple[bool, int]:
@@ -221,10 +222,13 @@ def verify_mass(ct: ConcreteTable) -> tuple[bool, int]:
 
 
 def verify_mass_symbolic(table: SuborbitTable) -> bool:
-    """Check the mass identity at the polynomial level, coefficient by coefficient."""
-    total = Poly()
-    for row in table.rows:
-        total = total + row.length * row.count
+    """Check the mass identity at the polynomial level, coefficient by coefficient.
+
+    The products length * count of all rows are summed in one integer
+    accumulator over their common denominator and compared once with the
+    coset index polynomial.
+    """
+    total = Poly.sum_of_products((row.length, row.count) for row in table.rows)
     return total == table.family.index
 
 

@@ -315,8 +315,9 @@ def test_poly_eval_int_matches_fraction_reference():
         if want.denominator == 1:
             assert p.eval_int(point) == want.numerator
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as exc:
                 p.eval_int(point)
+            assert str(exc.value) == f"polynomial is not integer-valued at {point}: {want}"
     # (t^2 - 1)/4 is an integer at odd points only
     assert ((t**2 - 1) / 4).eval_int(7) == 12
     with pytest.raises(ValueError):
@@ -351,3 +352,47 @@ def test_poly_normal_form_is_structural():
         t * 1.5
     with pytest.raises(TypeError):
         t.eval_int(0.5)
+
+
+def _random_poly_over(rng, den):
+    """A Poly with up to seven integer numerators, negatives and zeros too, over den."""
+    return Poly([Fraction(rng.randrange(-40, 41), den) for _ in range(rng.randrange(0, 8))])
+
+
+def _naive_sum_of_products(pairs):
+    total = Poly()
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+def test_sum_of_products_matches_naive_sum():
+    rng = random.Random(20215)
+    dens = (1, 2, 3, 4, 6, 12)
+    checked = 0
+    for _ in range(200):
+        pairs = []
+        for _ in range(rng.randrange(0, 9)):
+            a = _random_poly_over(rng, rng.choice(dens))
+            b = Poly(()) if rng.randrange(6) == 0 else _random_poly_over(rng, rng.choice(dens))
+            pairs.append((a, b))
+        got = Poly.sum_of_products(pairs)
+        want = _naive_sum_of_products(pairs)
+        assert got == want and got.coeffs == want.coeffs
+        ref = ()
+        for a, b in pairs:
+            ref = _ref_add(ref, _ref_mul(a.coeffs, b.coeffs))
+        assert got.coeffs == ref
+        # the same products negated cancel to the zero polynomial
+        cancelling = pairs + [(-a, b) for a, b in pairs]
+        rng.shuffle(cancelling)
+        assert Poly.sum_of_products(cancelling) == Poly(())
+        checked += 1
+    assert checked == 200
+    assert Poly.sum_of_products([]) == Poly(())
+    assert Poly.sum_of_products(iter(())) == 0
+    t = Poly.var()
+    assert Poly.sum_of_products([(t, Poly(())), (Poly(()), t + 1)]) == Poly(())
+    assert Poly.sum_of_products([(t / 2, t / 3), (t / 4, 1 - t)]) == t**2 / 6 + t / 4 - t**2 / 4
+    # leading terms cancel; the rest is normalized over the common denominator
+    assert Poly.sum_of_products([(t / 6, t + Fraction(1, 4)), (-t / 2, t / 3)]) == t / 24

@@ -134,8 +134,10 @@ def test_involution_gate_fail_steps():
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "commuting_pair"
 
+    # The gate reads |G| as index * |H|; the hand-built tables below keep the
+    # real r = 3 orders so that 3 divides it, as it does for every r.
     flat = ConcreteTable(
-        SUBFIELD, 3, 100, 50,
+        SUBFIELD, 3, real.index, real.h_order,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 7, 1),
@@ -146,7 +148,7 @@ def test_involution_gate_fail_steps():
     assert v.witnesses["failed_step"] == "diameter_at_least_3"
 
     bad_candidate = ConcreteTable(
-        SUBFIELD, 3, 100, 50,
+        SUBFIELD, 3, real.index, real.h_order,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 5, 1),
@@ -160,7 +162,7 @@ def test_involution_gate_fail_steps():
     assert "z" in v.witnesses["offending_rows"] or "B" in v.witnesses["offending_rows"]
 
     no_torus = ConcreteTable(
-        SUBFIELD, 3, 100, 50,
+        SUBFIELD, 3, real.index, real.h_order,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 17, 1),
@@ -171,6 +173,10 @@ def test_involution_gate_fail_steps():
     )
     v = involution_gate(no_torus)
     assert v.witnesses["failed_step"] == "order4_witness"
+
+    no_three = ConcreteTable(SUBFIELD, 3, 100, 50, no_torus.rows)
+    v = involution_gate(no_three)
+    assert v.witnesses["failed_step"] == "odd_prime_in_group_order"
 
 
 def test_bhk_gate_frozen_outcomes():

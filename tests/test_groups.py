@@ -3,7 +3,6 @@ import pytest
 from dtgcert.groups import (
     REE,
     SUBFIELD,
-    g_order_at,
     get_family,
     outer_subgroup_options,
     torus_orders,
@@ -26,7 +25,7 @@ def test_subfield_orders_concrete():
     # |G2(q)| with q = r^2 against the generic order formula, written out
     for r in (3, 9, 27):
         q = r * r
-        assert g_order_at(SUBFIELD, r) == q**6 * (q**6 - 1) * (q**2 - 1)
+        assert SUBFIELD.g_order.eval_int(SUBFIELD.table_variable(r)) == q**6 * (q**6 - 1) * (q**2 - 1)
         assert SUBFIELD.h_order.eval_int(SUBFIELD.table_variable(r)) == r**6 * (r**6 - 1) * (r**2 - 1)
         assert SUBFIELD.index.eval_int(SUBFIELD.table_variable(r)) == r**6 * (r**6 + 1) * (r**2 + 1)
     assert SUBFIELD.index.eval_int(SUBFIELD.table_variable(3)) == 5321700
@@ -34,7 +33,7 @@ def test_subfield_orders_concrete():
 
 def test_ree_orders_concrete():
     for q in (3, 27, 243, 2187):
-        assert g_order_at(REE, q) == q**6 * (q**6 - 1) * (q**2 - 1)
+        assert REE.g_order.eval_int(REE.table_variable(q)) == q**6 * (q**6 - 1) * (q**2 - 1)
         assert REE.h_order.eval_int(REE.table_variable(q)) == q**3 * (q**3 + 1) * (q - 1)
         assert REE.index.eval_int(REE.table_variable(q)) == q**3 * (q**3 - 1) * (q + 1)
     assert REE.index.eval_int(REE.table_variable(3)) == 2808

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from collections import Counter
 
@@ -6,7 +7,8 @@ import pytest
 
 import dtgcert.gates as gates
 import dtgcert.tables as tables
-from dtgcert.groups import REE
+from dtgcert.exact import Poly
+from dtgcert.groups import REE, SUBFIELD
 from dtgcert.gates import (
     ASSUMED_EXTERNAL,
     ASSUMPTION_BCN,
@@ -250,6 +252,70 @@ def test_verify_tables_detects_broken_override(monkeypatch):
     assert calls == {"instantiate": 2}
     assert not report.ok
     assert not report.symbolic_ok
+
+
+#: Verification parameters of the fault tests below: ree q, subfield r.
+FAULT_PARAMS = {"ree": (27, 243), "subfield": (9, 27)}
+
+
+def _replace_row(table, i, attr, poly):
+    row = table.rows[i]
+    fields = {"length": row.length, "count": row.count, attr: poly}
+    new_row = tables.SuborbitRow(row.z, fields["length"], fields["count"])
+    return tables.SuborbitTable(table.family, table.rows[:i] + (new_row,) + table.rows[i + 1 :])
+
+
+def _degree_and_denominator_mutants(table, rng):
+    """Mutants the benchmark's single-coefficient faults leave out.
+
+    Each row's length and count gets a new top coefficient, once just above
+    its own degree and once above every degree of the table and its family,
+    and each count is divided by 2.
+    """
+    t = Poly.var()
+    beyond = 1 + max([table.family.index.degree, table.family.h_order.degree]
+                     + [p.degree for row in table.rows for p in (row.length, row.count)])
+    for i, row in enumerate(table.rows):
+        for attr in ("length", "count"):
+            poly = getattr(row, attr)
+            for degree in (poly.degree + 1, beyond):
+                yield _replace_row(table, i, attr, poly + rng.choice((-3, -2, -1, 1, 2, 3)) * t**degree)
+        yield _replace_row(table, i, "count", row.count / 2)
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_PARAMS))
+def test_verify_tables_rejects_degree_and_denominator_mutants(case):
+    family = REE if case == "ree" else SUBFIELD
+    table = tables.build_table(family)
+    mutants = list(_degree_and_denominator_mutants(table, random.Random(6)))
+    assert len(mutants) == 5 * len(table.rows)
+    for mutant in mutants:
+        report = verify_tables(case, FAULT_PARAMS[case], symbolic=True, table=mutant)
+        # at every parameter instantiate raises or a concrete check fails
+        assert [check.ok for check in report.checks] == [False, False]
+        assert report.symbolic_ok is False
+        assert not tables.verify_mass_symbolic(mutant)
+    assert verify_tables(case, FAULT_PARAMS[case], symbolic=True).ok
+
+
+def test_verify_tables_on_a_given_table_builds_no_polynomial(monkeypatch):
+    mutants = [
+        next(_degree_and_denominator_mutants(tables.build_table(family), random.Random(7)))
+        for family in (REE, SUBFIELD)
+    ]
+    calls = Counter()
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _attr=attr, _original=vars(Poly)[attr]):
+            calls[_attr] += 1
+            return _original(self, other)
+        monkeypatch.setattr(Poly, attr, counted)
+    for mutant in mutants:
+        report = verify_tables(mutant.family.kind, FAULT_PARAMS[mutant.family.kind], symbolic=True, table=mutant)
+        assert report.symbolic_ok is False
+    assert calls == Counter()
+    # the wrappers do count: building a table multiplies polynomials
+    tables.build_table(REE)
+    assert calls["__mul__"] > 0
 
 
 def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):

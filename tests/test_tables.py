@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from dtgcert.exact import Poly
@@ -148,6 +151,25 @@ def test_instantiate_rejects_negative_count():
     )
     with pytest.raises(TranscriptionError):
         instantiate(SuborbitTable(REE, rows), 3)
+
+
+def test_instantiate_rejects_fractional_count_with_message():
+    base = build_table(REE)
+    row = base.rows[10]
+    rows = base.rows[:10] + (SuborbitRow(row.z, row.length, row.count / 2),) + base.rows[11:]
+    with pytest.raises(TranscriptionError) as exc:
+        instantiate(SuborbitTable(REE, rows), 27)
+    assert str(exc.value) == "count of row 'R11' at parameter 27: polynomial is not integer-valued at 3: 3/2"
+
+
+@pytest.mark.parametrize("field, name", [("index", "coset index"), ("h_order", "|H|")])
+def test_instantiate_rejects_fractional_orders(field, name):
+    # a family whose index or |H| is never an integer, with the real rows
+    family = replace(REE, **{field: getattr(REE, field) + Fraction(1, 2)})
+    table = SuborbitTable(family, build_table(REE).rows)
+    with pytest.raises(TranscriptionError) as exc:
+        instantiate(table, 27)
+    assert str(exc.value).startswith(f"{name} at parameter 27: polynomial is not integer-valued at 3: ")
 
 
 def test_instantiate_requires_unique_trivial_row():
