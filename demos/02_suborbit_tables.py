@@ -9,7 +9,6 @@ from dtgcert import (
     REE,
     SUBFIELD,
     build_table,
-    distinct_nontrivial_lengths,
     dump,
     instantiate,
     stabilizer_order,
@@ -44,7 +43,7 @@ ok, _ = verify_mass(ct_sub)
 print(f"vertices: {ct_sub.index}")
 print(f"mass identity: {ok}")
 print(f"surviving rows: {len(ct_sub.rows)} carrying {suborbit_count(ct_sub)} suborbits")
-print(f"distinct nontrivial lengths: {distinct_nontrivial_lengths(ct_sub)}")
+print(f"distinct nontrivial lengths: {ct_sub.distinct_nontrivial_lengths}")
 
 print()
 print("== symbolic mass identities ==")

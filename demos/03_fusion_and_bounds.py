@@ -5,26 +5,17 @@ most |X| at a time, so grouping by length bounds the fused class count from
 below. That count feeds the diameter-cutoff gate; the kernel-chain gate
 instead tracks certifying primes through stabilizer orders.
 """
-from dtgcert import (
-    REE,
-    FusionConstraint,
-    bhk_gate,
-    build_table,
-    instantiate,
-    kernel_prime_data,
-    length_groups,
-    min_fused_classes,
-)
+from dtgcert import REE, bhk_gate, build_table, instantiate, kernel_prime_data, min_fused_classes
 from dtgcert.pipeline import gate_text
 
 table = build_table(REE)
 
 print("== fused class lower bounds at q = 27 ==")
 ct = instantiate(table, 27)
-groups = length_groups(ct)
-print(f"{len(groups)} length classes over {sum(g.multiplicity for g in groups)} nontrivial suborbits")
+groups = ct.length_groups
+print(f"{len(groups)} length classes over {sum(mult for _, mult in groups)} nontrivial suborbits")
 for x in (1, 2, 3, 6):
-    bound = min_fused_classes(groups, FusionConstraint(x))
+    bound = min_fused_classes(groups, x)
     print(f"  |X| = {x}: at least {bound} fused classes")
 
 print()
@@ -33,12 +24,12 @@ print("== diameter cutoff gate ==")
 # q and v come from the table instantiated at q
 for n in (1, 3, 4, 6):
     q = REE.param_for_n(n)
-    verdict = bhk_gate(instantiate(table, q), FusionConstraint(2 * (2 * n + 1)))
+    verdict = bhk_gate(instantiate(table, q), 2 * (2 * n + 1))
     print(f"  n={n}: {gate_text(verdict)}")
 
 print()
 print("== certifying kernel primes ==")
 for q in (27, 243, 2187):
-    data = kernel_prime_data(q)
-    print(f"  q={q}: q-3m+1 = {data.minus_value} -> {data.p_minus},"
-          f" q+3m+1 = {data.plus_value} -> {data.p_plus}")
+    (minus_value, p_minus), (plus_value, p_plus) = kernel_prime_data(q)
+    print(f"  q={q}: q-3m+1 = {minus_value} -> {p_minus},"
+          f" q+3m+1 = {plus_value} -> {p_plus}")

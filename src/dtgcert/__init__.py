@@ -10,13 +10,12 @@ The names in __all__ are the supported API; everything else is reached
 through its submodule.
 """
 from .exact import Poly, cyclic_order, exp_compare, factorize
-from .fusion import FusionConstraint, length_groups, min_fused_classes
+from .fusion import min_fused_classes
 from .gates import bhk_gate, kernel_prime_data
 from .groups import REE, SUBFIELD
 from .pipeline import VERSION, analyze_ree, analyze_subfield, emit
 from .tables import (
     build_table,
-    distinct_nontrivial_lengths,
     dump,
     instantiate,
     stabilizer_order,
@@ -32,8 +31,6 @@ __all__ = [
     "cyclic_order",
     "exp_compare",
     "factorize",
-    "FusionConstraint",
-    "length_groups",
     "min_fused_classes",
     "bhk_gate",
     "kernel_prime_data",
@@ -43,7 +40,6 @@ __all__ = [
     "analyze_subfield",
     "emit",
     "build_table",
-    "distinct_nontrivial_lengths",
     "dump",
     "instantiate",
     "stabilizer_order",

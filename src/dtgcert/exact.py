@@ -91,6 +91,9 @@ class Poly:
         return self._num == p._num and self._den == p._den
 
     def __hash__(self) -> int:
+        # A constant equals the int or Fraction of its value, so it hashes like it.
+        if len(self._num) <= 1:
+            return hash(Fraction(sum(self._num), self._den))
         return hash((self._num, self._den))
 
     @staticmethod

@@ -7,7 +7,7 @@ failing step named, never a silent exclusion.
 
 A gate reads its parameter (q or r) from the ConcreteTable it is given, so
 the table and the parameter cannot disagree; only the gates that bound fused
-class counts also take a FusionConstraint (|X|). A verdict lists the
+class counts also take |X|, as a plain int. A verdict lists the
 ASSUMPTION_* texts it relies on, and a certificate's assumptions are the
 union of its verdicts' lists.
 """
@@ -85,18 +85,6 @@ class Order4Witness:
             raise ValueError("witness power does not have order 4")
         if self.torus_base == "gamma" and self.base_order < 8:
             raise ValueError("gamma witnesses require r >= 9")
-
-
-@dataclass(frozen=True)
-class KernelPrimeData:
-    """Certifying primes of q -+ 3m + 1 after discarding the small-prime strip."""
-
-    q: int
-    m: int
-    minus_value: int
-    plus_value: int
-    p_minus: tuple[int, ...]
-    p_plus: tuple[int, ...]
 
 
 def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict:
@@ -200,31 +188,34 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
     )
 
 
-def bhk_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> GateVerdict:
+def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     """Exact form of the diameter cutoff d < (8/3) log2(v) for the ree family.
 
     q is the table's parameter and v its coset index. The fused table has at
     least d0 = (q + 6) / |X| classes. With d0 = a/b in lowest terms the
     cutoff fails exactly when 2**(3a) >= v**(8b), decided by exact integer
     comparison. The sharper class-count bound from the same table is reported
-    as an extra witness but does not feed the verdict.
+    as an extra witness but does not feed the verdict. An x_order below 1
+    raises ValueError.
     """
     if ct.family.kind != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
+    if x_order < 1:
+        raise ValueError("x_order must be >= 1")
     narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
     q = ct.param
     if q == 3:
         return GateVerdict(GATE_BHK, NOT_APPLICABLE, {"q": q}, narrative)
     v = ct.index
-    g = gcd(q + 6, c.x_order)
-    a, b = (q + 6) // g, c.x_order // g
+    g = gcd(q + 6, x_order)
+    a, b = (q + 6) // g, x_order // g
     comparison = exp_compare(2, 3 * a, v, 8 * b)
 
-    refined = fusion.min_fused_classes(ct.length_groups, c)
+    refined = fusion.min_fused_classes(ct.length_groups, x_order)
     refined_excludes = exp_compare(2, 3 * refined, v, 8) >= 0
 
     witnesses: dict[str, Witness] = {
-        "d0": f"{q + 6}/{c.x_order}",
+        "d0": f"{q + 6}/{x_order}",
         "d0_lowest_terms": f"{a}/{b}",
         "vertices": v,
         "exact_comparison": "2^(3a) >= v^(8b)" if comparison >= 0 else "2^(3a) < v^(8b)",
@@ -235,11 +226,12 @@ def bhk_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> GateVerdic
     return GateVerdict(GATE_BHK, outcome, witnesses, narrative)
 
 
-def kernel_prime_data(q: int) -> KernelPrimeData:
+def kernel_prime_data(q: int) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
     """Certifying primes of the factors q - 3m + 1 and q + 3m + 1.
 
-    The two factors multiply to q*q - q + 1. Primes in DEFAULT_STRIP cannot
-    certify (they may divide fused kernel multipliers), so they are removed.
+    Returns ((q - 3m + 1, its primes), (q + 3m + 1, its primes)). The two
+    factors multiply to q*q - q + 1. Primes in DEFAULT_STRIP cannot certify
+    (they may divide fused kernel multipliers), so they are removed.
     """
     n = REE.n_of_param(q)
     m = 3**n
@@ -247,9 +239,9 @@ def kernel_prime_data(q: int) -> KernelPrimeData:
     plus_value = q + 3 * m + 1
     if minus_value * plus_value != q * q - q + 1:
         raise ArithmeticError(f"factor identity failed at q={q}")
-    p_minus = tuple(p for p in factorize(minus_value) if p not in DEFAULT_STRIP)
-    p_plus = tuple(p for p in factorize(plus_value) if p not in DEFAULT_STRIP)
-    return KernelPrimeData(q, m, minus_value, plus_value, p_minus, p_plus)
+    return tuple(
+        (value, tuple(p for p in factorize(value) if p not in DEFAULT_STRIP)) for value in (minus_value, plus_value)
+    )
 
 
 def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
@@ -274,14 +266,10 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     if not tables.proper_divisor_premise(ct):
         return fail("proper_divisor_premise")
 
-    data = kernel_prime_data(q)
-    if not data.p_minus or not data.p_plus:
-        return fail(
-            "no_certifying_primes",
-            minus_value=data.minus_value,
-            plus_value=data.plus_value,
-        )
-    specials = data.p_minus + data.p_plus
+    (minus_value, p_minus), (plus_value, p_plus) = kernel_prime_data(q)
+    if not p_minus or not p_plus:
+        return fail("no_certifying_primes", minus_value=minus_value, plus_value=plus_value)
+    specials = p_minus + p_plus
 
     candidates = fusion.smallest_fused_candidates(ct)
     expected_lengths = {(q**3 + 1) * (q - 1), q**2 * (q**2 - q + 1)}
@@ -299,7 +287,7 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
 
     for row in ct.nontrivial_rows:
         stab = tables.stabilizer_order(ct, row)
-        if any(stab % p == 0 for p in data.p_minus) and any(stab % p == 0 for p in data.p_plus):
+        if any(stab % p == 0 for p in p_minus) and any(stab % p == 0 for p in p_plus):
             return fail("stabilizer_divisible_by_both", row=row.label)
 
     return GateVerdict(
@@ -307,8 +295,8 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
         EXCLUDES,
         {
             "primes": ", ".join(str(p) for p in specials),
-            "q_minus_3m_plus_1": data.minus_value,
-            "q_plus_3m_plus_1": data.plus_value,
+            "q_minus_3m_plus_1": minus_value,
+            "q_plus_3m_plus_1": plus_value,
             "gamma1_candidates": ", ".join(candidates),
             "gamma1_stabilizers": ", ".join(str(s) for s in candidate_stabs),
         },
@@ -317,20 +305,23 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     )
 
 
-def bcn_small_case_gate(ct: tables.ConcreteTable, c: fusion.FusionConstraint) -> GateVerdict:
+def bcn_small_case_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     """External table lookup for the single small ree case q = 3.
 
     The published intersection-array tables contain no feasible array with
     this vertex count and diameter; the absence is cited, not recomputed.
+    An x_order below 1 raises ValueError.
     """
+    if x_order < 1:
+        raise ValueError("x_order must be >= 1")
     narrative = "no feasible intersection array with 2808 vertices at this diameter (external tables)"
     if ct.family.kind != "ree" or ct.param != 3:
         return GateVerdict(GATE_BCN, NOT_APPLICABLE, {"param": ct.param}, narrative)
-    bound = fusion.min_fused_classes(ct.length_groups, c)
+    bound = fusion.min_fused_classes(ct.length_groups, x_order)
     return GateVerdict(
         GATE_BCN,
         ASSUMED_EXTERNAL,
-        {"vertices": ct.index, "diameter_lower_bound": bound, "x_order": c.x_order},
+        {"vertices": ct.index, "diameter_lower_bound": bound, "x_order": x_order},
         narrative,
         (ASSUMPTION_BCN,),
     )

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
-from . import fusion, gates, tables
+from . import gates, tables
 from .groups import REE, SUBFIELD, CaseFamily, OuterOption, get_family, outer_subgroup_options
 
 VERSION = "0.1.0"
@@ -134,10 +134,9 @@ def _subfield_chain(ct: tables.ConcreteTable) -> list[gates.GateVerdict]:
 
 
 def _ree_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.GateVerdict]:
-    constraint = fusion.FusionConstraint(option.order)
     if ct.param == 3:
-        return [gates.bcn_small_case_gate(ct, constraint)]
-    bhk = gates.bhk_gate(ct, constraint)
+        return [gates.bcn_small_case_gate(ct, option.order)]
+    bhk = gates.bhk_gate(ct, option.order)
     if bhk.excludes:
         return [bhk]
     return [bhk, gates.kernel_chain_gate(ct)]

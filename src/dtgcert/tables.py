@@ -63,12 +63,6 @@ class ConcreteRow:
 
 
 @dataclass(frozen=True)
-class LengthGroup:
-    length: int
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class ConcreteTable:
     """A table instantiated at one parameter, zero-count rows dropped.
 
@@ -93,16 +87,17 @@ class ConcreteTable:
         return tuple(r for r in self.rows if r.length > 1)
 
     @cached_property
-    def length_groups(self) -> tuple[LengthGroup, ...]:
-        """Nontrivial suborbits grouped by exact length, sorted by length."""
+    def length_groups(self) -> tuple[tuple[int, int], ...]:
+        """Nontrivial suborbits as (length, multiplicity) pairs, sorted by length."""
         groups: dict[int, int] = {}
         for row in self.nontrivial_rows:
             groups[row.length] = groups.get(row.length, 0) + row.count
-        return tuple(LengthGroup(length, mult) for length, mult in sorted(groups.items()))
+        return tuple(sorted(groups.items()))
 
     @cached_property
     def distinct_nontrivial_lengths(self) -> tuple[int, ...]:
-        return tuple(g.length for g in self.length_groups)
+        """Sorted distinct suborbit lengths, the trivial row excluded."""
+        return tuple(length for length, _ in self.length_groups)
 
 
 def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
@@ -244,11 +239,6 @@ def stabilizer_order(ct: ConcreteTable, row: ConcreteRow | str) -> int:
 def suborbit_count(ct: ConcreteTable) -> int:
     """Total number of suborbits, the trivial one included."""
     return sum(r.count for r in ct.rows)
-
-
-def distinct_nontrivial_lengths(ct: ConcreteTable) -> tuple[int, ...]:
-    """Sorted distinct suborbit lengths, the trivial row excluded."""
-    return ct.distinct_nontrivial_lengths
 
 
 def proper_divisor_premise(ct: ConcreteTable) -> bool:

@@ -81,6 +81,19 @@ def test_poly_equality_and_hash():
     assert len({t + 1, Poly((1, 1)), t}) == 2
 
 
+def test_poly_constant_hashes_like_its_value():
+    # equal objects must hash equal, and a constant Poly equals its value
+    for value in (0, 5, -7, Fraction(3, 4)):
+        p = Poly.const(value)
+        assert p == value and hash(p) == hash(value), value
+        assert len({p, value}) == 1, value
+    assert {Poly.const(5): "poly"}[5] == "poly"
+    # a nonconstant polynomial keeps its structural hash
+    t = Poly.var()
+    assert hash(t / 2 + 1) == hash((t + 2) / 2)
+    assert len({t + 1, 1, t}) == 3
+
+
 def test_poly_repr():
     t = Poly.var()
     assert repr(Poly(())) == "Poly(0)"

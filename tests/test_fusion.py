@@ -2,19 +2,13 @@ import random
 
 import pytest
 
-from dtgcert.fusion import (
-    FusionConstraint,
-    LengthGroup,
-    excludes_diameter_two,
-    length_groups,
-    min_fused_classes,
-    smallest_fused_candidates,
-)
+from dtgcert.fusion import excludes_diameter_two, min_fused_classes, smallest_fused_candidates
+from dtgcert.gates import bcn_small_case_gate, bhk_gate
 from dtgcert.groups import REE, SUBFIELD
 from dtgcert.tables import ConcreteRow, ConcreteTable, Z_UNKNOWN, build_table, instantiate
 
 
-def exhaustive_min_fused_classes(groups: tuple[LengthGroup, ...], c: FusionConstraint) -> int:
+def exhaustive_min_fused_classes(groups: tuple[tuple[int, int], ...], x: int) -> int:
     """Reference oracle for min_fused_classes: minimize parts over all
     partitions of each length group into parts of size <= |X|.
 
@@ -22,31 +16,43 @@ def exhaustive_min_fused_classes(groups: tuple[LengthGroup, ...], c: FusionConst
     nontrivial suborbits since it exists only to validate min_fused_classes
     on small instances.
     """
-    total = sum(g.multiplicity for g in groups)
+    total = sum(mult for _, mult in groups)
     if total > 40:
         raise ValueError(f"exhaustive cross-check limited to 40 suborbits, got {total}")
-    x = c.x_order
     result = 0
-    for g in groups:
-        best = [0] * (g.multiplicity + 1)
-        for t in range(1, g.multiplicity + 1):
+    for _, mult in groups:
+        best = [0] * (mult + 1)
+        for t in range(1, mult + 1):
             best[t] = 1 + min(best[t - p] for p in range(1, min(x, t) + 1))
-        result += best[g.multiplicity]
+        result += best[mult]
     return result
 
 
 def test_fusion_constraint_validation():
-    assert FusionConstraint(1).x_order == 1
-    with pytest.raises(ValueError):
-        FusionConstraint(0)
+    ree3 = instantiate(build_table(REE), 3)
+    ree27 = instantiate(build_table(REE), 27)
+    # |X| = 1 is the trivial outer subgroup and is accepted everywhere
+    assert min_fused_classes(ree27.length_groups, 1) == 32
+    assert bhk_gate(ree27, 1).witnesses["d0"] == "33/1"
+    assert bcn_small_case_gate(ree3, 1).witnesses["x_order"] == 1
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            min_fused_classes(ree27.length_groups, bad)
+        # the guard runs before any comparison, also where the gate would
+        # otherwise return not_applicable
+        for ct in (ree3, ree27):
+            with pytest.raises(ValueError):
+                bhk_gate(ct, bad)
+            with pytest.raises(ValueError):
+                bcn_small_case_gate(ct, bad)
 
 
 def test_length_groups_ree_q27():
     ct = instantiate(build_table(REE), 27)
-    groups = length_groups(ct)
-    assert sum(g.multiplicity for g in groups) == 32
-    assert [g.length for g in groups] == sorted(g.length for g in groups)
-    by_length = {g.length: g.multiplicity for g in groups}
+    groups = ct.length_groups
+    assert sum(mult for _, mult in groups) == 32
+    assert [length for length, _ in groups] == sorted(length for length, _ in groups)
+    by_length = dict(groups)
     # the two printed-as-one pairs plus the multi-suborbit torus rows
     assert by_length[27 * 19684 * 26 // 2] == 2
     assert by_length[729 * 19684 * 26 // 2] == 2
@@ -55,10 +61,10 @@ def test_length_groups_ree_q27():
 
 def test_min_fused_classes_frozen_q27():
     ct = instantiate(build_table(REE), 27)
-    groups = length_groups(ct)
+    groups = ct.length_groups
     expect = {1: 32, 2: 18, 3: 14, 6: 10}
     for x, classes in expect.items():
-        assert min_fused_classes(groups, FusionConstraint(x)) == classes
+        assert min_fused_classes(groups, x) == classes
 
 
 def test_exhaustive_cross_check_random():
@@ -73,17 +79,17 @@ def test_exhaustive_cross_check_random():
             if total + mult > 40:
                 break
             total += mult
-            groups.append(LengthGroup(length, mult))
+            groups.append((length, mult))
             length += 10
         groups = tuple(groups)
-        x = FusionConstraint(rng.randrange(1, 13))
+        x = rng.randrange(1, 13)
         assert min_fused_classes(groups, x) == exhaustive_min_fused_classes(groups, x)
 
 
 def test_exhaustive_guard():
-    groups = (LengthGroup(10, 41),)
+    groups = ((10, 41),)
     with pytest.raises(ValueError):
-        exhaustive_min_fused_classes(groups, FusionConstraint(2))
+        exhaustive_min_fused_classes(groups, 2)
 
 
 def test_excludes_diameter_two():

@@ -1,7 +1,6 @@
 import pytest
 
 import dtgcert.gates as gates
-from dtgcert.fusion import FusionConstraint
 from dtgcert.gates import (
     ASSUMED_EXTERNAL,
     EXCLUDES,
@@ -14,7 +13,6 @@ from dtgcert.gates import (
     INCONCLUSIVE,
     NOT_APPLICABLE,
     GateVerdict,
-    KernelPrimeData,
     Order4Witness,
     bcn_small_case_gate,
     bhk_gate,
@@ -183,14 +181,14 @@ def test_bhk_gate_frozen_outcomes():
     # full outer group: |X| = 2(2n+1)
     for n in range(1, 9):
         q = REE.param_for_n(n)
-        v = bhk_gate(_ree_table(q), FusionConstraint(2 * (2 * n + 1)))
+        v = bhk_gate(_ree_table(q), 2 * (2 * n + 1))
         assert v.gate_name == GATE_BHK
         want = INCONCLUSIVE if n <= 3 else EXCLUDES
         assert v.outcome == want, n
 
 
 def test_bhk_gate_witnesses_n1():
-    v = bhk_gate(_ree_table(27), FusionConstraint(6))
+    v = bhk_gate(_ree_table(27), 6)
     assert v.witnesses["d0"] == "33/6"
     assert v.witnesses["d0_lowest_terms"] == "11/2"
     assert v.witnesses["vertices"] == 10847222568
@@ -200,14 +198,14 @@ def test_bhk_gate_witnesses_n1():
 
 def test_bhk_gate_small_x_excludes_earlier():
     # with trivial X the class count d0 = q + 6 is much larger
-    assert bhk_gate(_ree_table(2187), FusionConstraint(1)).outcome == EXCLUDES
-    assert bhk_gate(_ree_table(27), FusionConstraint(1)).outcome == INCONCLUSIVE
+    assert bhk_gate(_ree_table(2187), 1).outcome == EXCLUDES
+    assert bhk_gate(_ree_table(27), 1).outcome == INCONCLUSIVE
 
 
 def test_bhk_gate_edges():
-    assert bhk_gate(_ree_table(3), FusionConstraint(2)).outcome == NOT_APPLICABLE
+    assert bhk_gate(_ree_table(3), 2).outcome == NOT_APPLICABLE
     with pytest.raises(ValueError):
-        bhk_gate(_sub_table(9), FusionConstraint(2))
+        bhk_gate(_sub_table(9), 2)
     # 9 is no ree parameter, so there is no table to run the gate on
     with pytest.raises(ValueError):
         _ree_table(9)
@@ -220,12 +218,12 @@ def test_kernel_prime_data_frozen():
         2187: ((43,), (2269,), 2107, 2269),
     }
     for q, (p_minus, p_plus, minus_value, plus_value) in expect.items():
-        data = kernel_prime_data(q)
-        assert data.p_minus == p_minus
-        assert data.p_plus == p_plus
-        assert data.minus_value == minus_value
-        assert data.plus_value == plus_value
-        assert data.minus_value * data.plus_value == q * q - q + 1
+        (got_minus_value, got_minus), (got_plus_value, got_plus) = kernel_prime_data(q)
+        assert got_minus == p_minus
+        assert got_plus == p_plus
+        assert got_minus_value == minus_value
+        assert got_plus_value == plus_value
+        assert got_minus_value * got_plus_value == q * q - q + 1
 
 
 def test_kernel_chain_gate_excludes():
@@ -264,7 +262,7 @@ def test_kernel_chain_gate_premise_failure():
 
 def test_kernel_chain_gate_no_certifying_primes(monkeypatch):
     def hollow(q):
-        return KernelPrimeData(q, 3, 19, 37, (), ())
+        return (19, ()), (37, ())
 
     monkeypatch.setattr(gates, "kernel_prime_data", hollow)
     v = kernel_chain_gate(_ree_table(27))
@@ -310,13 +308,13 @@ def test_kernel_chain_gate_both_factors_failure():
 
 
 def test_bcn_small_case_gate():
-    v = bcn_small_case_gate(_ree_table(3), FusionConstraint(2))
+    v = bcn_small_case_gate(_ree_table(3), 2)
     assert v.gate_name == GATE_BCN
     assert v.outcome == ASSUMED_EXTERNAL
     assert v.witnesses["vertices"] == 2808
     assert v.witnesses["diameter_lower_bound"] == 6
     assert v.witnesses["x_order"] == 2
-    v1 = bcn_small_case_gate(_ree_table(3), FusionConstraint(1))
+    v1 = bcn_small_case_gate(_ree_table(3), 1)
     assert v1.witnesses["diameter_lower_bound"] == 8
-    assert bcn_small_case_gate(_ree_table(27), FusionConstraint(2)).outcome == NOT_APPLICABLE
-    assert bcn_small_case_gate(_sub_table(3), FusionConstraint(2)).outcome == NOT_APPLICABLE
+    assert bcn_small_case_gate(_ree_table(27), 2).outcome == NOT_APPLICABLE
+    assert bcn_small_case_gate(_sub_table(3), 2).outcome == NOT_APPLICABLE

@@ -13,7 +13,6 @@ from dtgcert.tables import (
     TranscriptionError,
     Z_THREE,
     build_table,
-    distinct_nontrivial_lengths,
     dump,
     instantiate,
     proper_divisor_premise,
@@ -120,7 +119,7 @@ def test_subfield_r3_survivors():
     ct = instantiate(build_table(SUBFIELD), 3)
     assert len(ct.rows) == 20
     assert len(ct.nontrivial_rows) == 19
-    assert distinct_nontrivial_lengths(ct) == (
+    assert ct.distinct_nontrivial_lengths == (
         728, 5824, 7371, 26208, 58968, 88452,
         235872, 326592, 471744, 530712, 606528, 707616,
     )
