@@ -13,10 +13,9 @@ union of its verdicts' lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize, is_power_of
@@ -53,38 +52,57 @@ DEFAULT_STRIP = frozenset({2, 3, 5, 7})
 Witness = Union[int, str]
 
 
-@dataclass(frozen=True)
-class GateVerdict:
+class _GateVerdictFields(NamedTuple):
     gate_name: str
     outcome: str
-    witnesses: dict[str, Witness] = field(default_factory=dict)
+    witnesses: dict[str, Witness]
     narrative: str = ""
     assumptions: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.outcome == EXCLUDES and not self.witnesses:
+
+class GateVerdict(_GateVerdictFields):
+    """One gate's outcome with its witnesses; each verdict owns its witness dict."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        gate_name: str,
+        outcome: str,
+        witnesses: dict[str, Witness] | None = None,
+        narrative: str = "",
+        assumptions: tuple[str, ...] = (),
+    ) -> GateVerdict:
+        if witnesses is None:
+            witnesses = {}
+        if outcome == EXCLUDES and not witnesses:
             raise ValueError("an excluding verdict requires witnesses")
+        return super().__new__(cls, gate_name, outcome, witnesses, narrative, assumptions)
 
     @property
     def excludes(self) -> bool:
         return self.outcome == EXCLUDES
 
 
-@dataclass(frozen=True)
-class Order4Witness:
-    """A torus power of order exactly 4, from the gamma or eta family."""
-
+class _Order4WitnessFields(NamedTuple):
     torus_base: str
     exponent: int
     base_order: int
 
-    def __post_init__(self) -> None:
-        if self.torus_base not in ("gamma", "eta"):
-            raise ValueError(f"unknown torus base: {self.torus_base!r}")
-        if cyclic_order(self.base_order, self.exponent) != 4:
+
+class Order4Witness(_Order4WitnessFields):
+    """A torus power of order exactly 4, from the gamma or eta family."""
+
+    __slots__ = ()
+
+    def __new__(cls, torus_base: str, exponent: int, base_order: int) -> Order4Witness:
+        if torus_base not in ("gamma", "eta"):
+            raise ValueError(f"unknown torus base: {torus_base!r}")
+        if cyclic_order(base_order, exponent) != 4:
             raise ValueError("witness power does not have order 4")
-        if self.torus_base == "gamma" and self.base_order < 8:
+        if torus_base == "gamma" and base_order < 8:
             raise ValueError("gamma witnesses require r >= 9")
+        return super().__new__(cls, torus_base, exponent, base_order)
 
 
 def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict:

@@ -13,13 +13,12 @@ X of Out and whether X contains the graph involution, so X is modeled by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import Poly, cyclic_order, is_power_of
 
 
-@dataclass(frozen=True)
-class CaseFamily:
+class CaseFamily(NamedTuple):
     """One coset-action family with exact order polynomials.
 
     g_order, h_order, and index are polynomials in the family's table
@@ -95,8 +94,7 @@ def get_family(kind: str) -> CaseFamily:
         raise ValueError(f"unknown case family: {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class OuterOption:
+class OuterOption(NamedTuple):
     """Subgroup descriptor for X <= Out: order and graph-involution membership."""
 
     order: int
@@ -120,8 +118,7 @@ def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption,
     return tuple(OuterOption(d, _v2(d) == _v2(two_f)) for d in divisors)
 
 
-@dataclass(frozen=True)
-class TorusData:
+class TorusData(NamedTuple):
     """Orders of the named torus elements for the subfield family at r."""
 
     r: int

@@ -9,10 +9,9 @@ would give for the same data, or as text.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import gates, tables
 from .groups import REE, SUBFIELD, CaseFamily, OuterOption, get_family, outer_subgroup_options
@@ -32,8 +31,7 @@ _VERDICT_TEXT = {
 XFilter = Optional[Sequence[tuple[int, bool]]]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     case: str
     n: int
     q: int
@@ -48,8 +46,7 @@ class Certificate:
         return tuple(dict.fromkeys(a for verdict in self.gates for a in verdict.assumptions))
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     tool_version: str
     case: str
     n_min: int
@@ -67,8 +64,7 @@ class RunReport:
         }
 
 
-@dataclass(frozen=True)
-class ParamCheck:
+class ParamCheck(NamedTuple):
     param: int
     index: int = 0
     mass_total: int = 0
@@ -86,8 +82,7 @@ class ParamCheck:
         return not self.error and self.mass_ok and self.lengths_divide and self.suborbit_ok
 
 
-@dataclass(frozen=True)
-class TableCheckReport:
+class TableCheckReport(NamedTuple):
     case: str
     checks: tuple[ParamCheck, ...]
     symbolic_ok: Optional[bool]
@@ -256,7 +251,7 @@ def verify_tables(
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def gate_text(verdict: gates.GateVerdict) -> str:

@@ -11,9 +11,9 @@ them as distinct suborbits of equal length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .exact import Poly
 from .groups import CaseFamily
@@ -33,48 +33,46 @@ class TranscriptionError(ValueError):
     """A table failed an exactness check that only a transcription bug causes."""
 
 
-@dataclass(frozen=True)
-class ZClassDescriptor:
+class ZClassDescriptor(NamedTuple):
     """Opaque class label plus the known order tag of the class element."""
 
     label: str
     z_order: str
 
 
-@dataclass(frozen=True)
-class SuborbitRow:
+class SuborbitRow(NamedTuple):
     z: ZClassDescriptor
     length: Poly
     count: Poly
 
 
-@dataclass(frozen=True)
-class SuborbitTable:
+class SuborbitTable(NamedTuple):
     family: CaseFamily
     rows: tuple[SuborbitRow, ...]
 
 
-@dataclass(frozen=True)
-class ConcreteRow:
+class ConcreteRow(NamedTuple):
     label: str
     z_order: str
     length: int
     count: int
 
 
-@dataclass(frozen=True)
-class ConcreteTable:
-    """A table instantiated at one parameter, zero-count rows dropped.
-
-    The nontrivial rows and their grouping by length are computed on first
-    use and kept with the table, so every gate and every X share them.
-    """
-
+class _ConcreteTableFields(NamedTuple):
     family: CaseFamily
     param: int
     index: int
     h_order: int
     rows: tuple[ConcreteRow, ...]
+
+
+class ConcreteTable(_ConcreteTableFields):
+    """A table instantiated at one parameter, zero-count rows dropped.
+
+    The nontrivial rows and their grouping by length are computed on first
+    use and kept with the table, so every gate and every X share them. The
+    class declares no __slots__: the cached values live in its __dict__.
+    """
 
     def row(self, label: str) -> ConcreteRow:
         for r in self.rows:

@@ -46,8 +46,12 @@ def _ree_table(q):
 def test_gate_verdict_requires_witnesses_for_exclusion():
     with pytest.raises(ValueError):
         GateVerdict("g", EXCLUDES)
+    with pytest.raises(ValueError):
+        GateVerdict(gate_name="g", outcome=EXCLUDES, witnesses={}, narrative="n")
     v = GateVerdict("g", EXCLUDES, {"k": 1})
     assert v.excludes
+    assert v == ("g", EXCLUDES, {"k": 1}, "", ())
+    assert GateVerdict(outcome=EXCLUDES, gate_name="g", witnesses={"k": 1}) == v
     assert not GateVerdict("g", INCONCLUSIVE).excludes
 
 
@@ -92,9 +96,12 @@ def test_order4_witness_validation():
         Order4Witness("theta", 1, 4)
     with pytest.raises(ValueError):
         Order4Witness("eta", 1, 6)
+    with pytest.raises(ValueError):
+        Order4Witness(torus_base="eta", exponent=2, base_order=4)
     # gamma rows vanish below r = 9, so a gamma witness there is a bug
     with pytest.raises(ValueError):
         Order4Witness("gamma", 1, 4)
+    assert Order4Witness(base_order=8, exponent=2, torus_base="gamma") == ("gamma", 2, 8)
 
 
 def test_order4_witness_requires_surviving_rows():

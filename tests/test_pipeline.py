@@ -1,7 +1,9 @@
 import json
 import random
 import re
+import time
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -422,14 +424,25 @@ def test_emit_json_matches_json_dumps(make):
     assert _unstamped(emit(report, "json")) == _unstamped(expected)
 
 
-def test_emit_json_roundtrip_and_determinism():
+def test_emit_json_roundtrip_and_determinism(monkeypatch):
     report = analyze_ree(1, 1)
-    blob1 = emit(report, "json")
+    # a local zone five hours from UTC, so a local-time stamp would be caught
+    monkeypatch.setenv("TZ", "TST-05")
+    time.tzset()
+    try:
+        before = datetime.now(timezone.utc)
+        blob1 = emit(report, "json")
+        after = datetime.now(timezone.utc)
+    finally:
+        monkeypatch.undo()
+        time.tzset()
     blob2 = emit(report, "json")
     data = json.loads(blob1)
     assert data["case"] == "ree"
     assert data["summary"] == {"total": 4, "no_dtg": 4, "undetermined": 0}
     assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", data["generated_at"])
+    stamp = datetime.strptime(data["generated_at"], "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    assert before - timedelta(seconds=2) <= stamp <= after + timedelta(seconds=2)
     strip = lambda blob: [l for l in blob.decode().splitlines() if "generated_at" not in l]
     assert strip(blob1) == strip(blob2)
 

@@ -1,0 +1,105 @@
+"""The package's record types and what importing the package loads.
+
+The records are NamedTuples: fields are read-only, each verdict owns its
+witness dict, and a concrete table computes its length groups once. The
+package itself imports none of the modules a record library or a timestamp
+would pull in (dataclasses brings inspect, ast and dis with it), so a cold
+process pays only for what a certificate needs.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dtgcert import pipeline
+from dtgcert.gates import EXCLUDES, INCONCLUSIVE, GateVerdict, Order4Witness
+from dtgcert.groups import REE, SUBFIELD, OuterOption, torus_orders
+from dtgcert.tables import (
+    ConcreteRow,
+    SuborbitRow,
+    SuborbitTable,
+    ZClassDescriptor,
+    build_table,
+    instantiate,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _ree_table():
+    return instantiate(build_table(REE), 27)
+
+
+#: Each public record type: how to make one, and one of its fields.
+RECORDS = {
+    "CaseFamily": (lambda: REE, "index"),
+    "OuterOption": (lambda: OuterOption(2, False), "order"),
+    "TorusData": (lambda: torus_orders(3), "eta_order"),
+    "ZClassDescriptor": (lambda: build_table(REE).rows[0].z, "label"),
+    "SuborbitRow": (lambda: build_table(REE).rows[0], "count"),
+    "SuborbitTable": (lambda: build_table(REE), "rows"),
+    "ConcreteRow": (lambda: _ree_table().rows[0], "length"),
+    "ConcreteTable": (_ree_table, "param"),
+    "GateVerdict": (lambda: GateVerdict("g", EXCLUDES, {"k": 1}), "witnesses"),
+    "Order4Witness": (lambda: Order4Witness("eta", 1, 4), "exponent"),
+    "Certificate": (lambda: pipeline.analyze_ree(1, 1).certificates[0], "conclusion"),
+    "RunReport": (lambda: pipeline.analyze_ree(1, 1), "certificates"),
+    "ParamCheck": (lambda: pipeline.verify_tables("ree", [27]).checks[0], "mass_ok"),
+    "TableCheckReport": (lambda: pipeline.verify_tables("ree", [27]), "symbolic_ok"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_are_read_only(name):
+    make, field = RECORDS[name]
+    record = make()
+    assert type(record).__name__ == name
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert getattr(record, field) is value
+
+
+def test_verdicts_own_their_witnesses():
+    first, second = GateVerdict("g", INCONCLUSIVE), GateVerdict("g", INCONCLUSIVE)
+    assert first.witnesses == {} and second.witnesses == {}
+    first.witnesses["failed_step"] = "x"
+    assert second.witnesses == {}
+
+
+def test_table_length_groups_are_computed_once():
+    ct = instantiate(build_table(SUBFIELD), 3)
+    groups = ct.length_groups
+    assert ct.length_groups is groups
+    assert ct.distinct_nontrivial_lengths == tuple(length for length, _ in groups)
+    # cached values stay out of the fields, equality and hash
+    fresh = instantiate(build_table(SUBFIELD), 3)
+    assert fresh == ct and hash(fresh) == hash(ct)
+
+
+def test_records_are_tuples_of_their_fields():
+    row = ConcreteRow("A", "one", 7, 2)
+    assert row == ("A", "one", 7, 2)
+    label, z_order, length, count = row
+    assert (length, count) == (row.length, row.count) == (7, 2)
+    # positional construction, as the fault-injection mutants are built
+    original = build_table(REE).rows[0]
+    rebuilt = SuborbitRow(ZClassDescriptor("R1", "one"), original.length, original.count)
+    assert rebuilt == original
+    assert SuborbitTable(REE, (rebuilt,)).rows == (original,)
+
+
+def test_import_loads_no_record_library_or_argument_parser():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import dtgcert; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "dtgcert.pipeline" in loaded
+    assert not {"dataclasses", "inspect", "datetime", "argparse"} & loaded

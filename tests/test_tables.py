@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -164,7 +163,7 @@ def test_instantiate_rejects_fractional_count_with_message():
 @pytest.mark.parametrize("field, name", [("index", "coset index"), ("h_order", "|H|")])
 def test_instantiate_rejects_fractional_orders(field, name):
     # a family whose index or |H| is never an integer, with the real rows
-    family = replace(REE, **{field: getattr(REE, field) + Fraction(1, 2)})
+    family = REE._replace(**{field: getattr(REE, field) + Fraction(1, 2)})
     table = SuborbitTable(family, build_table(REE).rows)
     with pytest.raises(TranscriptionError) as exc:
         instantiate(table, 27)
