@@ -8,11 +8,11 @@ reports are available as deterministic JSON via emit() or the CLI:
 """
 import json
 
-from dtgcert import analyze_ree, analyze_subfield, emit
+from dtgcert import analyze, emit
 from dtgcert.pipeline import certificate_text
 
 print("== ree sweep, n = 0..3 ==")
-report = analyze_ree(0, 3)
+report = analyze("ree", 0, 3)
 print(f"summary: {report.summary}")
 for cert in report.certificates[:4]:
     print()
@@ -20,7 +20,7 @@ for cert in report.certificates[:4]:
 
 print()
 print("== subfield sweep, n = 1..2 ==")
-report_sub = analyze_subfield(1, 2)
+report_sub = analyze("subfield", 1, 2)
 print(f"summary: {report_sub.summary}")
 graph_cert = next(c for c in report_sub.certificates if c.x_graph)
 print()

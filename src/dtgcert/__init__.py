@@ -13,7 +13,7 @@ from .exact import Poly, cyclic_order, exp_compare, factorize
 from .fusion import min_fused_classes
 from .gates import bhk_gate, kernel_prime_data
 from .groups import REE, SUBFIELD
-from .pipeline import VERSION, analyze_ree, analyze_subfield, emit
+from .pipeline import VERSION, analyze, emit
 from .tables import (
     build_table,
     dump,
@@ -36,8 +36,7 @@ __all__ = [
     "kernel_prime_data",
     "REE",
     "SUBFIELD",
-    "analyze_ree",
-    "analyze_subfield",
+    "analyze",
     "emit",
     "build_table",
     "dump",

@@ -122,8 +122,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     if n_max > args.max_n:
         raise _UsageError(f"range end {n_max} exceeds the cap {args.max_n}; raise it with --max-n")
     x_filter = _parse_x(args.x)
-    runner = pipeline.analyze_subfield if args.case == "subfield" else pipeline.analyze_ree
-    report = runner(n_min, n_max, x_filter=x_filter, strict=args.strict)
+    report = pipeline.analyze(args.case, n_min, n_max, x_filter=x_filter, strict=args.strict)
     if not report.certificates:
         raise _UsageError(f"--x {' '.join(args.x)} selects no outer subgroup for n in {n_min}..{n_max}")
     _write(pipeline.emit(report, args.format), args.out)
@@ -152,6 +151,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except tables.TranscriptionError as exc:
         print(f"transcription error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -251,8 +251,7 @@ def kernel_prime_data(q: int) -> tuple[tuple[int, tuple[int, ...]], tuple[int, t
     factors multiply to q*q - q + 1. Primes in DEFAULT_STRIP cannot certify
     (they may divide fused kernel multipliers), so they are removed.
     """
-    n = REE.n_of_param(q)
-    m = 3**n
+    m = REE.table_variable(q)
     minus_value = q - 3 * m + 1
     plus_value = q + 3 * m + 1
     if minus_value * plus_value != q * q - q + 1:

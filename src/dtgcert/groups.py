@@ -49,9 +49,8 @@ class CaseFamily(NamedTuple):
         return (e - 1) // 2
 
     def table_variable(self, param: int) -> int:
-        """Evaluation point for the family's polynomials: r itself, or m."""
-        n = self.n_of_param(param)
-        return param if self.kind == "subfield" else 3**n
+        """Evaluation point 3**n for the family's polynomials: r itself for subfield, m for ree."""
+        return 3 ** self.n_of_param(param)
 
     def q_value(self, param: int) -> int:
         """The host group parameter q of G2(q)."""

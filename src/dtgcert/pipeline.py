@@ -1,20 +1,21 @@
-"""Certificate pipelines, table verification reports, and serialization.
+"""Certificate pipeline, table verification reports, and serialization.
 
 A certificate records, for one (family, n, X) triple, the ordered gate
 verdicts and the conclusion they support. A run report bundles the
-certificates of a parameter sweep. Serialization is deterministic except for
-an explicit generation timestamp. Run reports are written as JSON by a
-writer for their fixed schema, in exactly the bytes json.dumps(..., indent=2)
-would give for the same data, or as text.
+certificates of a parameter sweep; analyze runs the same sweep for both
+families, which differ only by their gate chain. Serialization is
+deterministic except for an explicit generation timestamp. Run reports are
+written as JSON by a writer for their fixed schema, in exactly the bytes
+json.dumps(..., indent=2) would give for the same data, or as text.
 """
 from __future__ import annotations
 
 import time
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import gates, tables
-from .groups import REE, SUBFIELD, CaseFamily, OuterOption, get_family, outer_subgroup_options
+from .groups import CaseFamily, OuterOption, get_family, outer_subgroup_options
 
 VERSION = "0.1.0"
 
@@ -120,16 +121,21 @@ def _checked_table(table: tables.SuborbitTable, param: int) -> tables.ConcreteTa
     return ct
 
 
-def _subfield_chain(ct: tables.ConcreteTable) -> list[gates.GateVerdict]:
-    """The gates after a multiplicity-free screen that did not exclude."""
+def _subfield_chain(q: int, option: OuterOption, concrete: Callable[[], tables.ConcreteTable]) -> list[gates.GateVerdict]:
+    """multiplicity_free reads no table, so concrete() runs only where it does not exclude."""
+    screen = gates.multiplicity_free_gate(q, option)
+    if screen.excludes:
+        return [screen]
+    ct = concrete()
     sigma = gates.sigma_in_x_gate(ct)
     if sigma.outcome != gates.INCONCLUSIVE:
-        return [sigma]
-    return [sigma, gates.involution_gate(ct)]
+        return [screen, sigma]
+    return [screen, sigma, gates.involution_gate(ct)]
 
 
-def _ree_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.GateVerdict]:
-    if ct.param == 3:
+def _ree_chain(q: int, option: OuterOption, concrete: Callable[[], tables.ConcreteTable]) -> list[gates.GateVerdict]:
+    ct = concrete()
+    if q == 3:
         return [gates.bcn_small_case_gate(ct, option.order)]
     bhk = gates.bhk_gate(ct, option.order)
     if bhk.excludes:
@@ -137,11 +143,7 @@ def _ree_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.Gate
     return [bhk, gates.kernel_chain_gate(ct)]
 
 
-def _certificate(
-    case: str, n: int, q: int, option: OuterOption, verdicts: list[gates.GateVerdict], strict: bool
-) -> Certificate:
-    verdicts = tuple(verdicts)
-    return Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
+_CHAINS = {"subfield": _subfield_chain, "ree": _ree_chain}
 
 
 def _select_options(family: CaseFamily, param: int, x_filter: XFilter) -> tuple[OuterOption, ...]:
@@ -157,52 +159,39 @@ def _select_options(family: CaseFamily, param: int, x_filter: XFilter) -> tuple[
     return tuple(chosen)
 
 
-def _sweep_table(family: CaseFamily, n_min: int, n_max: int) -> tables.SuborbitTable:
-    """The family's table, built once for a sweep over a valid step range."""
+def analyze(
+    case: str, n_min: int, n_max: int, x_filter: XFilter = None, strict: bool = False
+) -> RunReport:
+    """Run the family's gate chain for every n in range and every selected X.
+
+    The table is built once. At each n, concrete() instantiates and checks
+    it on the first call and returns the same table after that, so every X
+    there shares it, and an n where no gate reads it never instantiates.
+    """
+    family = get_family(case)
     if n_min < family.min_n:
         raise ValueError(f"{family.kind} analysis requires n >= {family.min_n}")
     if n_min > n_max:
         raise ValueError(f"empty step range {n_min}..{n_max}")
-    return tables.build_table(family)
-
-
-def analyze_subfield(
-    n_min: int, n_max: int, x_filter: XFilter = None, strict: bool = False
-) -> RunReport:
-    """Run the subfield pipeline for every n in range and every X descriptor.
-
-    The table is instantiated at r only if some screen does not exclude.
-    """
-    table = _sweep_table(SUBFIELD, n_min, n_max)
+    table = tables.build_table(family)
+    chain = _CHAINS[family.kind]
     certificates = []
     for n in range(n_min, n_max + 1):
-        r = SUBFIELD.param_for_n(n)
-        ct = None
-        for option in _select_options(SUBFIELD, r, x_filter):
-            verdicts = [gates.multiplicity_free_gate(r * r, option)]
-            if not verdicts[0].excludes:
-                if ct is None:
-                    ct = _checked_table(table, r)
-                verdicts += _subfield_chain(ct)
-            certificates.append(_certificate("subfield", n, r * r, option, verdicts, strict))
-    return RunReport(VERSION, "subfield", n_min, n_max, strict, tuple(certificates))
+        param = family.param_for_n(n)
+        q = family.q_value(param)
+        checked = []
 
+        def concrete() -> tables.ConcreteTable:
+            if not checked:
+                checked.append(_checked_table(table, param))
+            return checked[0]
 
-def analyze_ree(
-    n_min: int, n_max: int, x_filter: XFilter = None, strict: bool = False
-) -> RunReport:
-    """Run the ree pipeline for every n in range and every X descriptor."""
-    table = _sweep_table(REE, n_min, n_max)
-    certificates = []
-    for n in range(n_min, n_max + 1):
-        q = REE.param_for_n(n)
-        options = _select_options(REE, q, x_filter)
-        if not options:
-            continue
-        ct = _checked_table(table, q)
-        for option in options:
-            certificates.append(_certificate("ree", n, q, option, _ree_chain(ct, option), strict))
-    return RunReport(VERSION, "ree", n_min, n_max, strict, tuple(certificates))
+        for option in _select_options(family, param, x_filter):
+            verdicts = tuple(chain(q, option, concrete))
+            certificates.append(
+                Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
+            )
+    return RunReport(VERSION, case, n_min, n_max, strict, tuple(certificates))
 
 
 def verify_tables(

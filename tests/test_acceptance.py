@@ -15,7 +15,7 @@ from dtgcert.exact import Poly, cyclic_order, factorize
 from dtgcert.gates import GateVerdict, bhk_gate, kernel_prime_data, order4_witness
 from dtgcert.groups import REE, SUBFIELD
 from dtgcert.tables import SuborbitRow, SuborbitTable, build_table, instantiate
-from dtgcert.pipeline import analyze_ree, analyze_subfield, verify_tables
+from dtgcert.pipeline import analyze, verify_tables
 
 REE_PARAMS = (3, 27, 243, 2187)
 SUBFIELD_PARAMS = (3, 9, 27, 81)
@@ -186,14 +186,14 @@ def test_criterion_8b_weakened_gates(monkeypatch):
     monkeypatch.setattr(gates, "bhk_gate", weak("bhk_diameter"))
     monkeypatch.setattr(gates, "kernel_chain_gate", weak("kernel_chain"))
     monkeypatch.setattr(gates, "bcn_small_case_gate", weak("bcn_small_case"))
-    report = analyze_ree(0, 3)
+    report = analyze("ree", 0, 3)
     assert all(c.conclusion == "undetermined" for c in report.certificates)
     assert cli_main(["analyze", "--case", "ree", "--n", "0..3", "--x", "all",
                      "--out", "/dev/null"]) == 2
 
     monkeypatch.setattr(gates, "multiplicity_free_gate", weak("multiplicity_free"))
     monkeypatch.setattr(gates, "involution_gate", weak("involution"))
-    report = analyze_subfield(1, 2)
+    report = analyze("subfield", 1, 2)
     assert all(c.conclusion == "undetermined" for c in report.certificates)
     assert cli_main(["analyze", "--case", "subfield", "--n", "1..2", "--x", "all",
                      "--out", "/dev/null"]) == 2
@@ -211,7 +211,7 @@ def test_criterion_8c_single_weakening_is_never_spurious(monkeypatch):
     for target in ("bhk_gate", "kernel_chain_gate"):
         with monkeypatch.context() as patch:
             patch.setattr(gates, target, weak(target))
-            report = analyze_ree(1, 4)
+            report = analyze("ree", 1, 4)
             for cert in report.certificates:
                 if cert.conclusion == "no_dtg":
                     carriers = [g for g in cert.gates if g.excludes]

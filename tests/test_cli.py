@@ -70,6 +70,15 @@ def test_analyze_empty_sweep_is_an_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_analyze_unwritable_out_is_an_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.json"
+    assert main(["analyze", "--case", "ree", "--n", "0", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_verify_tables_empty_range_is_an_error(capsys):
     # a step range that checks no parameter must not report "result: PASS"
     assert main(["verify-tables", "--case", "ree", "--params", "5..2"]) == 1

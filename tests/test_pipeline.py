@@ -28,8 +28,7 @@ from dtgcert.pipeline import (
     VERSION,
     Certificate,
     RunReport,
-    analyze_ree,
-    analyze_subfield,
+    analyze,
     certificate_text,
     conclude,
     emit,
@@ -113,7 +112,7 @@ def test_conclude_strict_needs_a_chain_without_assumptions():
 
 
 def test_analyze_subfield_shape():
-    report = analyze_subfield(1, 3)
+    report = analyze("subfield", 1, 3)
     assert report.case == "subfield"
     assert len(report.certificates) == 13
     per_n = {}
@@ -133,7 +132,7 @@ def test_analyze_subfield_shape():
 
 
 def test_analyze_ree_shape():
-    report = analyze_ree(0, 3)
+    report = analyze("ree", 0, 3)
     assert len(report.certificates) == 14
     for cert in report.certificates:
         assert cert.conclusion == NO_DTG
@@ -154,43 +153,43 @@ def test_analyze_ree_shape():
 
 def test_analyze_ree_full_out_uses_kernel_chain():
     for n in (1, 2, 3):
-        report = analyze_ree(n, n, x_filter=[(2 * (2 * n + 1), False)])
+        report = analyze("ree", n, n, x_filter=[(2 * (2 * n + 1), False)])
         (cert,) = report.certificates
         assert [g.gate_name for g in cert.gates] == ["bhk_diameter", "kernel_chain"]
         assert cert.conclusion == NO_DTG
 
 
 def test_analyze_x_filter():
-    report = analyze_ree(1, 1, x_filter=[(6, False)])
+    report = analyze("ree", 1, 1, x_filter=[(6, False)])
     (cert,) = report.certificates
     assert cert.x_order == 6 and cert.x_graph
-    report = analyze_ree(1, 1, x_filter=[(4, False)])
+    report = analyze("ree", 1, 1, x_filter=[(4, False)])
     assert report.certificates == ()
-    report = analyze_subfield(1, 1, x_filter=[(4, True)])
+    report = analyze("subfield", 1, 1, x_filter=[(4, True)])
     (cert,) = report.certificates
     assert cert.x_order == 4 and cert.x_graph
-    report = analyze_subfield(1, 1, x_filter=[(2, True)])
+    report = analyze("subfield", 1, 1, x_filter=[(2, True)])
     assert report.certificates == ()
 
 
 def test_analyze_strict_mode():
-    report = analyze_ree(0, 0, strict=True)
+    report = analyze("ree", 0, 0, strict=True)
     assert all(c.conclusion == UNDETERMINED for c in report.certificates)
     # every subfield chain starts from the multiplicity-free classification
-    report = analyze_subfield(1, 1, strict=True)
+    report = analyze("subfield", 1, 1, strict=True)
     assert report.certificates
     assert all(c.conclusion == UNDETERMINED for c in report.certificates)
     # at n = 1 every X is excluded by the kernel chain, which assumes kernels
-    report = analyze_ree(1, 1, strict=True)
+    report = analyze("ree", 1, 1, strict=True)
     assert report.certificates
     assert all(c.conclusion == UNDETERMINED for c in report.certificates)
     # at n = 4 bhk excludes every X and assumes nothing
-    report = analyze_ree(4, 4, strict=True)
+    report = analyze("ree", 4, 4, strict=True)
     assert report.certificates
     assert all(c.conclusion == NO_DTG for c in report.certificates)
     # strict mode changes conclusions only where an assumption was used
-    lenient = analyze_ree(0, 4)
-    strict = analyze_ree(0, 4, strict=True)
+    lenient = analyze("ree", 0, 4)
+    strict = analyze("ree", 0, 4, strict=True)
     for loose, tight in zip(lenient.certificates, strict.certificates, strict=True):
         assert loose.gates == tight.gates
         assert tight.conclusion == (UNDETERMINED if tight.assumptions else loose.conclusion)
@@ -198,17 +197,19 @@ def test_analyze_strict_mode():
 
 def test_analyze_range_validation():
     with pytest.raises(ValueError):
-        analyze_subfield(0, 2)
+        analyze("subfield", 0, 2)
     with pytest.raises(ValueError):
-        analyze_ree(-1, 2)
+        analyze("ree", -1, 2)
     with pytest.raises(ValueError):
-        analyze_ree(5, 2)
+        analyze("ree", 5, 2)
     with pytest.raises(ValueError):
-        analyze_subfield(3, 2)
+        analyze("subfield", 3, 2)
+    with pytest.raises(ValueError):
+        analyze("nonesuch", 1, 2)
 
 
 def test_subfield_assumptions_present():
-    report = analyze_subfield(1, 1)
+    report = analyze("subfield", 1, 1)
     for cert in report.certificates:
         assert cert.assumptions == (ASSUMPTION_MULTIPLICITY_FREE, ASSUMPTION_OUTER_EVEN)
 
@@ -322,10 +323,10 @@ def test_verify_tables_on_a_given_table_builds_no_polynomial(monkeypatch):
 
 def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):
     calls = _count_calls(monkeypatch, tables, ("build_table", "instantiate"))
-    analyze_ree(0, 12)
+    analyze("ree", 0, 12)
     assert calls == {"build_table": 1, "instantiate": 13}
     calls.clear()
-    analyze_subfield(1, 12)
+    analyze("subfield", 1, 12)
     assert calls == {"build_table": 1, "instantiate": 12}
 
 
@@ -333,12 +334,12 @@ def test_sweeps_instantiate_only_where_a_gate_reads_the_table(monkeypatch):
     calls = _count_calls(monkeypatch, tables, ("build_table", "instantiate"))
     # Every subfield X of order 2 lacks the graph automorphism, so the
     # multiplicity-free gate excludes it without reading a table.
-    report = analyze_subfield(1, 4, x_filter=((2, False),))
+    report = analyze("subfield", 1, 4, x_filter=((2, False),))
     assert len(report.certificates) == 4
     assert calls == {"build_table": 1}
     calls.clear()
     # An X of order 3 exists only at n = 1 and n = 4 in 0..4.
-    report = analyze_ree(0, 4, x_filter=((3, False),))
+    report = analyze("ree", 0, 4, x_filter=((3, False),))
     assert [c.n for c in report.certificates] == [1, 4]
     assert calls == {"build_table": 1, "instantiate": 2}
 
@@ -352,18 +353,18 @@ def test_sweeps_group_lengths_once_per_table(monkeypatch):
         return _original(ct)
 
     monkeypatch.setattr(grouping, "func", counted)
-    report = analyze_ree(0, 12)
+    report = analyze("ree", 0, 12)
     assert len(report.certificates) == 62
     assert calls == Counter({REE.param_for_n(n): 1 for n in range(13)})
     calls.clear()
-    report = analyze_subfield(1, 12)
+    report = analyze("subfield", 1, 12)
     sigma = [c for c in report.certificates if len(c.gates) > 1]
     assert len(sigma) > 12
     assert calls == Counter({3**n: 1 for n in range(1, 13)})
 
 
 def test_certificate_json_schema():
-    report = analyze_ree(0, 1)
+    report = analyze("ree", 0, 1)
     data = json.loads(emit(report, "json"))
     assert list(data) == [
         "tool_version", "case", "n_min", "n_max", "strict", "generated_at", "summary", "certificates",
@@ -407,14 +408,14 @@ def _hand_built_report():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: analyze_ree(0, 100),
-        lambda: analyze_subfield(1, 12),
-        lambda: analyze_ree(0, 5, strict=True),
-        lambda: analyze_subfield(1, 3, strict=True),
-        lambda: analyze_ree(0, 12, x_filter=((2, False), (6, True))),
+        lambda: analyze("ree", 0, 100),
+        lambda: analyze("subfield", 1, 12),
+        lambda: analyze("ree", 0, 5, strict=True),
+        lambda: analyze("subfield", 1, 3, strict=True),
+        lambda: analyze("ree", 0, 12, x_filter=((2, False), (6, True))),
         _hand_built_report,
         lambda: RunReport(VERSION, "subfield", 1, 1, False, ()),
-        lambda: analyze_subfield(1, 1, x_filter=((2, True),)),
+        lambda: analyze("subfield", 1, 1, x_filter=((2, True),)),
     ],
     ids=["ree-0-100", "subfield-1-12", "ree-strict", "subfield-strict", "ree-x", "hand-built", "empty", "filtered-empty"],
 )
@@ -425,7 +426,7 @@ def test_emit_json_matches_json_dumps(make):
 
 
 def test_emit_json_roundtrip_and_determinism(monkeypatch):
-    report = analyze_ree(1, 1)
+    report = analyze("ree", 1, 1)
     # a local zone five hours from UTC, so a local-time stamp would be caught
     monkeypatch.setenv("TZ", "TST-05")
     time.tzset()
@@ -448,13 +449,13 @@ def test_emit_json_roundtrip_and_determinism(monkeypatch):
 
 
 def test_emit_text_gate_lines():
-    report = analyze_ree(1, 3)
+    report = analyze("ree", 1, 3)
     text = emit(report, "text").decode()
     assert "gate: kernel_chain  verdict: Excludes  primes: 19, 37" in text
     assert "gate: kernel_chain  verdict: Excludes  primes: 31, 271" in text
     assert "gate: kernel_chain  verdict: Excludes  primes: 43, 2269" in text
     assert "conclusion: no_dtg" in text
-    report3 = analyze_ree(0, 0)
+    report3 = analyze("ree", 0, 0)
     text3 = emit(report3, "text").decode()
     assert "gate: bcn_small_case  verdict: AssumedExternal  vertices: 2808" in text3
 
@@ -465,7 +466,7 @@ def test_gate_text_format():
 
 
 def test_certificate_text_structure():
-    report = analyze_ree(0, 0)
+    report = analyze("ree", 0, 0)
     cert = report.certificates[0]
     text = certificate_text(cert)
     lines = text.splitlines()
@@ -485,7 +486,7 @@ def test_emit_table_report():
 
 
 def test_emit_rejects_bad_input():
-    report = analyze_ree(0, 0)
+    report = analyze("ree", 0, 0)
     with pytest.raises(ValueError):
         emit(report, "yaml")
     with pytest.raises(TypeError):
@@ -501,6 +502,6 @@ def test_weakened_gates_never_conclude(monkeypatch):
     monkeypatch.setattr(gates, "bhk_gate", weak("bhk_diameter"))
     monkeypatch.setattr(gates, "kernel_chain_gate", weak("kernel_chain"))
     monkeypatch.setattr(gates, "bcn_small_case_gate", weak("bcn_small_case"))
-    report = analyze_ree(0, 2)
+    report = analyze("ree", 0, 2)
     assert report.certificates
     assert all(c.conclusion == UNDETERMINED for c in report.certificates)

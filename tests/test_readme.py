@@ -26,8 +26,7 @@ SUPPORTED_API = [
     "kernel_prime_data",
     "REE",
     "SUBFIELD",
-    "analyze_ree",
-    "analyze_subfield",
+    "analyze",
     "emit",
     "build_table",
     "dump",

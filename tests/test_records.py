@@ -44,8 +44,8 @@ RECORDS = {
     "ConcreteTable": (_ree_table, "param"),
     "GateVerdict": (lambda: GateVerdict("g", EXCLUDES, {"k": 1}), "witnesses"),
     "Order4Witness": (lambda: Order4Witness("eta", 1, 4), "exponent"),
-    "Certificate": (lambda: pipeline.analyze_ree(1, 1).certificates[0], "conclusion"),
-    "RunReport": (lambda: pipeline.analyze_ree(1, 1), "certificates"),
+    "Certificate": (lambda: pipeline.analyze("ree", 1, 1).certificates[0], "conclusion"),
+    "RunReport": (lambda: pipeline.analyze("ree", 1, 1), "certificates"),
     "ParamCheck": (lambda: pipeline.verify_tables("ree", [27]).checks[0], "mass_ok"),
     "TableCheckReport": (lambda: pipeline.verify_tables("ree", [27]), "symbolic_ok"),
 }
