@@ -9,8 +9,6 @@ one undetermined certificate (or failed check), 1 usage or internal error,
 including a run that covers nothing: a reversed analyze n range or
 verify-tables step range, or an --x filter that matches no outer subgroup.
 """
-from __future__ import annotations
-
 import argparse
 import sys
 from typing import Optional, Sequence

@@ -7,14 +7,21 @@ element orders, and exact comparison of huge powers. No floating point anywhere.
 
 A sum of products of polynomials (`Poly.sum_of_products`) runs in one integer
 accumulator over a common denominator, with no intermediate Poly.
+
+Polynomials store integers only, so importing this module does not import
+`fractions` (which brings `decimal` and `numbers`). The functions that make
+a Fraction import it where they do: `.coeffs`, a value at a point, the hash
+of a non-integer constant, an error message, and a non-int scalar given to
+a Poly.
 """
-from __future__ import annotations
-
-from fractions import Fraction
+import sys
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def _split(value: Scalar) -> tuple[int, int]:
@@ -23,6 +30,8 @@ def _split(value: Scalar) -> tuple[int, int]:
         return value, 1
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact arithmetic")
+    from fractions import Fraction
+
     value = Fraction(value)
     return value.numerator, value.denominator
 
@@ -73,7 +82,9 @@ class Poly:
         return cls((value,))
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> "tuple[Fraction, ...]":
+        from fractions import Fraction
+
         return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
@@ -93,16 +104,22 @@ class Poly:
     def __hash__(self) -> int:
         # A constant equals the int or Fraction of its value, so it hashes like it.
         if len(self._num) <= 1:
-            return hash(Fraction(sum(self._num), self._den))
+            if self._den == 1:
+                return hash(sum(self._num))
+            from fractions import Fraction
+
+            return hash(Fraction(self._num[0], self._den))
         return hash((self._num, self._den))
 
     @staticmethod
-    def _coerce(other: object) -> Optional["Poly"]:
+    def _coerce(other: object) -> "Optional[Poly]":
         if isinstance(other, Poly):
             return other
         if isinstance(other, int):
             return Poly._make([other], 1)
-        if isinstance(other, Fraction):
+        # A caller holding a Fraction has imported fractions already.
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(other, fractions.Fraction):
             return Poly._make([other.numerator], other.denominator)
         return None
 
@@ -203,20 +220,25 @@ class Poly:
             scale *= s
         return acc, self._den * (scale // s)
 
-    def __call__(self, point: Union[Scalar, "Poly"]) -> Union[Fraction, "Poly"]:
+    def __call__(self, point: "Union[Scalar, Poly]") -> "Union[Fraction, Poly]":
         """Evaluate at an integer or Fraction, or compose with another Poly."""
         if isinstance(point, Poly):
             acc = Poly()
             for c in reversed(self._num):
                 acc = acc * point + c
             return acc / self._den
-        return Fraction(*self._eval(point))
+        num, den = self._eval(point)
+        from fractions import Fraction
+
+        return Fraction(num, den)
 
     def eval_int(self, point: Scalar) -> int:
         """Evaluate at a point where the value must be an integer."""
         num, den = self._eval(point)
         value, rest = divmod(num, den)
         if rest:
+            from fractions import Fraction
+
             raise ValueError(f"polynomial is not integer-valued at {point}: {Fraction(num, den)}")
         return value
 

@@ -6,8 +6,6 @@ orbit. Grouping suborbits by length therefore lower-bounds the number of
 fused orbits, which in turn lower-bounds the diameter of any candidate graph.
 X enters only through its order |X|, passed as a plain int.
 """
-from __future__ import annotations
-
 from .tables import ConcreteTable
 
 

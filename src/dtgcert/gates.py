@@ -11,8 +11,6 @@ class counts also take |X|, as a plain int. A verdict lists the
 ASSUMPTION_* texts it relies on, and a certificate's assumptions are the
 union of its verdicts' lists.
 """
-from __future__ import annotations
-
 from functools import partial
 from math import gcd
 from typing import NamedTuple, Union
@@ -72,7 +70,7 @@ class GateVerdict(_GateVerdictFields):
         witnesses: dict[str, Witness] | None = None,
         narrative: str = "",
         assumptions: tuple[str, ...] = (),
-    ) -> GateVerdict:
+    ) -> "GateVerdict":
         if witnesses is None:
             witnesses = {}
         if outcome == EXCLUDES and not witnesses:
@@ -95,7 +93,7 @@ class Order4Witness(_Order4WitnessFields):
 
     __slots__ = ()
 
-    def __new__(cls, torus_base: str, exponent: int, base_order: int) -> Order4Witness:
+    def __new__(cls, torus_base: str, exponent: int, base_order: int) -> "Order4Witness":
         if torus_base not in ("gamma", "eta"):
             raise ValueError(f"unknown torus base: {torus_base!r}")
         if cyclic_order(base_order, exponent) != 4:

@@ -11,8 +11,6 @@ Outer automorphisms enter the arguments only through the order of a subgroup
 X of Out and whether X contains the graph involution, so X is modeled by
 (order, contains_graph_auto) descriptors rather than by explicit maps.
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .exact import Poly, cyclic_order, is_power_of
@@ -36,6 +34,10 @@ class CaseFamily(NamedTuple):
         if n < self.min_n:
             raise ValueError(f"{self.kind} family requires n >= {self.min_n}")
         return 3**n if self.kind == "subfield" else 3 ** (2 * n + 1)
+
+    def suborbit_total(self, param: int) -> int:
+        """Number of suborbits at param, the trivial one included: r*r + 2r + 6 for subfield, q + 6 for ree."""
+        return param * param + 2 * param + 6 if self.kind == "subfield" else param + 6
 
     def n_of_param(self, param: int) -> int:
         """Inverse of param_for_n; validates admissibility."""

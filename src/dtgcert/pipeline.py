@@ -8,14 +8,18 @@ deterministic except for an explicit generation timestamp. Run reports are
 written as JSON by a writer for their fixed schema, in exactly the bytes
 json.dumps(..., indent=2) would give for the same data, or as text.
 """
-from __future__ import annotations
-
 import time
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import gates, tables
 from .groups import CaseFamily, OuterOption, get_family, outer_subgroup_options
+
+try:
+    # The C string encoder json.dumps uses; taken from _json directly, as
+    # json.encoder does, so the json package itself is not imported.
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 VERSION = "0.1.0"
 
@@ -217,10 +221,7 @@ def verify_tables(
         mass_ok, residual = tables.verify_mass(ct)
         lengths_divide = all(ct.h_order % row.length == 0 for row in ct.rows)
         total = tables.suborbit_count(ct)
-        if family.kind == "ree":
-            expected = param + 6
-        else:
-            expected = param * param + 2 * param + 6
+        expected = family.suborbit_total(param)
         checks.append(
             ParamCheck(
                 param=param,

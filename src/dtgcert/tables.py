@@ -9,9 +9,6 @@ Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
 them as distinct suborbits of equal length.
 """
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -105,9 +102,8 @@ def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
 def _subfield_rows() -> tuple[SuborbitRow, ...]:
     r = Poly.var()
     one = Poly.const(1)
-    half = Fraction(1, 2)
-    unipotent_pair = r**2 * (r**6 - 1) * (r**2 - 1) * half
-    mixed_pair = r**4 * (r**6 - 1) * (r**2 - 1) * half
+    unipotent_pair = r**2 * (r**6 - 1) * (r**2 - 1) / 2
+    mixed_pair = r**4 * (r**6 - 1) * (r**2 - 1) / 2
     return (
         _row("1", Z_ONE, one, one),
         _row("x_{3a+2b}(1)", Z_THREE, r**6 - 1, one),
@@ -142,9 +138,8 @@ def _ree_rows() -> tuple[SuborbitRow, ...]:
     m = Poly.var()
     q = 3 * m**2
     one = Poly.const(1)
-    half = Fraction(1, 2)
-    r3_pair = q * (q**3 + 1) * (q - 1) * half
-    r7_pair = q**2 * (q**3 + 1) * (q - 1) * half
+    r3_pair = q * (q**3 + 1) * (q - 1) / 2
+    r7_pair = q**2 * (q**3 + 1) * (q - 1) / 2
     return (
         _row("R1", Z_ONE, one, one),
         _row("R2", Z_UNKNOWN, (q**3 + 1) * (q - 1), one),

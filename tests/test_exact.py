@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -409,3 +413,70 @@ def test_sum_of_products_matches_naive_sum():
     assert Poly.sum_of_products([(t / 2, t / 3), (t / 4, 1 - t)]) == t**2 / 6 + t / 4 - t**2 / 4
     # leading terms cancel; the rest is normalized over the common denominator
     assert Poly.sum_of_products([(t / 6, t + Fraction(1, 4)), (-t / 2, t / 3)]) == t / 24
+
+
+#: Run in a fresh interpreter: dtgcert is imported first and fractions only
+#: later, so Poly meets Fractions from a module it did not import itself.
+_IMPORT_ORDER_SCRIPT = """
+import sys
+from dtgcert import pipeline
+from dtgcert.exact import Poly
+from dtgcert.groups import REE, SUBFIELD
+from dtgcert.tables import build_table, instantiate
+
+t = Poly.var()
+assert (t == "1/2") is False and (Poly.const(1) == "1") is False
+for bad in (lambda: Poly((1.5,)), lambda: t(0.5), lambda: t / 2.0):
+    try:
+        bad()
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("a float was accepted")
+# the certificate path runs on integers alone
+for family in (REE, SUBFIELD):
+    instantiate(build_table(family), family.param_for_n(2))
+pipeline.analyze("ree", 0, 2)
+pipeline.analyze("subfield", 1, 2)
+pipeline.verify_tables("ree", [3, 27], symbolic=True)
+assert "fractions" not in sys.modules, "an integer-only path imported fractions"
+
+from fractions import Fraction
+
+half = Fraction(1, 2)
+assert Poly.const(half) == half and half == Poly.const(half)
+assert (t == half) is False and (t == "1/2") is False
+assert t + half == Poly((half, 1)) and half + t == Poly((half, 1))
+assert t - half == Poly((-half, 1)) and half - t == Poly((half, -1))
+assert t * half == t / 2 and half * t == t / 2
+assert t / half == 2 * t and t / Fraction(-2, 3) == t * Fraction(-3, 2)
+assert hash(Poly.const(half)) == hash(half) and hash(Poly.const(Fraction(4, 2))) == hash(2)
+coeffs = (t / 3 + 1).coeffs
+assert coeffs == (1, Fraction(1, 3)) and all(type(c) is Fraction for c in coeffs)
+value = t(Fraction(1, 3))
+assert value == Fraction(1, 3) and type(value) is Fraction
+assert type(t(2)) is Fraction
+try:
+    (t / 2).eval_int(3)
+except ValueError as exc:
+    assert str(exc) == "polynomial is not integer-valued at 3: 3/2", str(exc)
+else:
+    raise AssertionError("eval_int accepted 3/2")
+try:
+    t.eval_int(half)
+except ValueError as exc:
+    assert str(exc) == "polynomial is not integer-valued at 1/2: 1/2", str(exc)
+else:
+    raise AssertionError("eval_int accepted 1/2")
+print("ok")
+"""
+
+
+def test_poly_takes_fractions_imported_after_it():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ORDER_SCRIPT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr

@@ -69,6 +69,9 @@ def test_table_variable_and_q():
     assert REE.q_value(27) == 27
     assert REE.field_exponent(27) == 3
     assert REE.table_variable(2187) == 27
+    # suborbits at the parameter, the trivial one included (tests/test_tables.py counts them in the tables)
+    assert SUBFIELD.suborbit_total(3) == 21 and SUBFIELD.suborbit_total(9) == 105
+    assert REE.suborbit_total(3) == 9 and REE.suborbit_total(27) == 33
 
 
 def test_outer_subgroup_options_ree():

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 import time
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -8,6 +9,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import dtgcert.gates as gates
+import dtgcert.pipeline as pipeline
 import dtgcert.tables as tables
 from dtgcert.exact import Poly
 from dtgcert.groups import REE, SUBFIELD
@@ -423,6 +425,11 @@ def test_emit_json_matches_json_dumps(make):
     report = make()
     expected = (json.dumps(run_report_jsonable(report), indent=2) + "\n").encode()
     assert _unstamped(emit(report, "json")) == _unstamped(expected)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="_json is CPython's accelerator module")
+def test_json_strings_use_the_encoder_json_dumps_uses():
+    assert pipeline.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 def test_emit_json_roundtrip_and_determinism(monkeypatch):

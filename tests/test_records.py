@@ -3,8 +3,9 @@
 The records are NamedTuples: fields are read-only, each verdict owns its
 witness dict, and a concrete table computes its length groups once. The
 package itself imports none of the modules a record library or a timestamp
-would pull in (dataclasses brings inspect, ast and dis with it), so a cold
-process pays only for what a certificate needs.
+would pull in (dataclasses brings inspect, ast and dis with it), nor
+fractions (which brings decimal and numbers), the json package, or
+__future__, so a cold process pays only for what a certificate needs.
 """
 import os
 import subprocess
@@ -102,4 +103,6 @@ def test_import_loads_no_record_library_or_argument_parser():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "dtgcert.pipeline" in loaded
-    assert not {"dataclasses", "inspect", "datetime", "argparse"} & loaded
+    # _json, the C string encoder alone, is allowed; the json package is not
+    unwanted = {"dataclasses", "inspect", "datetime", "argparse", "fractions", "decimal", "numbers", "json", "__future__"}
+    assert not unwanted & loaded

@@ -54,6 +54,71 @@ def test_symbolic_mass_detects_mutation():
     assert not verify_mass_symbolic(SuborbitTable(REE, rows))
 
 
+def _reference_rows(family):
+    """The family's table transcribed again, halved rows made by `* Fraction(1, 2)`: label -> (length, count)."""
+    half = Fraction(1, 2)
+    t = Poly.var()
+    one = Poly.const(1)
+    if family is REE:
+        m, q = t, 3 * t**2
+        r3, r7 = q * (q**3 + 1) * (q - 1) * half, q**2 * (q**3 + 1) * (q - 1) * half
+        return {
+            "R1": (one, one), "R2": ((q**3 + 1) * (q - 1), one), "R3": (r3, one), "R4": (r3, one),
+            "R5": (q**2 * (q**3 + 1) * (q - 1), one), "R6": (q**2 * (q**2 - q + 1), one),
+            "R7": (r7, one), "R8": (r7, one), "R9": (q**3 * (q**3 + 1), (q - 3) / 2),
+            "R10": (q**3 * (q**2 - q + 1) * (q - 1), (q - 3) / 6),
+            "R11": (q**3 * (q**2 - 1) * (q - 3 * m + 1), (q - 3 * m) / 6),
+            "R12": (q**3 * (q**2 - 1) * (q + 3 * m + 1), (q + 3 * m) / 6),
+        }
+    r = t
+    unipotent = r**2 * (r**6 - 1) * (r**2 - 1) * half
+    mixed = r**4 * (r**6 - 1) * (r**2 - 1) * half
+    gamma_a = r**5 * (r**3 - 1) * (r**2 - r + 1)
+    gamma_b = r**5 * (r**6 - 1) * (r - 1)
+    eta_a = r**5 * (r**3 + 1) * (r**2 + r + 1)
+    eta_b = r**5 * (r**6 - 1) * (r + 1)
+    return {
+        "1": (one, one),
+        "x_{3a+2b}(1)": (r**6 - 1, one),
+        "x_{2a+b}(1)": (r**6 - 1, one),
+        "x_{2a+b}(1)x_{3a+2b}(1)": ((r**6 - 1) * (r**2 - 1), one),
+        "x_{a+b}(1)x_{3a+b}(1)#1": (unipotent, one),
+        "x_{a+b}(1)x_{3a+b}(1)#2": (unipotent, one),
+        "x_a(1)x_b(1)": (r**4 * (r**6 - 1) * (r**2 - 1), one),
+        "h(-1,-1,1)": (r**4 * (r**4 + r**2 + 1), one),
+        "h(-1,-1,1)x_b(1)": (r**4 * (r**6 - 1), one),
+        "h(-1,-1,1)x_{2a+b}(1)": (r**4 * (r**6 - 1), one),
+        "h(-1,-1,1)x_b(1)x_{2a+b}(1)#1": (mixed, one),
+        "h(-1,-1,1)x_b(1)x_{2a+b}(1)#2": (mixed, one),
+        "h_gamma(i,-2i,i)": (gamma_a, (r - 3) / 2),
+        "h_gamma(i,-2i,i)x_{3a+2b}(1)": (gamma_b, (r - 3) / 2),
+        "h_gamma(i,-i,0)": (gamma_a, (r - 3) / 2),
+        "h_gamma(i,-i,0)x_{2a+b}(1)": (gamma_b, (r - 3) / 2),
+        "h_gamma(i,j,-i-j)": (r**6 * (r**3 - 1) * (r**2 - r + 1) * (r - 1), (r**2 - 8 * r + 15) / 12),
+        "h_eta(i,-2i,i)": (eta_a, (r - 1) / 2),
+        "h_eta(i,-2i,i)x_{3a+2b}(1)": (eta_b, (r - 1) / 2),
+        "h_eta(i,-i,0)": (eta_a, (r - 1) / 2),
+        "h_eta(i,-i,0)x_{2a+b}(1)": (eta_b, (r - 1) / 2),
+        "h_eta(i,j,-i-j)": (r**6 * (r**3 + 1) * (r**2 + r + 1) * (r + 1), (r**2 - 4 * r + 3) / 12),
+        "h_theta(i,(r-1)i,-ri)": (r**6 * (r**6 - 1), (r - 1) ** 2 / 4),
+        "h_theta(i,ri,-(r+1)i)": (r**6 * (r**6 - 1), (r - 1) ** 2 / 4),
+        "h_tau(i,ri,r^2i)": (r**6 * (r**3 - 1) * (r**2 - 1) * (r + 1), r * (r + 1) / 6),
+        "h_sigma(i,-ri,r^2i)": (r**6 * (r**3 + 1) * (r**2 - 1) * (r - 1), r * (r - 1) / 6),
+    }
+
+
+@pytest.mark.parametrize("family", [REE, SUBFIELD], ids=["ree", "subfield"])
+def test_rows_pinned_in_normal_form(family):
+    # halving by `/ 2` stores the same integers over the same denominator as `* Fraction(1, 2)`
+    def form(poly):
+        return poly._num, poly._den
+
+    got = {row.z.label: (form(row.length), form(row.count)) for row in build_table(family).rows}
+    want = {label: (form(length), form(count)) for label, (length, count) in _reference_rows(family).items()}
+    assert list(got) == list(want)
+    assert got == want
+
+
 def test_concrete_mass_subfield():
     table = build_table(SUBFIELD)
     for r, expected in SUBFIELD_MASS.items():
