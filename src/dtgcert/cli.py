@@ -99,12 +99,9 @@ def _parse_params(case: str, text: str) -> list[int]:
             raise _UsageError(f"empty step range {lo}..{hi}")
         return [family.param_for_n(n) for n in range(lo, hi + 1)]
     try:
-        values = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise _UsageError(f"invalid parameter list: {text!r}") from None
-    if not values:
-        raise _UsageError("empty parameter list")
-    return values
 
 
 def _write(payload: bytes, out: Optional[str]) -> None:

@@ -2,17 +2,18 @@
 
 Everything in this package reduces to computations done here: arbitrary
 precision integers, rationals in lowest terms, dense univariate polynomials
-over the rationals, integer factorization by trial division, cyclic-group
-element orders, and exact comparison of huge powers. No floating point anywhere.
+over the rationals evaluated at integer points, integer factorization by
+trial division, cyclic-group element orders, and exact comparison of huge
+powers. No floating point anywhere.
 
 A sum of products of polynomials (`Poly.sum_of_products`) runs in one integer
 accumulator over a common denominator, with no intermediate Poly.
 
 Polynomials store integers only, so importing this module does not import
 `fractions` (which brings `decimal` and `numbers`). The functions that make
-a Fraction import it where they do: `.coeffs`, a value at a point, the hash
-of a non-integer constant, an error message, and a non-int scalar given to
-a Poly.
+a Fraction import it where they do: `.coeffs`, a value at an integer
+point, the hash of a non-integer constant, an error message, and a non-int
+scalar given to a Poly.
 """
 import sys
 from math import gcd, lcm
@@ -43,8 +44,8 @@ class Poly:
     over one positive common denominator, reduced so that the denominator
     shares no factor with all the numerators and no numerator is a trailing
     zero; equal polynomials are therefore equal structurally. Arithmetic and
-    evaluation run on plain integers. Evaluation is exact and accepts an
-    integer, a Fraction, or another Poly (composition).
+    evaluation run on plain integers. A Poly is evaluated at integers only,
+    the points every table is read at; a Poly argument composes.
     """
 
     __slots__ = ("_num", "_den")
@@ -204,42 +205,38 @@ class Poly:
             _add_product(acc, a._num, b._num, den // (a._den * b._den))
         return cls._make(acc, den)
 
-    def _eval(self, point: Scalar) -> tuple[int, int]:
-        """(numerator, denominator) of the value at an int or Fraction point.
+    def _eval(self, point: int) -> int:
+        """Numerator of the value at an integer point, over the common denominator.
 
-        Horner's rule on the integer numerators; at t = p/s it runs on the
-        homogenized form sum c_k p^k s^(n-k), so no rational is formed.
+        Horner's rule on the integer numerators; any other point raises TypeError.
         """
-        if not self._num:
-            return 0, 1
-        p, s = _split(point)
+        if not isinstance(point, int):
+            raise TypeError(f"polynomials are evaluated at integers only: {point!r}")
         acc = 0
-        scale = 1
         for c in reversed(self._num):
-            acc = acc * p + c * scale
-            scale *= s
-        return acc, self._den * (scale // s)
+            acc = acc * point + c
+        return acc
 
-    def __call__(self, point: "Union[Scalar, Poly]") -> "Union[Fraction, Poly]":
-        """Evaluate at an integer or Fraction, or compose with another Poly."""
+    def __call__(self, point: "Union[int, Poly]") -> "Union[Fraction, Poly]":
+        """The value at an integer, as a Fraction, or the composition with another Poly."""
         if isinstance(point, Poly):
             acc = Poly()
             for c in reversed(self._num):
                 acc = acc * point + c
             return acc / self._den
-        num, den = self._eval(point)
+        num = self._eval(point)
         from fractions import Fraction
 
-        return Fraction(num, den)
+        return Fraction(num, self._den)
 
-    def eval_int(self, point: Scalar) -> int:
-        """Evaluate at a point where the value must be an integer."""
-        num, den = self._eval(point)
-        value, rest = divmod(num, den)
+    def eval_int(self, point: int) -> int:
+        """Evaluate at an integer point where the value must be an integer."""
+        num = self._eval(point)
+        value, rest = divmod(num, self._den)
         if rest:
             from fractions import Fraction
 
-            raise ValueError(f"polynomial is not integer-valued at {point}: {Fraction(num, den)}")
+            raise ValueError(f"polynomial is not integer-valued at {point}: {Fraction(num, self._den)}")
         return value
 
     def __repr__(self) -> str:

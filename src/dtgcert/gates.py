@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize, is_power_of
-from .groups import REE, OuterOption, torus_orders
+from .groups import REE, OuterOption
 
 EXCLUDES = "excludes"
 INCONCLUSIVE = "inconclusive"
@@ -82,27 +82,6 @@ class GateVerdict(_GateVerdictFields):
         return self.outcome == EXCLUDES
 
 
-class _Order4WitnessFields(NamedTuple):
-    torus_base: str
-    exponent: int
-    base_order: int
-
-
-class Order4Witness(_Order4WitnessFields):
-    """A torus power of order exactly 4, from the gamma or eta family."""
-
-    __slots__ = ()
-
-    def __new__(cls, torus_base: str, exponent: int, base_order: int) -> "Order4Witness":
-        if torus_base not in ("gamma", "eta"):
-            raise ValueError(f"unknown torus base: {torus_base!r}")
-        if cyclic_order(base_order, exponent) != 4:
-            raise ValueError("witness power does not have order 4")
-        if torus_base == "gamma" and base_order < 8:
-            raise ValueError("gamma witnesses require r >= 9")
-        return super().__new__(cls, torus_base, exponent, base_order)
-
-
 def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict:
     """An inconclusive verdict naming the sub-check that did not pass."""
     return GateVerdict(gate, INCONCLUSIVE, {"failed_step": step, **extra}, narrative)
@@ -136,25 +115,35 @@ def sigma_in_x_gate(ct: tables.ConcreteTable) -> GateVerdict:
     return GateVerdict(GATE_SIGMA_IN_X, outcome, {"distinct_nontrivial_lengths": count}, narrative)
 
 
-def order4_witness(ct: tables.ConcreteTable) -> Order4Witness:
+def order4_witness(ct: tables.ConcreteTable) -> tuple[str, int, int]:
     """A gamma- or eta-power of order exactly 4 in a subfield table at r.
 
-    The base orders come from torus_orders, which derives them as powers of
-    kappa: gamma has order r - 1 and eta order r + 1, so exactly one of the
-    two is divisible by 4 for odd r. The chosen torus must still have rows
-    in the table, or ArithmeticError is raised.
+    Returns (base, exponent, base order). kappa generates the multiplicative
+    group of GF(q**3), q = r*r, so it has order q**3 - 1; gamma and eta are
+    powers of kappa, and their computed orders must be r - 1 and r + 1, so
+    exactly one of the two is divisible by 4 for odd r. The chosen torus
+    must still have rows in the table and its power must have order 4, or
+    ArithmeticError is raised.
     """
     if ct.family.kind != "subfield":
         raise ValueError("order-4 torus witnesses apply to the subfield family only")
     r = ct.param
-    torus = torus_orders(r)
-    if torus.gamma_order % 4 == 0:
-        base, order, z_order = "gamma", torus.gamma_order, tables.Z_GAMMA
+    q = r * r
+    kappa = q**3 - 1
+    theta_exp = q * q + q + 1
+    gamma = cyclic_order(kappa, theta_exp * (r + 1))
+    eta = cyclic_order(kappa, theta_exp * (r - 1))
+    if (gamma, eta) != (r - 1, r + 1):
+        raise ArithmeticError(f"torus orders at r={r}: gamma {gamma}, eta {eta}")
+    if gamma % 4 == 0:
+        base, order, z_order = "gamma", gamma, tables.Z_GAMMA
     else:
-        base, order, z_order = "eta", torus.eta_order, tables.Z_ETA
+        base, order, z_order = "eta", eta, tables.Z_ETA
     if not any(row.z_order == z_order for row in ct.rows):
         raise ArithmeticError(f"no {base} rows survive at r={r}")
-    return Order4Witness(base, order // 4, order)
+    if cyclic_order(order, order // 4) != 4:
+        raise ArithmeticError(f"no {base} power of order 4 at r={r}")
+    return base, order // 4, order
 
 
 def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
@@ -185,7 +174,7 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
         return fail("candidate_z_orders", offending_rows=", ".join(bad))
 
     try:
-        witness = order4_witness(ct)
+        base, exponent, base_order = order4_witness(ct)
     except ArithmeticError as exc:
         return fail("order4_witness", detail=str(exc))
 
@@ -195,9 +184,9 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
         {
             "candidates": ", ".join(candidates),
             "commuting_pair_row": pair_rows[0].label,
-            "order4_base": witness.torus_base,
-            "order4_exponent": witness.exponent,
-            "order4_base_order": witness.base_order,
+            "order4_base": base,
+            "order4_exponent": exponent,
+            "order4_base_order": base_order,
             "odd_prime": 3,
         },
         narrative,

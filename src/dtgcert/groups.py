@@ -13,7 +13,7 @@ X of Out and whether X contains the graph involution, so X is modeled by
 """
 from typing import NamedTuple
 
-from .exact import Poly, cyclic_order, is_power_of
+from .exact import Poly, is_power_of
 
 
 class CaseFamily(NamedTuple):
@@ -41,7 +41,7 @@ class CaseFamily(NamedTuple):
 
     def n_of_param(self, param: int) -> int:
         """Inverse of param_for_n; validates admissibility."""
-        e = is_power_of(param, 3)
+        e = is_power_of(param, 3) if param >= 1 else None
         if self.kind == "subfield":
             if e is None or e < 1:
                 raise ValueError(f"subfield parameter must be 3**n, n >= 1: {param}")
@@ -118,48 +118,3 @@ def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption,
     divisors = sorted(d for d in range(1, two_f + 1) if two_f % d == 0)
     return tuple(OuterOption(d, _v2(d) == _v2(two_f)) for d in divisors)
 
-
-class TorusData(NamedTuple):
-    """Orders of the named torus elements for the subfield family at r."""
-
-    r: int
-    kappa_order: int
-    theta_order: int
-    eta_order: int
-    gamma_order: int
-    sigma_order: int
-    tau_order: int
-
-
-def torus_orders(r: int) -> TorusData:
-    """Torus element orders at r, from exponent definitions over a cyclic group.
-
-    kappa generates the multiplicative group of GF(q**3), q = r*r, so it has
-    order q**3 - 1; the rest are explicit powers of kappa. Each computed
-    order is checked against its closed form before being returned.
-    """
-    e = is_power_of(r, 3)
-    if e is None or e < 1:
-        raise ValueError(f"torus parameter must be 3**n, n >= 1: {r}")
-    q = r * r
-    kappa = q**3 - 1
-    theta_exp = q * q + q + 1
-    orders = {
-        "theta": (cyclic_order(kappa, theta_exp), q - 1),
-        "eta": (cyclic_order(kappa, theta_exp * (r - 1)), r + 1),
-        "gamma": (cyclic_order(kappa, theta_exp * (r + 1)), r - 1),
-        "sigma": (cyclic_order(kappa, (r + 1) * (r**3 - 1)), r * r - r + 1),
-        "tau": (cyclic_order(kappa, (r - 1) * (r**3 + 1)), r * r + r + 1),
-    }
-    for name, (computed, closed) in orders.items():
-        if computed != closed:
-            raise ArithmeticError(f"torus order mismatch for {name} at r={r}: {computed} != {closed}")
-    return TorusData(
-        r=r,
-        kappa_order=kappa,
-        theta_order=orders["theta"][0],
-        eta_order=orders["eta"][0],
-        gamma_order=orders["gamma"][0],
-        sigma_order=orders["sigma"][0],
-        tau_order=orders["tau"][0],
-    )

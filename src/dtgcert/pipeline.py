@@ -115,16 +115,6 @@ def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str
     return UNDETERMINED
 
 
-def _checked_table(table: tables.SuborbitTable, param: int) -> tables.ConcreteTable:
-    ct = tables.instantiate(table, param)
-    ok, residual = tables.verify_mass(ct)
-    if not ok:
-        raise tables.TranscriptionError(
-            f"mass identity failed at parameter {param}: residual {residual}"
-        )
-    return ct
-
-
 def _subfield_chain(q: int, option: OuterOption, concrete: Callable[[], tables.ConcreteTable]) -> list[gates.GateVerdict]:
     """multiplicity_free reads no table, so concrete() runs only where it does not exclude."""
     screen = gates.multiplicity_free_gate(q, option)
@@ -168,9 +158,12 @@ def analyze(
 ) -> RunReport:
     """Run the family's gate chain for every n in range and every selected X.
 
-    The table is built once. At each n, concrete() instantiates and checks
-    it on the first call and returns the same table after that, so every X
-    there shares it, and an n where no gate reads it never instantiates.
+    The table is built once, and its symbolic mass identity, which holds at
+    every n if it holds at all, is checked once; a table that fails it
+    raises TranscriptionError before any certificate is made. At each n,
+    concrete() instantiates the table, with its integrality checks, on the
+    first call and returns the same table after that, so every X there
+    shares it, and an n where no gate reads it never instantiates.
     """
     family = get_family(case)
     if n_min < family.min_n:
@@ -178,17 +171,19 @@ def analyze(
     if n_min > n_max:
         raise ValueError(f"empty step range {n_min}..{n_max}")
     table = tables.build_table(family)
+    if not tables.verify_mass_symbolic(table):
+        raise tables.TranscriptionError(f"symbolic mass identity failed for the {family.kind} table")
     chain = _CHAINS[family.kind]
     certificates = []
     for n in range(n_min, n_max + 1):
         param = family.param_for_n(n)
         q = family.q_value(param)
-        checked = []
+        instantiated = []
 
         def concrete() -> tables.ConcreteTable:
-            if not checked:
-                checked.append(_checked_table(table, param))
-            return checked[0]
+            if not instantiated:
+                instantiated.append(tables.instantiate(table, param))
+            return instantiated[0]
 
         for option in _select_options(family, param, x_filter):
             verdicts = tuple(chain(q, option, concrete))

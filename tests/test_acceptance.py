@@ -99,12 +99,11 @@ def test_criterion_6_order4_witnesses():
     table = build_table(SUBFIELD)
     for n in range(1, 11):
         r = 3**n
-        witness = order4_witness(instantiate(table, r))
-        assert cyclic_order(witness.base_order, witness.exponent) == 4
+        base, exponent, base_order = order4_witness(instantiate(table, r))
+        assert cyclic_order(base_order, exponent) == 4
         expected_base = "gamma" if (r - 1) % 4 == 0 else "eta"
-        assert witness.torus_base == expected_base, r
-    r3 = order4_witness(instantiate(table, 3))
-    assert r3.torus_base == "eta"
+        assert base == expected_base, r
+    assert order4_witness(instantiate(table, 3)) == ("eta", 1, 4)
     print("criterion 6 (order-4 torus witnesses n=1..10): PASS")
 
 

@@ -22,6 +22,10 @@ def test_verify_tables_step_range(capsys):
 def test_verify_tables_bad_param(capsys):
     assert main(["verify-tables", "--case", "ree", "--params", "9"]) == 2
     assert "result: FAIL" in capsys.readouterr().out
+    # a parameter below 1 gets the family's own message
+    for bad in ("0", "-3"):
+        assert main(["verify-tables", "--case", "ree", "--params", bad]) == 2
+        assert f"param={bad}\terror=ree parameter must be 3**(2n+1): {bad}\n" in capsys.readouterr().out
 
 
 def test_analyze_text(capsys):
@@ -110,8 +114,11 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["analyze", "--case", "ree", "--n", "1", "--x", "2,twist"]) == 1
     capsys.readouterr()
-    assert main(["verify-tables", "--case", "ree", "--params", ","]) == 1
-    capsys.readouterr()
+    for params in (",", "3,,27", "3,", ",3"):
+        assert main(["verify-tables", "--case", "ree", "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid parameter list: {params!r}\n"
+        assert captured.out == ""
     assert main(["verify-tables", "--case", "ree", "--params", "a,b"]) == 1
     capsys.readouterr()
     assert main([]) == 1

@@ -13,7 +13,6 @@ from dtgcert.gates import (
     INCONCLUSIVE,
     NOT_APPLICABLE,
     GateVerdict,
-    Order4Witness,
     bcn_small_case_gate,
     bhk_gate,
     involution_gate,
@@ -27,6 +26,7 @@ from dtgcert.groups import REE, SUBFIELD, OuterOption
 from dtgcert.tables import (
     ConcreteRow,
     ConcreteTable,
+    Z_ETA,
     Z_THREE,
     Z_TWO,
     Z_UNKNOWN,
@@ -83,25 +83,24 @@ def test_sigma_in_x_gate():
 
 
 def test_order4_witness_values():
-    w3 = order4_witness(_sub_table(3))
-    assert (w3.torus_base, w3.exponent, w3.base_order) == ("eta", 1, 4)
-    w9 = order4_witness(_sub_table(9))
-    assert (w9.torus_base, w9.exponent, w9.base_order) == ("gamma", 2, 8)
-    w27 = order4_witness(_sub_table(27))
-    assert (w27.torus_base, w27.base_order) == ("eta", 28)
+    assert order4_witness(_sub_table(3)) == ("eta", 1, 4)
+    assert order4_witness(_sub_table(9)) == ("gamma", 2, 8)
+    base, _, base_order = order4_witness(_sub_table(27))
+    assert (base, base_order) == ("eta", 28)
 
 
-def test_order4_witness_validation():
-    with pytest.raises(ValueError):
-        Order4Witness("theta", 1, 4)
-    with pytest.raises(ValueError):
-        Order4Witness("eta", 1, 6)
-    with pytest.raises(ValueError):
-        Order4Witness(torus_base="eta", exponent=2, base_order=4)
-    # gamma rows vanish below r = 9, so a gamma witness there is a bug
-    with pytest.raises(ValueError):
-        Order4Witness("gamma", 1, 4)
-    assert Order4Witness(base_order=8, exponent=2, torus_base="gamma") == ("gamma", 2, 8)
+def test_order4_witness_validation(monkeypatch):
+    # at an even r neither r - 1 nor r + 1 is divisible by 4, so no power has order 4
+    even = ConcreteTable(SUBFIELD, 4, 1, 1, (ConcreteRow("1", "one", 1, 1), ConcreteRow("e", Z_ETA, 5, 1)))
+    with pytest.raises(ArithmeticError, match="order 4"):
+        order4_witness(even)
+    # computed torus orders other than r - 1 and r + 1 are refused, and the gate names the step
+    monkeypatch.setattr(gates, "cyclic_order", lambda n, i: n)
+    with pytest.raises(ArithmeticError, match="torus orders"):
+        order4_witness(_sub_table(3))
+    v = involution_gate(_sub_table(3))
+    assert v.outcome == INCONCLUSIVE
+    assert v.witnesses["failed_step"] == "order4_witness"
 
 
 def test_order4_witness_requires_surviving_rows():

@@ -1,12 +1,14 @@
 import pytest
 
+from dtgcert.exact import cyclic_order
+from dtgcert.gates import order4_witness
 from dtgcert.groups import (
     REE,
     SUBFIELD,
     get_family,
     outer_subgroup_options,
-    torus_orders,
 )
+from dtgcert.tables import build_table, instantiate
 
 
 def test_get_family():
@@ -59,6 +61,12 @@ def test_param_admissibility():
     for bad in (1, 9, 81, 5):
         with pytest.raises(ValueError):
             REE.n_of_param(bad)
+    # a parameter below 1 gets the family's own message
+    for bad in (0, -3, -27):
+        with pytest.raises(ValueError, match=rf"^subfield parameter must be 3\*\*n, n >= 1: {bad}$"):
+            SUBFIELD.n_of_param(bad)
+        with pytest.raises(ValueError, match=rf"^ree parameter must be 3\*\*\(2n\+1\): {bad}$"):
+            REE.n_of_param(bad)
 
 
 def test_table_variable_and_q():
@@ -96,28 +104,45 @@ def test_outer_subgroup_options_subfield():
         assert {o.order for o in opts if o.contains_graph_auto} == graph_orders
 
 
+def _torus_orders(r):
+    """Orders of kappa and its named powers at r: the oracle for the order-4 witness.
+
+    kappa generates the multiplicative group of GF(q**3), q = r*r, so it has
+    order q**3 - 1; theta, eta, gamma, sigma and tau are explicit powers of it.
+    """
+    q = r * r
+    kappa = q**3 - 1
+    theta_exp = q * q + q + 1
+    return {
+        "kappa": cyclic_order(kappa, 1),
+        "theta": cyclic_order(kappa, theta_exp),
+        "eta": cyclic_order(kappa, theta_exp * (r - 1)),
+        "gamma": cyclic_order(kappa, theta_exp * (r + 1)),
+        "sigma": cyclic_order(kappa, (r + 1) * (r**3 - 1)),
+        "tau": cyclic_order(kappa, (r - 1) * (r**3 + 1)),
+    }
+
+
 def test_torus_orders_frozen_r3():
-    data = torus_orders(3)
-    assert data.kappa_order == 728
-    assert data.theta_order == 8
-    assert data.eta_order == 4
-    assert data.gamma_order == 2
-    assert data.sigma_order == 7
-    assert data.tau_order == 13
+    assert _torus_orders(3) == {"kappa": 728, "theta": 8, "eta": 4, "gamma": 2, "sigma": 7, "tau": 13}
 
 
 def test_torus_order_relations():
-    for r in (3, 9, 27, 81):
-        data = torus_orders(r)
+    table = build_table(SUBFIELD)
+    for n in range(1, 11):
+        r = 3**n
         q = r * r
-        assert data.theta_order == q - 1
-        assert data.eta_order * data.gamma_order == q - 1
-        assert data.sigma_order * data.tau_order == q * q + q + 1
-        assert data.kappa_order == q**3 - 1
-
-
-def test_torus_orders_rejects_bad_parameter():
-    with pytest.raises(ValueError):
-        torus_orders(5)
-    with pytest.raises(ValueError):
-        torus_orders(1)
+        orders = _torus_orders(r)
+        assert orders == {
+            "kappa": q**3 - 1,
+            "theta": q - 1,
+            "eta": r + 1,
+            "gamma": r - 1,
+            "sigma": r * r - r + 1,
+            "tau": r * r + r + 1,
+        }, r
+        assert orders["eta"] * orders["gamma"] == q - 1
+        assert orders["sigma"] * orders["tau"] == q * q + q + 1
+        # the library computes only the witness's base order, and it agrees
+        base, exponent, base_order = order4_witness(instantiate(table, r))
+        assert base_order == orders[base] and exponent == base_order // 4, r

@@ -259,6 +259,25 @@ def test_verify_tables_detects_broken_override(monkeypatch):
     assert not report.symbolic_ok
 
 
+def test_analyze_checks_the_symbolic_mass_identity_before_any_certificate(monkeypatch, capsys):
+    from dtgcert import cli
+
+    base = tables.build_table(REE)
+    row = base.rows[1]
+    rows = (base.rows[0], tables.SuborbitRow(row.z, row.length + 1, row.count)) + base.rows[2:]
+    mutant = tables.SuborbitTable(REE, rows)
+    # R2's length + 1 stays integral, so instantiate alone accepts the mutant
+    for n in range(3):
+        tables.instantiate(mutant, REE.param_for_n(n))
+    monkeypatch.setattr(tables, "build_table", lambda family: mutant)
+    with pytest.raises(tables.TranscriptionError):
+        analyze("ree", 0, 2)
+    assert cli.main(["analyze", "--case", "ree", "--n", "0..2", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("transcription error:")
+    assert captured.out == ""
+
+
 #: Verification parameters of the fault tests below: ree q, subfield r.
 FAULT_PARAMS = {"ree": (27, 243), "subfield": (9, 27)}
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from dtgcert import pipeline
-from dtgcert.gates import EXCLUDES, INCONCLUSIVE, GateVerdict, Order4Witness
-from dtgcert.groups import REE, SUBFIELD, OuterOption, torus_orders
+from dtgcert.gates import EXCLUDES, INCONCLUSIVE, GateVerdict
+from dtgcert.groups import REE, SUBFIELD, OuterOption
 from dtgcert.tables import (
     ConcreteRow,
     SuborbitRow,
@@ -37,14 +37,12 @@ def _ree_table():
 RECORDS = {
     "CaseFamily": (lambda: REE, "index"),
     "OuterOption": (lambda: OuterOption(2, False), "order"),
-    "TorusData": (lambda: torus_orders(3), "eta_order"),
     "ZClassDescriptor": (lambda: build_table(REE).rows[0].z, "label"),
     "SuborbitRow": (lambda: build_table(REE).rows[0], "count"),
     "SuborbitTable": (lambda: build_table(REE), "rows"),
     "ConcreteRow": (lambda: _ree_table().rows[0], "length"),
     "ConcreteTable": (_ree_table, "param"),
     "GateVerdict": (lambda: GateVerdict("g", EXCLUDES, {"k": 1}), "witnesses"),
-    "Order4Witness": (lambda: Order4Witness("eta", 1, 4), "exponent"),
     "Certificate": (lambda: pipeline.analyze("ree", 1, 1).certificates[0], "conclusion"),
     "RunReport": (lambda: pipeline.analyze("ree", 1, 1), "certificates"),
     "ParamCheck": (lambda: pipeline.verify_tables("ree", [27]).checks[0], "mass_ok"),
