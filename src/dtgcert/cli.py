@@ -1,62 +1,38 @@
-"""Command-line interface.
+"""Certificates and table checks from the command line.
 
-Subcommands:
-  analyze        run a gate pipeline over a parameter range, emit certificates
-  verify-tables  check table consistency at concrete parameters
+Run `dtgcert COMMAND -h` for the options of one command. Options are spelled
+in full, with no abbreviation, as `--opt value` or `--opt=value`; a repeated
+option keeps its last value.
 
 Exit codes: 0 all certificates conclude no_dtg (or checks pass), 2 at least
 one undetermined certificate (or failed check), 1 usage or internal error,
 including a run that covers nothing: a reversed analyze n range or
 verify-tables step range, or an --x filter that matches no outer subgroup.
 """
-import argparse
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import pipeline, tables
 from .pipeline import VERSION
 
+#: Option kinds: one value, one or more values, one int, or a flag that takes none.
+VALUE, VALUES, INT, FLAG = "value", "values", "int", "flag"
+
+_HELP = ("-h", "--help")
+
+
+class Option(NamedTuple):
+    """One row of a command's option table; a flag's default is False."""
+
+    kind: str
+    help: str
+    default: object = None
+    choices: tuple[str, ...] = ()
+    required: bool = False
+
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="dtgcert", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=f"dtgcert {VERSION}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="run a gate pipeline and emit certificates")
-    analyze.add_argument("--case", required=True, choices=("subfield", "ree"))
-    analyze.add_argument("--n", required=True, help="step range, e.g. 1..3 or a single step like 2")
-    analyze.add_argument(
-        "--x",
-        nargs="+",
-        default=["all"],
-        help="outer subgroup filter: 'all', or orders like '2' or '6,graph'",
-    )
-    analyze.add_argument(
-        "--strict", action="store_true", help="conclude only from certificates that rely on no assumption"
-    )
-    analyze.add_argument("--format", choices=("json", "text"), default="text")
-    analyze.add_argument("--out", help="write the report to this path instead of stdout")
-    analyze.add_argument("--max-n", type=int, default=12, help="safety cap on the range end")
-
-    verify = sub.add_parser("verify-tables", help="check table consistency at concrete parameters")
-    verify.add_argument("--case", required=True, choices=("subfield", "ree"))
-    verify.add_argument(
-        "--params",
-        required=True,
-        help="comma-separated parameter values (e.g. 3,27,243) or a step range like 0..3",
-    )
-    verify.add_argument("--symbolic", action="store_true", help="also check the polynomial mass identity")
-
-    return parser
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -112,34 +88,167 @@ def _write(payload: bytes, out: Optional[str]) -> None:
         sys.stdout.write(payload.decode())
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
-    n_min, n_max = _parse_range(args.n)
-    if n_max > args.max_n:
-        raise _UsageError(f"range end {n_max} exceeds the cap {args.max_n}; raise it with --max-n")
-    x_filter = _parse_x(args.x)
-    report = pipeline.analyze(args.case, n_min, n_max, x_filter=x_filter, strict=args.strict)
+def _run_analyze(args: dict) -> int:
+    n_min, n_max = _parse_range(args["--n"])
+    if n_max > args["--max-n"]:
+        raise _UsageError(f"range end {n_max} exceeds the cap {args['--max-n']}; raise it with --max-n")
+    x_filter = _parse_x(args["--x"])
+    report = pipeline.analyze(args["--case"], n_min, n_max, x_filter=x_filter, strict=args["--strict"])
     if not report.certificates:
-        raise _UsageError(f"--x {' '.join(args.x)} selects no outer subgroup for n in {n_min}..{n_max}")
-    _write(pipeline.emit(report, args.format), args.out)
+        raise _UsageError(f"--x {' '.join(args['--x'])} selects no outer subgroup for n in {n_min}..{n_max}")
+    _write(pipeline.emit(report, args["--format"]), args["--out"])
     return 0 if all(c.conclusion == pipeline.NO_DTG for c in report.certificates) else 2
 
 
-def _run_verify_tables(args: argparse.Namespace) -> int:
-    params = _parse_params(args.case, args.params)
-    report = pipeline.verify_tables(args.case, params, symbolic=args.symbolic)
+def _run_verify_tables(args: dict) -> int:
+    params = _parse_params(args["--case"], args["--params"])
+    report = pipeline.verify_tables(args["--case"], params, symbolic=args["--symbolic"])
     sys.stdout.write(pipeline.emit(report, "text").decode())
     return 0 if report.ok else 2
 
 
+CASES = ("subfield", "ree")
+
+#: Command -> (summary, runner, option table). The tables are the only place
+#: options are declared: _parse() reads argv by them and _help_text() lists them.
+COMMANDS = {
+    "analyze": (
+        "run a gate pipeline and emit certificates",
+        _run_analyze,
+        {
+            "--case": Option(VALUE, "coset family to sweep", choices=CASES, required=True),
+            "--n": Option(VALUE, "step range, e.g. 1..3 or a single step like 2", required=True),
+            "--x": Option(VALUES, "outer subgroup filter: 'all', or orders like '2' or '6,graph'", default=("all",)),
+            "--strict": Option(FLAG, "conclude only from certificates that rely on no assumption"),
+            "--format": Option(VALUE, "report format", default="text", choices=("json", "text")),
+            "--out": Option(VALUE, "write the report to this path instead of stdout"),
+            "--max-n": Option(INT, "safety cap on the range end", default=12),
+        },
+    ),
+    "verify-tables": (
+        "check table consistency at concrete parameters",
+        _run_verify_tables,
+        {
+            "--case": Option(VALUE, "coset family whose table is checked", choices=CASES, required=True),
+            "--params": Option(
+                VALUE, "comma-separated parameter values (e.g. 3,27,243) or a step range like 0..3", required=True
+            ),
+            "--symbolic": Option(FLAG, "also check the polynomial mass identity"),
+        },
+    ),
+}
+
+
+def _is_option(token: str) -> bool:
+    """Whether a token names an option; a dash before a digit, as in -1, starts a value."""
+    return token.startswith("-") and not token[1:2].isdigit()
+
+
+def _invocation(name: str, opt: Option) -> str:
+    """An option as help writes it: --strict, --n N, --x X [X ...] or --case {subfield,ree}."""
+    if opt.kind == FLAG:
+        return name
+    metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else name[2:].upper().replace("-", "_")
+    return f"{name} {metavar} [{metavar} ...]" if opt.kind == VALUES else f"{name} {metavar}"
+
+
+def _help_rows(rows: Sequence[tuple[str, str]]) -> list[str]:
+    return [f"  {left:<22}{text}" if len(left) <= 20 else f"  {left}\n{'':24}{text}" for left, text in rows]
+
+
+def _help_text(command: Optional[str] = None) -> str:
+    """The -h text of one command, or of the program when command is None."""
+    help_row = ("-h, --help", "show this help message and exit")
+    if command is None:
+        choices = "{" + ",".join(COMMANDS) + "}"
+        lines = [f"usage: dtgcert [-h] [--version] {choices} ...", "", (__doc__ or "").strip(), "", "commands:"]
+        lines += _help_rows([(name, summary) for name, (summary, _, _) in COMMANDS.items()])
+        lines += ["", "options:"] + _help_rows([help_row, ("--version", "show the version number and exit")])
+        return "\n".join(lines) + "\n"
+    summary, _, table = COMMANDS[command]
+    usage = " ".join(
+        _invocation(name, opt) if opt.required else f"[{_invocation(name, opt)}]" for name, opt in table.items()
+    )
+    rows = [help_row]
+    for name, opt in table.items():
+        default = " ".join(opt.default) if opt.kind == VALUES and opt.default else opt.default
+        rows.append((_invocation(name, opt), opt.help if default is None else f"{opt.help} (default: {default})"))
+    lines = [f"usage: dtgcert {command} [-h] {usage}", "", summary, "", "options:"] + _help_rows(rows)
+    return "\n".join(lines) + "\n"
+
+
+def _exit_with(text: str) -> None:
+    sys.stdout.write(text)
+    raise SystemExit(0)
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, dict]:
+    """(command, option -> value) from argv, read by the command's option table.
+
+    -h/--help and --version print to stdout and raise SystemExit(0); any
+    other mistake raises _UsageError with the message main() prints.
+    """
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command in _HELP:
+        _exit_with(_help_text())
+    if command == "--version":
+        _exit_with(f"dtgcert {VERSION}\n")
+    if command not in COMMANDS:
+        if _is_option(command):
+            raise _UsageError(f"unrecognized arguments: {command}")
+        choices = ", ".join(map(repr, COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    table = COMMANDS[command][2]
+    args = {name: False if opt.kind == FLAG else opt.default for name, opt in table.items()}
+    tokens = argv[1:]
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token in _HELP:
+            _exit_with(_help_text(command))
+        name, eq, inline = token.partition("=")
+        opt = table.get(name)
+        if opt is None:
+            raise _UsageError(f"unrecognized arguments: {token}")
+        if opt.kind == FLAG:
+            if eq:
+                raise _UsageError(f"argument {name}: ignored explicit argument {inline!r}")
+            args[name] = True
+            continue
+        if eq:
+            given = [inline]
+        else:
+            stop = len(tokens) if opt.kind == VALUES else min(i + 1, len(tokens))
+            start = i
+            while i < stop and not _is_option(tokens[i]):
+                i += 1
+            given = tokens[start:i]
+        if not given:
+            expected = "at least one argument" if opt.kind == VALUES else "one argument"
+            raise _UsageError(f"argument {name}: expected {expected}")
+        value = tuple(given) if opt.kind == VALUES else given[0]
+        if opt.kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
+        if opt.choices and value not in opt.choices:
+            choices = ", ".join(map(repr, opt.choices))
+            raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        args[name] = value
+    missing = [name for name, opt in table.items() if opt.required and args[name] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return command, args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "analyze":
-            return _run_analyze(args)
-        if args.command == "verify-tables":
-            return _run_verify_tables(args)
-        raise _UsageError(f"unknown command: {args.command!r}")
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        return COMMANDS[command][1](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,8 +55,10 @@ class CaseFamily(NamedTuple):
         return 3 ** self.n_of_param(param)
 
     def q_value(self, param: int) -> int:
-        """The host group parameter q of G2(q)."""
-        self.n_of_param(param)
+        """The host group parameter q of G2(q), for a param that param_for_n made.
+
+        Plain arithmetic: param is not validated again here.
+        """
         return param * param if self.kind == "subfield" else param
 
     def field_exponent(self, param: int) -> int:

@@ -202,9 +202,13 @@ def verify_tables(
     """Mass, divisibility, integrality, and count checks per parameter.
 
     The optional table override exists for fault-injection tests; by default
-    the canonical table of the named family is checked.
+    the canonical table of the named family is checked. A call that checks
+    nothing, no params and no symbolic check, raises ValueError rather than
+    passing.
     """
     family = get_family(case)
+    if not params and not symbolic:
+        raise ValueError("verify_tables needs at least one parameter or symbolic=True")
     tab = table if table is not None else tables.build_table(family)
     checks = []
     for param in params:

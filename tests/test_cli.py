@@ -1,8 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dtgcert.cli import main
+from dtgcert.cli import COMMANDS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_verify_tables_command(capsys):
@@ -138,3 +143,90 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "dtgcert" in capsys.readouterr().out
+
+
+def _without_timestamp(text):
+    return re.sub(r"^.*generated_at.*$", "", text, flags=re.M)
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["analyze", "--case", "ree", "--n=0..2"], ["analyze", "--case", "ree", "--n", "0..2"]),
+        (
+            ["analyze", "--format", "json", "--n", "1", "--case=ree"],
+            ["analyze", "--case", "ree", "--n", "1", "--format", "json"],
+        ),
+        (["analyze", "--case", "ree", "--n", "5", "--n", "1"], ["analyze", "--case", "ree", "--n", "1"]),
+        (
+            ["analyze", "--case", "subfield", "--n", "2", "--x", "4", "8,graph", "--strict"],
+            ["analyze", "--strict", "--x", "4", "8,graph", "--n", "2", "--case", "subfield"],
+        ),
+        (["verify-tables", "--params=1..2", "--case", "subfield"], ["verify-tables", "--case", "subfield", "--params", "1..2"]),
+    ],
+)
+def test_accepted_forms_read_as_their_plain_spelling(argv, plain, capsys):
+    # --opt=value, any order, and a repeated option whose last value wins
+    code = main(argv)
+    out = _without_timestamp(capsys.readouterr().out)
+    assert code == main(plain)
+    assert out == _without_timestamp(capsys.readouterr().out)
+    assert "summary" in out or "result: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["analyze", "--case", "ree"], "the following arguments are required: --n"),
+        (["verify-tables"], "the following arguments are required: --case, --params"),
+        (["analyze", "--case", "weyl", "--n", "1"], "argument --case: invalid choice: 'weyl' (choose from 'subfield', 'ree')"),
+        (["analyze", "--case", "ree", "--n", "1", "--max-n", "abc"], "argument --max-n: invalid int value: 'abc'"),
+        (["analyze", "--case", "ree", "--n", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["analyze", "--case", "ree", "--n", "1", "--form", "json"], "unrecognized arguments: --form"),
+        (["analyze", "--case", "ree", "--n", "1", "--x"], "argument --x: expected at least one argument"),
+        (["analyze", "--case", "ree", "--n", "1", "--x", "--strict"], "argument --x: expected at least one argument"),
+        (["analyze", "--case", "ree", "--n"], "argument --n: expected one argument"),
+        (["analyze", "--case", "ree", "--n", "1", "--strict=yes"], "argument --strict: ignored explicit argument 'yes'"),
+        (["analyze", "--case", "ree", "--n", "1", "2"], "unrecognized arguments: 2"),
+        (["certify"], "argument command: invalid choice: 'certify' (choose from 'analyze', 'verify-tables')"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_rejected_forms(argv, error, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_lists_every_option_of_its_table(command, capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: dtgcert {command} ")
+        _, _, table = COMMANDS[command]
+        for name, option in table.items():
+            assert re.search(rf"^  {re.escape(name)}\b", out, re.M), name
+            assert option.help in out, name
+
+
+README_COMMANDS = [
+    line
+    for block in re.findall(r"^## Command line\n.*?^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    for line in block.splitlines()
+    if line.startswith("dtgcert ")
+]
+
+
+def test_readme_has_command_lines():
+    assert len(README_COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) in (0, 2)
+    assert capsys.readouterr().err == ""

@@ -9,6 +9,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import dtgcert.gates as gates
+import dtgcert.groups as groups
 import dtgcert.pipeline as pipeline
 import dtgcert.tables as tables
 from dtgcert.exact import Poly
@@ -236,6 +237,16 @@ def test_verify_tables_error_rows():
     assert report.checks[0].param == 9
 
 
+def test_verify_tables_of_no_parameter_is_an_error():
+    # a check of nothing must not render "result: PASS"; the symbolic
+    # identity alone is a check
+    for case in ("ree", "subfield"):
+        with pytest.raises(ValueError, match="at least one parameter"):
+            verify_tables(case, [])
+        report = verify_tables(case, [], symbolic=True)
+        assert report.ok and report.checks == ()
+
+
 def _count_calls(monkeypatch, module, names):
     calls = Counter()
     for name in names:
@@ -349,6 +360,15 @@ def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):
     calls.clear()
     analyze("subfield", 1, 12)
     assert calls == {"build_table": 1, "instantiate": 12}
+
+
+def test_sweeps_check_each_parameter_power_of_three_once_per_use(monkeypatch):
+    # q_value takes the parameter param_for_n made and does not check it
+    # again; the table variable, the field exponent and the kernel chain
+    # still validate theirs.
+    counters = [_count_calls(monkeypatch, module, ("is_power_of",)) for module in (groups, gates)]
+    analyze("ree", 0, 100)
+    assert sum(counters, Counter()) == {"is_power_of": 210}
 
 
 def test_sweeps_instantiate_only_where_a_gate_reads_the_table(monkeypatch):

@@ -95,12 +95,20 @@ def test_import_loads_no_record_library_or_argument_parser():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = (
         "import sys; before = set(sys.modules); import dtgcert; "
+        "print(' '.join(sorted(set(sys.modules) - before))); "
+        "before = set(sys.modules); import dtgcert.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    package_line, cli_line = proc.stdout.splitlines()
+    loaded = set(package_line.split())
     assert "dtgcert.pipeline" in loaded
     # _json, the C string encoder alone, is allowed; the json package is not
     unwanted = {"dataclasses", "inspect", "datetime", "argparse", "fractions", "decimal", "numbers", "json", "__future__"}
     assert not unwanted & loaded
+    # the command line is read by the option tables in cli, not by argparse
+    # and the gettext and locale lookups it makes
+    cli_loaded = set(cli_line.split())
+    assert "dtgcert.cli" in cli_loaded
+    assert not {"argparse", "gettext", "locale"} & cli_loaded
