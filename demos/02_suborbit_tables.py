@@ -43,7 +43,8 @@ ok, _ = verify_mass(ct_sub)
 print(f"vertices: {ct_sub.index}")
 print(f"mass identity: {ok}")
 print(f"surviving rows: {len(ct_sub.rows)} carrying {suborbit_count(ct_sub)} suborbits")
-print(f"distinct nontrivial lengths: {ct_sub.distinct_nontrivial_lengths}")
+lengths = tuple(length for length, _ in ct_sub.length_groups)
+print(f"distinct nontrivial lengths: {lengths}")
 
 print()
 print("== symbolic mass identities ==")

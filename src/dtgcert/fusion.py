@@ -4,9 +4,10 @@ An outer subgroup X can merge suborbits into orbits of the extended group,
 but only suborbits of equal length, and never more than |X| of them into one
 orbit. Grouping suborbits by length therefore lower-bounds the number of
 fused orbits, which in turn lower-bounds the diameter of any candidate graph.
-X enters only through its order |X|, passed as a plain int.
+X enters only through its order |X|, passed as a plain int. Tables are read
+through their length_groups and rows; candidates are returned as rows.
 """
-from .tables import ConcreteTable
+from .tables import ConcreteRow, ConcreteTable
 
 
 def min_fused_classes(groups: tuple[tuple[int, int], ...], x_order: int) -> int:
@@ -27,17 +28,17 @@ def excludes_diameter_two(ct: ConcreteTable) -> bool:
     Fusion only merges equal lengths, so three distinct nontrivial lengths
     survive as at least three distinct fused orbits.
     """
-    return len(ct.distinct_nontrivial_lengths) >= 3
+    return len(ct.length_groups) >= 3
 
 
-def smallest_fused_candidates(ct: ConcreteTable) -> tuple[str, ...]:
-    """Labels of all rows whose length is among the two smallest nontrivial lengths.
+def smallest_fused_candidates(ct: ConcreteTable) -> tuple[ConcreteRow, ...]:
+    """The table's rows whose length is among the two smallest nontrivial
+    lengths, sorted by (length, label).
 
     Fusion never shrinks an orbit, so any fused orbit that is among the two
     smallest must be assembled from these rows; the set over-approximates the
     first sphere of any candidate graph (and the last one in the swapped case).
     """
-    lengths = ct.distinct_nontrivial_lengths[:2]
+    lengths = [length for length, _ in ct.length_groups[:2]]
     chosen = [r for r in ct.nontrivial_rows if r.length in lengths]
-    chosen.sort(key=lambda r: (r.length, r.label))
-    return tuple(r.label for r in chosen)
+    return tuple(sorted(chosen, key=lambda r: (r.length, r.label)))

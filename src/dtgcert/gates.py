@@ -110,7 +110,7 @@ def multiplicity_free_gate(q: int, x: OuterOption) -> GateVerdict:
 def sigma_in_x_gate(ct: tables.ConcreteTable) -> GateVerdict:
     """Diameter >= 3 licenses assuming the centralizing involution lies in X."""
     narrative = "diameter >= 3 forces the centralizing involution into X"
-    count = len(ct.distinct_nontrivial_lengths)
+    count = len(ct.length_groups)
     outcome = INCONCLUSIVE if fusion.excludes_diameter_two(ct) else NOT_APPLICABLE
     return GateVerdict(GATE_SIGMA_IN_X, outcome, {"distinct_nontrivial_lengths": count}, narrative)
 
@@ -169,7 +169,7 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
         return fail("odd_prime_in_group_order")
 
     candidates = fusion.smallest_fused_candidates(ct)
-    bad = [label for label in candidates if ct.row(label).z_order != tables.Z_THREE]
+    bad = [row.label for row in candidates if row.z_order != tables.Z_THREE]
     if bad:
         return fail("candidate_z_orders", offending_rows=", ".join(bad))
 
@@ -182,7 +182,7 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
         GATE_INVOLUTION,
         EXCLUDES,
         {
-            "candidates": ", ".join(candidates),
+            "candidates": ", ".join(row.label for row in candidates),
             "commuting_pair_row": pair_rows[0].label,
             "order4_base": base,
             "order4_exponent": exponent,
@@ -276,18 +276,18 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     specials = p_minus + p_plus
 
     candidates = fusion.smallest_fused_candidates(ct)
+    candidate_labels = ", ".join(row.label for row in candidates)
     expected_lengths = {(q**3 + 1) * (q - 1), q**2 * (q**2 - q + 1)}
-    candidate_lengths = {ct.row(label).length for label in candidates}
-    if candidate_lengths != expected_lengths:
-        return fail("first_sphere_candidates", candidates=", ".join(candidates))
+    if {row.length for row in candidates} != expected_lengths:
+        return fail("first_sphere_candidates", candidates=candidate_labels)
 
     candidate_stabs = []
-    for label in candidates:
-        stab = tables.stabilizer_order(ct, label)
+    for row in candidates:
+        stab = tables.stabilizer_order(ct, row)
         candidate_stabs.append(stab)
         for p in specials:
             if stab % p == 0:
-                return fail("candidate_stabilizer_divisible", row=label, prime=p)
+                return fail("candidate_stabilizer_divisible", row=row.label, prime=p)
 
     for row in ct.nontrivial_rows:
         stab = tables.stabilizer_order(ct, row)
@@ -301,7 +301,7 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
             "primes": ", ".join(str(p) for p in specials),
             "q_minus_3m_plus_1": minus_value,
             "q_plus_3m_plus_1": plus_value,
-            "gamma1_candidates": ", ".join(candidates),
+            "gamma1_candidates": candidate_labels,
             "gamma1_stabilizers": ", ".join(str(s) for s in candidate_stabs),
         },
         narrative,

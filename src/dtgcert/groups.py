@@ -19,12 +19,11 @@ from .exact import Poly, is_power_of
 class CaseFamily(NamedTuple):
     """One coset-action family with exact order polynomials.
 
-    g_order, h_order, and index are polynomials in the family's table
-    variable (r for subfield, m for ree) satisfying g_order = h_order * index.
+    h_order and index are polynomials in the family's table variable (r for
+    subfield, m for ree) whose product is the order of G2(q).
     """
 
     kind: str
-    g_order: Poly
     h_order: Poly
     index: Poly
     min_n: int
@@ -69,19 +68,17 @@ class CaseFamily(NamedTuple):
 
 def _subfield_family() -> CaseFamily:
     r = Poly.var()
-    g = r**12 * (r**12 - 1) * (r**4 - 1)
     h = r**6 * (r**6 - 1) * (r**2 - 1)
     index = r**6 * (r**6 + 1) * (r**2 + 1)
-    return CaseFamily("subfield", g, h, index, min_n=1)
+    return CaseFamily("subfield", h, index, min_n=1)
 
 
 def _ree_family() -> CaseFamily:
     m = Poly.var()
     q = 3 * m**2
-    g = q**6 * (q**6 - 1) * (q**2 - 1)
     h = q**3 * (q**3 + 1) * (q - 1)
     index = q**3 * (q**3 - 1) * (q + 1)
-    return CaseFamily("ree", g, h, index, min_n=0)
+    return CaseFamily("ree", h, index, min_n=0)
 
 
 SUBFIELD = _subfield_family()

@@ -202,13 +202,16 @@ def verify_tables(
     """Mass, divisibility, integrality, and count checks per parameter.
 
     The optional table override exists for fault-injection tests; by default
-    the canonical table of the named family is checked. A call that checks
-    nothing, no params and no symbolic check, raises ValueError rather than
-    passing.
+    the canonical table of the named family is checked. An override from
+    another family, or a call that checks nothing (no params and no symbolic
+    check), raises ValueError rather than reporting on the wrong table or on
+    nothing.
     """
     family = get_family(case)
     if not params and not symbolic:
         raise ValueError("verify_tables needs at least one parameter or symbolic=True")
+    if table is not None and table.family.kind != case:
+        raise ValueError(f"verify_tables case={case} was given a {table.family.kind} table")
     tab = table if table is not None else tables.build_table(family)
     checks = []
     for param in params:

@@ -71,12 +71,6 @@ class ConcreteTable(_ConcreteTableFields):
     class declares no __slots__: the cached values live in its __dict__.
     """
 
-    def row(self, label: str) -> ConcreteRow:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
     @cached_property
     def nontrivial_rows(self) -> tuple[ConcreteRow, ...]:
         return tuple(r for r in self.rows if r.length > 1)
@@ -88,11 +82,6 @@ class ConcreteTable(_ConcreteTableFields):
         for row in self.nontrivial_rows:
             groups[row.length] = groups.get(row.length, 0) + row.count
         return tuple(sorted(groups.items()))
-
-    @cached_property
-    def distinct_nontrivial_lengths(self) -> tuple[int, ...]:
-        """Sorted distinct suborbit lengths, the trivial row excluded."""
-        return tuple(length for length, _ in self.length_groups)
 
 
 def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
@@ -220,10 +209,8 @@ def verify_mass_symbolic(table: SuborbitTable) -> bool:
     return total == table.family.index
 
 
-def stabilizer_order(ct: ConcreteTable, row: ConcreteRow | str) -> int:
-    """Point-stabilizer order |H| / length; the division must be exact."""
-    if isinstance(row, str):
-        row = ct.row(row)
+def stabilizer_order(ct: ConcreteTable, row: ConcreteRow) -> int:
+    """Point-stabilizer order |H| / length of a row of ct; the division must be exact."""
     if ct.h_order % row.length != 0:
         raise TranscriptionError(f"length of row {row.label!r} does not divide |H| at parameter {ct.param}")
     return ct.h_order // row.length

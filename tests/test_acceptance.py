@@ -80,21 +80,6 @@ def test_criterion_4_diameter_cutoff():
     print(f"criterion 4 (diameter cutoff split at n=3, {elapsed:.3f}s): PASS")
 
 
-def test_criterion_5_first_sphere_candidates():
-    from dtgcert.fusion import smallest_fused_candidates
-
-    subfield_expected = {"x_{3a+2b}(1)", "x_{2a+b}(1)", "x_{2a+b}(1)x_{3a+2b}(1)"}
-    for r in SUBFIELD_PARAMS:
-        ct = instantiate(build_table(SUBFIELD), r)
-        assert set(smallest_fused_candidates(ct)) == subfield_expected
-    for q in REE_PARAMS:
-        ct = instantiate(build_table(REE), q)
-        labels = smallest_fused_candidates(ct)
-        lengths = {ct.row(label).length for label in labels}
-        assert lengths == {(q**3 + 1) * (q - 1), q**2 * (q**2 - q + 1)}, q
-    print("criterion 5 (first-sphere candidate sets): PASS")
-
-
 def test_criterion_6_order4_witnesses():
     table = build_table(SUBFIELD)
     for n in range(1, 11):

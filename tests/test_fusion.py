@@ -106,20 +106,24 @@ def test_excludes_diameter_two():
     assert not excludes_diameter_two(flat)
 
 
-def test_smallest_fused_candidates_subfield():
-    for r in (3, 9, 27):
-        ct = instantiate(build_table(SUBFIELD), r)
-        labels = smallest_fused_candidates(ct)
-        assert set(labels) == {"x_{3a+2b}(1)", "x_{2a+b}(1)", "x_{2a+b}(1)x_{3a+2b}(1)"}
-        assert len(labels) == 3
-        # ordering: by (length, label), the two equal-length rows first
-        assert labels[2] == "x_{2a+b}(1)x_{3a+2b}(1)"
+SUBFIELD_CANDIDATES = ("x_{2a+b}(1)", "x_{3a+2b}(1)", "x_{2a+b}(1)x_{3a+2b}(1)")
 
 
-def test_smallest_fused_candidates_ree():
-    for q in (3, 27, 243):
-        ct = instantiate(build_table(REE), q)
-        labels = smallest_fused_candidates(ct)
-        assert labels == ("R2", "R6")
-        assert ct.row("R2").length == (q**3 + 1) * (q - 1)
-        assert ct.row("R6").length == q**2 * (q**2 - q + 1)
+@pytest.mark.parametrize(
+    "family, param, labels",
+    [pytest.param(REE, q, ("R2", "R6"), id=f"ree-{q}") for q in (3, 27, 243, 2187)]
+    + [pytest.param(SUBFIELD, r, SUBFIELD_CANDIDATES, id=f"subfield-{r}") for r in (3, 9, 27, 81)],
+)
+def test_smallest_fused_candidates_are_table_rows(family, param, labels):
+    ct = instantiate(build_table(family), param)
+    rows = smallest_fused_candidates(ct)
+    # the table's own rows, not copies or labels
+    assert all(any(row is r for r in ct.rows) for row in rows)
+    assert list(rows) == sorted(rows, key=lambda r: (r.length, r.label))
+    assert tuple(row.label for row in rows) == labels
+    # exactly the two smallest nontrivial lengths
+    two_smallest = [length for length, _ in ct.length_groups[:2]]
+    assert sorted({row.length for row in rows}) == two_smallest
+    if family is REE:
+        q = param
+        assert [row.length for row in rows] == [(q**3 + 1) * (q - 1), q**2 * (q**2 - q + 1)]

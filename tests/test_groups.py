@@ -1,6 +1,6 @@
 import pytest
 
-from dtgcert.exact import cyclic_order
+from dtgcert.exact import Poly, cyclic_order
 from dtgcert.gates import order4_witness
 from dtgcert.groups import (
     REE,
@@ -18,26 +18,38 @@ def test_get_family():
         get_family("weyl")
 
 
+def g2_order(q):
+    """|G2(q)| = q^6 (q^6 - 1) (q^2 - 1), for an int or a Poly q."""
+    return q**6 * (q**6 - 1) * (q**2 - 1)
+
+
 def test_order_product_identity_symbolic():
-    for fam in (SUBFIELD, REE):
-        assert fam.h_order * fam.index == fam.g_order
+    # |H| * index = |G2(q)| as polynomials in the table variable:
+    # q = r^2 for subfield, q = 3m^2 for ree
+    t = Poly.var()
+    assert SUBFIELD.h_order * SUBFIELD.index == g2_order(t**2)
+    assert REE.h_order * REE.index == g2_order(3 * t**2)
 
 
 def test_subfield_orders_concrete():
     # |G2(q)| with q = r^2 against the generic order formula, written out
     for r in (3, 9, 27):
         q = r * r
-        assert SUBFIELD.g_order.eval_int(SUBFIELD.table_variable(r)) == q**6 * (q**6 - 1) * (q**2 - 1)
-        assert SUBFIELD.h_order.eval_int(SUBFIELD.table_variable(r)) == r**6 * (r**6 - 1) * (r**2 - 1)
-        assert SUBFIELD.index.eval_int(SUBFIELD.table_variable(r)) == r**6 * (r**6 + 1) * (r**2 + 1)
+        h = SUBFIELD.h_order.eval_int(SUBFIELD.table_variable(r))
+        index = SUBFIELD.index.eval_int(SUBFIELD.table_variable(r))
+        assert h == r**6 * (r**6 - 1) * (r**2 - 1)
+        assert index == r**6 * (r**6 + 1) * (r**2 + 1)
+        assert h * index == g2_order(q)
     assert SUBFIELD.index.eval_int(SUBFIELD.table_variable(3)) == 5321700
 
 
 def test_ree_orders_concrete():
     for q in (3, 27, 243, 2187):
-        assert REE.g_order.eval_int(REE.table_variable(q)) == q**6 * (q**6 - 1) * (q**2 - 1)
-        assert REE.h_order.eval_int(REE.table_variable(q)) == q**3 * (q**3 + 1) * (q - 1)
-        assert REE.index.eval_int(REE.table_variable(q)) == q**3 * (q**3 - 1) * (q + 1)
+        h = REE.h_order.eval_int(REE.table_variable(q))
+        index = REE.index.eval_int(REE.table_variable(q))
+        assert h == q**3 * (q**3 + 1) * (q - 1)
+        assert index == q**3 * (q**3 - 1) * (q + 1)
+        assert h * index == g2_order(q)
     assert REE.index.eval_int(REE.table_variable(3)) == 2808
     assert REE.index.eval_int(REE.table_variable(27)) == 10847222568
 

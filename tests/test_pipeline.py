@@ -247,6 +247,18 @@ def test_verify_tables_of_no_parameter_is_an_error():
         assert report.ok and report.checks == ()
 
 
+def test_verify_tables_rejects_a_table_of_the_other_family():
+    # the report is headed by its case, so rows of the other family under it
+    # would be mislabelled
+    for case, other in (("ree", SUBFIELD), ("subfield", REE)):
+        table = tables.build_table(other)
+        with pytest.raises(ValueError, match=f"case={case} was given a {other.kind} table"):
+            verify_tables(case, [3], table=table)
+        with pytest.raises(ValueError, match=f"case={case} was given a {other.kind} table"):
+            verify_tables(case, [], symbolic=True, table=table)
+        assert verify_tables(other.kind, [3], table=table).ok
+
+
 def _count_calls(monkeypatch, module, names):
     calls = Counter()
     for name in names:
