@@ -1,10 +1,11 @@
 """Golden reports: the CLI output must match the pinned files byte for byte.
 
 The files under tests/golden/ were generated by the CLI with the argument
-lists below; the JSON reports have their "generated_at" line removed, since
+lists below; the analyze reports have their generated_at line removed, since
 that timestamp is the only part of a report allowed to change between runs.
-Any refactor must leave these bytes unchanged; a deliberate change to the
-report content regenerates them and says why.
+Each analyze run must also exit with the code pinned beside it. Any refactor
+must leave these bytes and codes unchanged; a deliberate change to the report
+content regenerates them and says why.
 """
 import re
 from pathlib import Path
@@ -15,19 +16,30 @@ from dtgcert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-_GENERATED_AT = re.compile(rb'^  "generated_at": "[^"\n]*",\n', re.M)
+#: The generated_at line of a report, by its format's file suffix.
+_GENERATED_AT = {
+    ".json": re.compile(rb'^  "generated_at": "[^"\n]*",\n', re.M),
+    ".txt": re.compile(rb"^generated_at: [^\n]*\n", re.M),
+}
 
+#: Golden file -> (analyze arguments, exit code).
 ANALYZE = {
-    "analyze_ree_n0-6.json": ["analyze", "--case", "ree", "--n", "0..6", "--x", "all"],
-    "analyze_subfield_n1-3.json": ["analyze", "--case", "subfield", "--n", "1..3", "--x", "all"],
+    "analyze_ree_n0-6.json": (["--case", "ree", "--n", "0..6", "--x", "all", "--format", "json"], 0),
+    "analyze_subfield_n1-3.json": (["--case", "subfield", "--n", "1..3", "--x", "all", "--format", "json"], 0),
+    "analyze_subfield_n1-4_x2_4graph_strict.txt": (
+        ["--case", "subfield", "--n", "1..4", "--x", "2", "4,graph", "--strict", "--format", "text"],
+        2,
+    ),
+    "analyze_ree_n0-4_x3_6graph.txt": (["--case", "ree", "--n", "0..4", "--x", "3", "6,graph", "--format", "text"], 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE))
 def test_analyze_report_matches_golden(name, tmp_path):
-    out = tmp_path / "report.json"
-    assert main(ANALYZE[name] + ["--format", "json", "--out", str(out)]) == 0
-    produced, stamps = _GENERATED_AT.subn(b"", out.read_bytes())
+    argv, code = ANALYZE[name]
+    out = tmp_path / name
+    assert main(["analyze", *argv, "--out", str(out)]) == code
+    produced, stamps = _GENERATED_AT[out.suffix].subn(b"", out.read_bytes())
     assert stamps == 1
     assert produced == (GOLDEN / name).read_bytes()
 
