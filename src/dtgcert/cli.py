@@ -81,7 +81,7 @@ def _parse_params(case: str, text: str) -> list[int]:
 
 
 def _write(payload: bytes, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         with open(out, "wb") as fh:
             fh.write(payload)
     else:

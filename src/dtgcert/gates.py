@@ -5,18 +5,19 @@ returns a GateVerdict. A gate only ever returns "excludes" when every one of
 its sub-checks passed; any failed sub-check yields "inconclusive" with the
 failing step named, never a silent exclusion.
 
-A gate reads its parameter (q or r) from the ConcreteTable it is given, so
-the table and the parameter cannot disagree; only the gates that bound fused
-class counts also take |X|, as a plain int. A verdict lists the
-ASSUMPTION_* texts it relies on, and a certificate's assumptions are the
-union of its verdicts' lists.
+Every gate takes the ConcreteTable of its step first and reads its
+parameter (q or r) from it, so the table and the parameter cannot disagree.
+multiplicity_free_gate also reads whether X contains the graph automorphism,
+and the gates that bound fused class counts take |X| as a plain int. A
+verdict lists the ASSUMPTION_* texts it relies on, and a certificate's
+assumptions are the union of its verdicts' lists.
 """
 from functools import partial
 from math import gcd
 from typing import NamedTuple, Union
 
 from . import fusion, tables
-from .exact import cyclic_order, exp_compare, factorize, is_power_of
+from .exact import cyclic_order, exp_compare, factorize
 from .groups import REE, OuterOption
 
 EXCLUDES = "excludes"
@@ -87,21 +88,17 @@ def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict
     return GateVerdict(gate, INCONCLUSIVE, {"failed_step": step, **extra}, narrative)
 
 
-def multiplicity_free_gate(q: int, x: OuterOption) -> GateVerdict:
-    """Necessary condition on the subfield action: q a power of 3 and the
-    graph involution inside X; anything else already excludes a graph."""
+def multiplicity_free_gate(ct: tables.ConcreteTable, x: OuterOption) -> GateVerdict:
+    """Necessary condition on the subfield action at q = r*r: the graph
+    involution lies inside X; an X without it already excludes a graph."""
+    if ct.family.kind != "subfield":
+        raise ValueError("the multiplicity-free gate applies to the subfield family only")
     narrative = "multiplicity-free classification of the subfield coset action"
-    exponent = is_power_of(q, 3) if q >= 1 else None
-    if exponent is None:
-        outcome, witnesses = EXCLUDES, {"q": q, "power_of_3": "no"}
-    else:
-        graph = x.contains_graph_auto
-        outcome = INCONCLUSIVE if graph else EXCLUDES
-        witnesses = {"q": q, "x_order": x.order, "contains_graph_auto": "true" if graph else "false"}
+    graph = x.contains_graph_auto
     return GateVerdict(
         GATE_MULTIPLICITY_FREE,
-        outcome,
-        witnesses,
+        INCONCLUSIVE if graph else EXCLUDES,
+        {"q": ct.param * ct.param, "x_order": x.order, "contains_graph_auto": "true" if graph else "false"},
         narrative,
         (ASSUMPTION_MULTIPLICITY_FREE, ASSUMPTION_OUTER_EVEN),
     )
@@ -314,12 +311,15 @@ def bcn_small_case_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
 
     The published intersection-array tables contain no feasible array with
     this vertex count and diameter; the absence is cited, not recomputed.
-    An x_order below 1 raises ValueError.
+    Any other ree table is not applicable; a subfield table or an x_order
+    below 1 raises ValueError.
     """
+    if ct.family.kind != "ree":
+        raise ValueError("the small-case lookup applies to the ree family only")
     if x_order < 1:
         raise ValueError("x_order must be >= 1")
     narrative = "no feasible intersection array with 2808 vertices at this diameter (external tables)"
-    if ct.family.kind != "ree" or ct.param != 3:
+    if ct.param != 3:
         return GateVerdict(GATE_BCN, NOT_APPLICABLE, {"param": ct.param}, narrative)
     bound = fusion.min_fused_classes(ct.length_groups, x_order)
     return GateVerdict(

@@ -9,7 +9,7 @@ written as JSON by a writer for their fixed schema, in exactly the bytes
 json.dumps(..., indent=2) would give for the same data, or as text.
 """
 import time
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import gates, tables
 from .groups import CaseFamily, OuterOption, get_family, outer_subgroup_options
@@ -115,21 +115,18 @@ def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str
     return UNDETERMINED
 
 
-def _subfield_chain(q: int, option: OuterOption, concrete: Callable[[], tables.ConcreteTable]) -> list[gates.GateVerdict]:
-    """multiplicity_free reads no table, so concrete() runs only where it does not exclude."""
-    screen = gates.multiplicity_free_gate(q, option)
+def _subfield_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.GateVerdict]:
+    screen = gates.multiplicity_free_gate(ct, option)
     if screen.excludes:
         return [screen]
-    ct = concrete()
     sigma = gates.sigma_in_x_gate(ct)
     if sigma.outcome != gates.INCONCLUSIVE:
         return [screen, sigma]
     return [screen, sigma, gates.involution_gate(ct)]
 
 
-def _ree_chain(q: int, option: OuterOption, concrete: Callable[[], tables.ConcreteTable]) -> list[gates.GateVerdict]:
-    ct = concrete()
-    if q == 3:
+def _ree_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.GateVerdict]:
+    if ct.param == 3:
         return [gates.bcn_small_case_gate(ct, option.order)]
     bhk = gates.bhk_gate(ct, option.order)
     if bhk.excludes:
@@ -160,10 +157,9 @@ def analyze(
 
     The table is built once, and its symbolic mass identity, which holds at
     every n if it holds at all, is checked once; a table that fails it
-    raises TranscriptionError before any certificate is made. At each n,
-    concrete() instantiates the table, with its integrality checks, on the
-    first call and returns the same table after that, so every X there
-    shares it, and an n where no gate reads it never instantiates.
+    raises TranscriptionError before any certificate is made. Each n
+    instantiates the table exactly once, with its integrality checks, and
+    every gate of every X there reads that one table.
     """
     family = get_family(case)
     if n_min < family.min_n:
@@ -178,15 +174,9 @@ def analyze(
     for n in range(n_min, n_max + 1):
         param = family.param_for_n(n)
         q = family.q_value(param)
-        instantiated = []
-
-        def concrete() -> tables.ConcreteTable:
-            if not instantiated:
-                instantiated.append(tables.instantiate(table, param))
-            return instantiated[0]
-
+        ct = tables.instantiate(table, param)
         for option in _select_options(family, param, x_filter):
-            verdicts = tuple(chain(q, option, concrete))
+            verdicts = tuple(chain(ct, option))
             certificates.append(
                 Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
             )

@@ -88,6 +88,16 @@ def test_analyze_unwritable_out_is_an_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("out", [["--out", ""], ["--out="]])
+def test_analyze_empty_out_is_an_error(out, capsys):
+    # an empty path, as from an unset $OUT, must not fall back to stdout
+    assert main(["analyze", "--case", "ree", "--n", "0", *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_verify_tables_empty_range_is_an_error(capsys):
     # a step range that checks no parameter must not report "result: PASS"
     assert main(["verify-tables", "--case", "ree", "--params", "5..2"]) == 1

@@ -58,16 +58,15 @@ def test_gate_verdict_requires_witnesses_for_exclusion():
 def test_multiplicity_free_gate():
     graph = OuterOption(4, True)
     plain = OuterOption(2, False)
-    v = multiplicity_free_gate(9, graph)
+    v = multiplicity_free_gate(_sub_table(3), graph)
     assert v.gate_name == GATE_MULTIPLICITY_FREE
     assert v.outcome == INCONCLUSIVE
-    v = multiplicity_free_gate(9, plain)
+    assert v.witnesses == {"q": 9, "x_order": 4, "contains_graph_auto": "true"}
+    v = multiplicity_free_gate(_sub_table(9), plain)
     assert v.outcome == EXCLUDES
-    assert v.witnesses["contains_graph_auto"] == "false"
-    v = multiplicity_free_gate(10, graph)
-    assert v.outcome == EXCLUDES
-    assert v.witnesses["power_of_3"] == "no"
-    assert multiplicity_free_gate(-3, graph).outcome == EXCLUDES
+    assert v.witnesses == {"q": 81, "x_order": 2, "contains_graph_auto": "false"}
+    with pytest.raises(ValueError):
+        multiplicity_free_gate(_ree_table(27), graph)
 
 
 def test_sigma_in_x_gate():
@@ -323,4 +322,5 @@ def test_bcn_small_case_gate():
     v1 = bcn_small_case_gate(_ree_table(3), 1)
     assert v1.witnesses["diameter_lower_bound"] == 8
     assert bcn_small_case_gate(_ree_table(27), 2).outcome == NOT_APPLICABLE
-    assert bcn_small_case_gate(_sub_table(3), 2).outcome == NOT_APPLICABLE
+    with pytest.raises(ValueError):
+        bcn_small_case_gate(_sub_table(3), 2)

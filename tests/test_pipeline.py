@@ -376,25 +376,31 @@ def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):
 
 def test_sweeps_check_each_parameter_power_of_three_once_per_use(monkeypatch):
     # q_value takes the parameter param_for_n made and does not check it
-    # again; the table variable, the field exponent and the kernel chain
-    # still validate theirs.
-    counters = [_count_calls(monkeypatch, module, ("is_power_of",)) for module in (groups, gates)]
+    # again, and no gate re-checks the q of the table it reads; the table
+    # variable, the field exponent and the kernel chain still validate
+    # theirs. Every package module that binds is_power_of is counted.
+    modules = [m for name, m in sys.modules.items() if name.startswith("dtgcert") and hasattr(m, "is_power_of")]
+    counters = [_count_calls(monkeypatch, module, ("is_power_of",)) for module in modules]
     analyze("ree", 0, 100)
     assert sum(counters, Counter()) == {"is_power_of": 210}
+    for counter in counters:
+        counter.clear()
+    analyze("subfield", 1, 12)
+    assert sum(counters, Counter()) == {"is_power_of": 24}
 
 
-def test_sweeps_instantiate_only_where_a_gate_reads_the_table(monkeypatch):
+def test_sweeps_instantiate_once_per_parameter_even_when_filtered(monkeypatch):
     calls = _count_calls(monkeypatch, tables, ("build_table", "instantiate"))
     # Every subfield X of order 2 lacks the graph automorphism, so the
-    # multiplicity-free gate excludes it without reading a table.
+    # multiplicity-free gate alone decides it; the table is still made.
     report = analyze("subfield", 1, 4, x_filter=((2, False),))
     assert len(report.certificates) == 4
-    assert calls == {"build_table": 1}
+    assert calls == {"build_table": 1, "instantiate": 4}
     calls.clear()
     # An X of order 3 exists only at n = 1 and n = 4 in 0..4.
     report = analyze("ree", 0, 4, x_filter=((3, False),))
     assert [c.n for c in report.certificates] == [1, 4]
-    assert calls == {"build_table": 1, "instantiate": 2}
+    assert calls == {"build_table": 1, "instantiate": 5}
 
 
 def test_sweeps_group_lengths_once_per_table(monkeypatch):
