@@ -48,3 +48,9 @@ def test_verify_tables_report_matches_golden(capsys):
     assert main(["verify-tables", "--case", "ree", "--params", "3,27,243,2187", "--symbolic"]) == 0
     produced = capsys.readouterr().out.encode()
     assert produced == (GOLDEN / "verify_tables_ree_symbolic.txt").read_bytes()
+
+
+def test_verify_tables_subfield_report_matches_golden(capsys):
+    assert main(["verify-tables", "--case", "subfield", "--params", "3,9,27,81", "--symbolic"]) == 0
+    produced = capsys.readouterr().out.encode()
+    assert produced == (GOLDEN / "verify_tables_subfield_symbolic.txt").read_bytes()

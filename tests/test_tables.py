@@ -119,6 +119,23 @@ def test_rows_pinned_in_normal_form(family):
     assert got == want
 
 
+
+def _reference_orders(family):
+    """|H| and the coset index of a family transcribed again, factor by factor."""
+    t = Poly.var()
+    if family is REE:
+        q = 3 * t**2
+        return q**3 * (q**3 + 1) * (q - 1), q**3 * (q**3 - 1) * (q + 1)
+    r = t
+    return r**6 * (r**6 - 1) * (r**2 - 1), r**6 * (r**6 + 1) * (r**2 + 1)
+
+
+@pytest.mark.parametrize("family", [REE, SUBFIELD], ids=["ree", "subfield"])
+def test_family_orders_pinned_in_normal_form(family):
+    h_order, index = _reference_orders(family)
+    assert (family.h_order._num, family.h_order._den) == (h_order._num, h_order._den)
+    assert (family.index._num, family.index._den) == (index._num, index._den)
+
 def test_concrete_mass_subfield():
     table = build_table(SUBFIELD)
     for r, expected in SUBFIELD_MASS.items():
