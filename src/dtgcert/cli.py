@@ -81,11 +81,13 @@ def _parse_params(case: str, text: str) -> list[int]:
 
 
 def _write(payload: bytes, out: Optional[str]) -> None:
+    """Write the report bytes to the file at out, or unchanged to the binary buffer of stdout."""
     if out is not None:
         with open(out, "wb") as fh:
             fh.write(payload)
     else:
-        sys.stdout.write(payload.decode())
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
 
 
 def _run_analyze(args: dict) -> int:
@@ -103,7 +105,7 @@ def _run_analyze(args: dict) -> int:
 def _run_verify_tables(args: dict) -> int:
     params = _parse_params(args["--case"], args["--params"])
     report = pipeline.verify_tables(args["--case"], params, symbolic=args["--symbolic"])
-    sys.stdout.write(pipeline.emit(report, "text").decode())
+    _write(pipeline.emit(report, "text"), None)
     return 0 if report.ok else 2
 
 

@@ -6,7 +6,8 @@ its sub-checks passed; any failed sub-check yields "inconclusive" with the
 failing step named, never a silent exclusion.
 
 Every gate takes the ConcreteTable of its step first and reads its
-parameter (q or r) from it, so the table and the parameter cannot disagree.
+parameter (q or r) from it, so the table and the parameter cannot disagree;
+a table of the other family raises ValueError.
 multiplicity_free_gate also reads whether X contains the graph automorphism,
 and the gates that bound fused class counts take |X| as a plain int. A
 verdict lists the ASSUMPTION_* texts it relies on, and a certificate's
@@ -106,6 +107,8 @@ def multiplicity_free_gate(ct: tables.ConcreteTable, x: OuterOption) -> GateVerd
 
 def sigma_in_x_gate(ct: tables.ConcreteTable) -> GateVerdict:
     """Diameter >= 3 licenses assuming the centralizing involution lies in X."""
+    if ct.family.kind != "subfield":
+        raise ValueError("the sigma-in-X gate applies to the subfield family only")
     narrative = "diameter >= 3 forces the centralizing involution into X"
     count = len(ct.length_groups)
     outcome = INCONCLUSIVE if fusion.excludes_diameter_two(ct) else NOT_APPLICABLE

@@ -11,6 +11,7 @@ Outer automorphisms enter the arguments only through the order of a subgroup
 X of Out and whether X contains the graph involution, so X is modeled by
 (order, contains_graph_auto) descriptors rather than by explicit maps.
 """
+from math import isqrt
 from typing import NamedTuple
 
 from .exact import Poly, is_power_of
@@ -68,16 +69,19 @@ class CaseFamily(NamedTuple):
 
 def _subfield_family() -> CaseFamily:
     r = Poly.var()
-    h = r**6 * (r**6 - 1) * (r**2 - 1)
-    index = r**6 * (r**6 + 1) * (r**2 + 1)
+    r2 = r**2
+    r6 = r2**3
+    h = r6 * (r6 - 1) * (r2 - 1)
+    index = r6 * (r6 + 1) * (r2 + 1)
     return CaseFamily("subfield", h, index, min_n=1)
 
 
 def _ree_family() -> CaseFamily:
     m = Poly.var()
     q = 3 * m**2
-    h = q**3 * (q**3 + 1) * (q - 1)
-    index = q**3 * (q**3 - 1) * (q + 1)
+    q3 = q**3
+    h = q3 * (q3 + 1) * (q - 1)
+    index = q3 * (q3 - 1) * (q + 1)
     return CaseFamily("ree", h, index, min_n=0)
 
 
@@ -114,6 +118,12 @@ def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption,
     a field twist) exactly when d has the same 2-adic valuation as 2f.
     """
     two_f = 2 * family.field_exponent(param)
-    divisors = sorted(d for d in range(1, two_f + 1) if two_f % d == 0)
-    return tuple(OuterOption(d, _v2(d) == _v2(two_f)) for d in divisors)
+    small, large = [], []
+    for d in range(1, isqrt(two_f) + 1):
+        if two_f % d == 0:
+            small.append(d)
+            if d * d != two_f:
+                large.append(two_f // d)
+    v2 = _v2(two_f)
+    return tuple(OuterOption(d, _v2(d) == v2) for d in small + large[::-1])
 

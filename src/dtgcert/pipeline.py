@@ -3,10 +3,13 @@
 A certificate records, for one (family, n, X) triple, the ordered gate
 verdicts and the conclusion they support. A run report bundles the
 certificates of a parameter sweep; analyze runs the same sweep for both
-families, which differ only by their gate chain. Serialization is
-deterministic except for an explicit generation timestamp. Run reports are
-written as JSON by a writer for their fixed schema, in exactly the bytes
-json.dumps(..., indent=2) would give for the same data, or as text.
+families, which differ only by their gate chain. A chain is an X gate, which
+reads one outer subgroup X, followed by the step's gates, which read only
+the step's table and so run at most once per n, shared by every X.
+Serialization is deterministic except for an explicit generation timestamp.
+Run reports are written as JSON by a writer for their fixed schema, in
+exactly the bytes json.dumps(..., indent=2) would give for the same data, or
+as text.
 """
 import time
 from typing import NamedTuple, Optional, Sequence, Union
@@ -115,26 +118,30 @@ def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str
     return UNDETERMINED
 
 
-def _subfield_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.GateVerdict]:
-    screen = gates.multiplicity_free_gate(ct, option)
-    if screen.excludes:
-        return [screen]
+def _subfield_x_gate(ct: tables.ConcreteTable, option: OuterOption) -> gates.GateVerdict:
+    return gates.multiplicity_free_gate(ct, option)
+
+
+def _subfield_step_gates(ct: tables.ConcreteTable) -> tuple[gates.GateVerdict, ...]:
     sigma = gates.sigma_in_x_gate(ct)
     if sigma.outcome != gates.INCONCLUSIVE:
-        return [screen, sigma]
-    return [screen, sigma, gates.involution_gate(ct)]
+        return (sigma,)
+    return (sigma, gates.involution_gate(ct))
 
 
-def _ree_chain(ct: tables.ConcreteTable, option: OuterOption) -> list[gates.GateVerdict]:
+def _ree_x_gate(ct: tables.ConcreteTable, option: OuterOption) -> gates.GateVerdict:
     if ct.param == 3:
-        return [gates.bcn_small_case_gate(ct, option.order)]
-    bhk = gates.bhk_gate(ct, option.order)
-    if bhk.excludes:
-        return [bhk]
-    return [bhk, gates.kernel_chain_gate(ct)]
+        return gates.bcn_small_case_gate(ct, option.order)
+    return gates.bhk_gate(ct, option.order)
 
 
-_CHAINS = {"subfield": _subfield_chain, "ree": _ree_chain}
+def _ree_step_gates(ct: tables.ConcreteTable) -> tuple[gates.GateVerdict, ...]:
+    return (gates.kernel_chain_gate(ct),)
+
+
+#: Family -> (X gate, step gates). The X gate reads the table and one X; the
+#: step gates read the table alone, so one run of them serves every X of a step.
+_CHAINS = {"subfield": (_subfield_x_gate, _subfield_step_gates), "ree": (_ree_x_gate, _ree_step_gates)}
 
 
 def _select_options(family: CaseFamily, param: int, x_filter: XFilter) -> tuple[OuterOption, ...]:
@@ -160,6 +167,12 @@ def analyze(
     raises TranscriptionError before any certificate is made. Each n
     instantiates the table exactly once, with its integrality checks, and
     every gate of every X there reads that one table.
+
+    A chain is an X gate followed by the step's gates. The X gate runs for
+    every X; when it is inconclusive, the certificate goes on with the step's
+    gates, which read the table alone. They run at most once per n, the
+    first time an X reaches them, and every later X of that n reuses the
+    same verdicts; a step that no X reaches runs none of them.
     """
     family = get_family(case)
     if n_min < family.min_n:
@@ -169,14 +182,19 @@ def analyze(
     table = tables.build_table(family)
     if not tables.verify_mass_symbolic(table):
         raise tables.TranscriptionError(f"symbolic mass identity failed for the {family.kind} table")
-    chain = _CHAINS[family.kind]
+    x_gate, step_gates = _CHAINS[family.kind]
     certificates = []
     for n in range(n_min, n_max + 1):
         param = family.param_for_n(n)
         q = family.q_value(param)
         ct = tables.instantiate(table, param)
+        step_verdicts = None
         for option in _select_options(family, param, x_filter):
-            verdicts = tuple(chain(ct, option))
+            verdicts = (x_gate(ct, option),)
+            if verdicts[0].outcome == gates.INCONCLUSIVE:
+                if step_verdicts is None:
+                    step_verdicts = step_gates(ct)
+                verdicts += step_verdicts
             certificates.append(
                 Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
             )

@@ -6,6 +6,13 @@ from pathlib import Path
 import pytest
 
 from dtgcert.cli import COMMANDS, main
+from dtgcert.pipeline import analyze, emit
+
+#: The generated_at line of a run report, by format.
+GENERATED_AT = {
+    "json": re.compile(rb'^  "generated_at": "[^"\n]*",\n', re.M),
+    "text": re.compile(rb"^generated_at: [^\n]*\n", re.M),
+}
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,6 +58,16 @@ def test_analyze_json_to_file(tmp_path, capsys):
     data = json.loads(out_path.read_text())
     assert data["summary"]["total"] == 7
     assert all(c["conclusion"] == "no_dtg" for c in data["certificates"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_writes_the_emitted_bytes_to_stdout(fmt, capsysbinary):
+    assert main(["analyze", "--case", "ree", "--n", "0..12", "--format", fmt]) == 0
+    produced = capsysbinary.readouterr().out
+    expected = emit(analyze("ree", 0, 12), fmt)
+    stamp = GENERATED_AT[fmt]
+    assert stamp.subn(b"", produced)[1] == 1
+    assert stamp.sub(b"", produced) == stamp.sub(b"", expected)
 
 
 def test_analyze_single_step_and_filter(capsys):

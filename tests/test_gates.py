@@ -79,6 +79,9 @@ def test_sigma_in_x_gate():
         (ConcreteRow("1", "one", 1, 1), ConcreteRow("A", Z_UNKNOWN, 7, 2)),
     )
     assert sigma_in_x_gate(flat).outcome == NOT_APPLICABLE
+    # like every other gate, it refuses a table of the other family
+    with pytest.raises(ValueError, match="subfield family only"):
+        sigma_in_x_gate(_ree_table(27))
 
 
 def test_order4_witness_values():

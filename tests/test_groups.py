@@ -158,3 +158,18 @@ def test_torus_order_relations():
         # the library computes only the witness's base order, and it agrees
         base, exponent, base_order = order4_witness(instantiate(table, r))
         assert base_order == orders[base] and exponent == base_order // 4, r
+
+
+@pytest.mark.parametrize("family", [REE, SUBFIELD], ids=["ree", "subfield"])
+def test_outer_subgroup_options_match_brute_force_divisors(family):
+    def v2(k):
+        return len(bin(k)) - len(bin(k).rstrip("0"))
+
+    # every field exponent f in 1..60 that the family has: subfield f = 2n, ree f = 2n + 1
+    params = [family.param_for_n(n) for n in range(family.min_n, family.min_n + 30)]
+    assert [family.field_exponent(p) for p in params] == [f for f in range(1, 61) if f % 2 == (family is REE)]
+    for param in params:
+        two_f = 2 * family.field_exponent(param)
+        divisors = [d for d in range(1, two_f + 1) if two_f % d == 0]
+        want = [(d, v2(d) == v2(two_f)) for d in divisors]
+        assert [(o.order, o.contains_graph_auto) for o in outer_subgroup_options(family, param)] == want, param

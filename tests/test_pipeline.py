@@ -378,11 +378,12 @@ def test_sweeps_check_each_parameter_power_of_three_once_per_use(monkeypatch):
     # q_value takes the parameter param_for_n made and does not check it
     # again, and no gate re-checks the q of the table it reads; the table
     # variable, the field exponent and the kernel chain still validate
-    # theirs. Every package module that binds is_power_of is counted.
+    # theirs. The kernel chain runs once per step that reaches it (n = 1..3),
+    # not once per X. Every package module that binds is_power_of is counted.
     modules = [m for name, m in sys.modules.items() if name.startswith("dtgcert") and hasattr(m, "is_power_of")]
     counters = [_count_calls(monkeypatch, module, ("is_power_of",)) for module in modules]
     analyze("ree", 0, 100)
-    assert sum(counters, Counter()) == {"is_power_of": 210}
+    assert sum(counters, Counter()) == {"is_power_of": 205}
     for counter in counters:
         counter.clear()
     analyze("subfield", 1, 12)
@@ -401,6 +402,39 @@ def test_sweeps_instantiate_once_per_parameter_even_when_filtered(monkeypatch):
     report = analyze("ree", 0, 4, x_filter=((3, False),))
     assert [c.n for c in report.certificates] == [1, 4]
     assert calls == {"build_table": 1, "instantiate": 5}
+
+
+def test_sweeps_run_the_step_gates_once_per_parameter(monkeypatch):
+    calls = _count_calls(monkeypatch, gates, ("sigma_in_x_gate", "involution_gate", "kernel_chain_gate"))
+    report = analyze("subfield", 1, 12)
+    # every n has an X with the graph automorphism, and sigma is inconclusive at every n
+    assert calls == {"sigma_in_x_gate": 12, "involution_gate": 12}
+    assert sum(len(c.gates) == 3 for c in report.certificates) > 12
+    for n_max in (12, 100):
+        calls.clear()
+        report = analyze("ree", 0, n_max)
+        # n = 0 is the table lookup and bhk excludes every X from n = 4 on
+        assert calls == {"kernel_chain_gate": 3}
+        assert sum(len(c.gates) == 2 for c in report.certificates) == 8
+    # a step that no X reaches runs none of them: no subfield X of order 2
+    # contains the graph automorphism, so multiplicity_free excludes each
+    calls.clear()
+    report = analyze("subfield", 1, 4, x_filter=((2, False),))
+    assert [len(c.gates) for c in report.certificates] == [1, 1, 1, 1]
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("case, n_min, n_max", [("subfield", 1, 6), ("ree", 0, 3)])
+def test_certificates_of_one_parameter_share_the_step_verdicts(case, n_min, n_max):
+    # a chain is one X gate verdict, then the step's verdicts if that was inconclusive
+    steps = {}
+    for cert in analyze(case, n_min, n_max).certificates:
+        if len(cert.gates) > 1:
+            steps.setdefault(cert.n, []).append(cert.gates[1:])
+    assert any(len(held) > 1 for held in steps.values())
+    for held in steps.values():
+        for step in held:
+            assert all(a is b for a, b in zip(step, held[0], strict=True))
 
 
 def test_sweeps_group_lengths_once_per_table(monkeypatch):
