@@ -8,10 +8,11 @@ failing step named, never a silent exclusion.
 Every gate takes the ConcreteTable of its step first and reads its
 parameter (q or r) from it, so the table and the parameter cannot disagree;
 a table of the other family raises ValueError.
-multiplicity_free_gate also reads whether X contains the graph automorphism,
-and the gates that bound fused class counts take |X| as a plain int. A
-verdict lists the ASSUMPTION_* texts it relies on, and a certificate's
-assumptions are the union of its verdicts' lists.
+multiplicity_free_gate also reads whether X holds an odd power of the graph
+automorphism (meets the graph coset), and the gates that bound fused class
+counts take |X| as a plain int. A verdict lists the ASSUMPTION_* texts it
+relies on, and a certificate's assumptions are the union of its verdicts'
+lists.
 """
 from functools import partial
 from math import gcd
@@ -90,8 +91,11 @@ def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict
 
 
 def multiplicity_free_gate(ct: tables.ConcreteTable, x: OuterOption) -> GateVerdict:
-    """Necessary condition on the subfield action at q = r*r: the graph
-    involution lies inside X; an X without it already excludes a graph."""
+    """Necessary condition on the subfield action at q = r*r: X holds an odd
+    power of the graph automorphism, that is, meets the graph coset; an X
+    inside the field automorphisms already excludes a graph. At q = r*r the
+    field exponent is even, so no element of the graph coset is an
+    involution."""
     if ct.family.kind != "subfield":
         raise ValueError("the multiplicity-free gate applies to the subfield family only")
     narrative = "multiplicity-free classification of the subfield coset action"

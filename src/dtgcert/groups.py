@@ -8,8 +8,9 @@ Two families are covered, named by the vertex stabilizer inside G2(q):
   Polynomials are univariate in m, where q = 3*m*m and m = 3**n.
 
 Outer automorphisms enter the arguments only through the order of a subgroup
-X of Out and whether X contains the graph involution, so X is modeled by
-(order, contains_graph_auto) descriptors rather than by explicit maps.
+X of Out and whether X meets the graph coset, that is, holds an odd power of
+the graph automorphism, so X is modeled by (order, contains_graph_auto)
+descriptors rather than by explicit maps.
 """
 from math import isqrt
 from typing import NamedTuple
@@ -99,7 +100,8 @@ def get_family(kind: str) -> CaseFamily:
 
 
 class OuterOption(NamedTuple):
-    """Subgroup descriptor for X <= Out: order and graph-involution membership."""
+    """Subgroup descriptor for X <= Out: its order, and whether it holds an
+    odd power of the graph automorphism (meets the graph coset)."""
 
     order: int
     contains_graph_auto: bool
@@ -112,10 +114,15 @@ def _v2(n: int) -> int:
 def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption, ...]:
     """All (order, contains_graph_auto) descriptors of subgroups of Out.
 
-    Out is cyclic of order 2f generated by an automorphism whose square is
-    the field automorphism (order f, q = 3**f). The unique subgroup of each
-    order d | 2f contains the unique involution (the graph automorphism times
-    a field twist) exactly when d has the same 2-adic valuation as 2f.
+    Out is cyclic of order 2f generated by a graph automorphism tau whose
+    square is the field automorphism (order f, q = 3**f). The unique subgroup
+    of each order d | 2f is X_d = <tau**(2f/d)>. contains_graph_auto marks
+    the X_d that hold an odd power of tau, that is, meet the graph coset:
+    exactly those where 2f/d is odd, so d has the same 2-adic valuation as
+    2f. This is not membership of the involution tau**f, which X_d holds
+    when d is even. The two agree for every d when f is odd (every ree
+    step). When f is even (every subfield step) they differ at d = 2, and
+    no odd power of tau is an involution.
     """
     two_f = 2 * family.field_exponent(param)
     small, large = [], []

@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,20 @@ def test_analyze_writes_the_emitted_bytes_to_stdout(fmt, capsysbinary):
     stamp = GENERATED_AT[fmt]
     assert stamp.subn(b"", produced)[1] == 1
     assert stamp.sub(b"", produced) == stamp.sub(b"", expected)
+
+
+def test_analyze_through_a_pipe_writes_the_bytes_of_out(package_env, tmp_path):
+    # a fresh interpreter through __main__, its stdout an OS pipe
+    argv = [sys.executable, "-m", "dtgcert", "analyze", "--case", "ree", "--n", "0..12", "--format", "json"]
+    piped = subprocess.run(argv, capture_output=True, env=package_env, cwd=tmp_path, timeout=60)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    written = subprocess.run([*argv, "--out", "r.json"], capture_output=True, env=package_env, cwd=tmp_path, timeout=60)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    stamp = GENERATED_AT["json"]
+    piped_body, piped_stamps = stamp.subn(b"", piped.stdout)
+    written_body, written_stamps = stamp.subn(b"", (tmp_path / "r.json").read_bytes())
+    assert piped_stamps == written_stamps == 1
+    assert piped_body == written_body
 
 
 def test_analyze_single_step_and_filter(capsys):

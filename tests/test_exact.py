@@ -1,9 +1,7 @@
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -504,11 +502,8 @@ print("ok")
 """
 
 
-def test_poly_takes_fractions_imported_after_it():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_poly_takes_fractions_imported_after_it(package_env):
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_ORDER_SCRIPT], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", _IMPORT_ORDER_SCRIPT], capture_output=True, text=True, env=package_env, timeout=60
     )
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr

@@ -1,6 +1,7 @@
 import pytest
 
 import dtgcert.gates as gates
+from dtgcert.exact import exp_compare
 from dtgcert.gates import (
     ASSUMED_EXTERNAL,
     EXCLUDES,
@@ -23,6 +24,7 @@ from dtgcert.gates import (
     sigma_in_x_gate,
 )
 from dtgcert.groups import REE, SUBFIELD, OuterOption
+from dtgcert.pipeline import analyze
 from dtgcert.tables import (
     ConcreteRow,
     ConcreteTable,
@@ -208,6 +210,25 @@ def test_bhk_gate_small_x_excludes_earlier():
     # with trivial X the class count d0 = q + 6 is much larger
     assert bhk_gate(_ree_table(2187), 1).outcome == EXCLUDES
     assert bhk_gate(_ree_table(27), 1).outcome == INCONCLUSIVE
+
+
+def test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound():
+    # each sphere of a distance-transitive graph is one fused class of the
+    # q + 5 nontrivial suborbits, so d >= ceil((q + 5)/|X|), not the gate's
+    # d0 = (q + 6)/|X|; every verdict of ree 0..100 stays as it is under that
+    # bound (n = 0 is the q = 3 lookup, where the cutoff does not apply)
+    outcomes = {EXCLUDES: [], INCONCLUSIVE: []}
+    for cert in analyze("ree", 1, 100).certificates:
+        (verdict,) = [v for v in cert.gates if v.gate_name == GATE_BHK]
+        d = -(-(cert.q + 5) // cert.x_order)
+        holds = exp_compare(2, 3 * d, verdict.witnesses["vertices"], 8) >= 0
+        outcomes[verdict.outcome].append((cert.n, cert.x_order, holds))
+    assert len(outcomes[EXCLUDES]) == 680
+    assert all(holds for _, _, holds in outcomes[EXCLUDES])
+    assert outcomes[INCONCLUSIVE] == [
+        (1, 1, False), (1, 2, False), (1, 3, False), (1, 6, False),
+        (2, 2, False), (2, 5, False), (2, 10, False), (3, 14, False),
+    ]
 
 
 def test_bhk_gate_edges():

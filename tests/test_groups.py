@@ -173,3 +173,30 @@ def test_outer_subgroup_options_match_brute_force_divisors(family):
         divisors = [d for d in range(1, two_f + 1) if two_f % d == 0]
         want = [(d, v2(d) == v2(two_f)) for d in divisors]
         assert [(o.order, o.contains_graph_auto) for o in outer_subgroup_options(family, param)] == want, param
+
+
+def test_graph_flag_marks_subgroups_that_meet_the_graph_coset():
+    # Out = Z_2f written additively, tau = 1: X_d is generated by 2f/d, and
+    # the graph coset is the odd residues
+    for f in range(1, 61):
+        family = REE if f % 2 else SUBFIELD
+        two_f = 2 * f
+        options = outer_subgroup_options(family, family.param_for_n(f // 2))
+        assert sorted(o.order for o in options) == [d for d in range(1, two_f + 1) if two_f % d == 0]
+        differ = []
+        for option in options:
+            x = {k for k in range(two_f) if k % (two_f // option.order) == 0}
+            assert len(x) == option.order
+            assert option.contains_graph_auto == any(k % 2 for k in x), (f, option)
+            # the involution tau**f lies in X_d exactly when d is even
+            holds_involution = f in x
+            assert holds_involution == (option.order % 2 == 0), (f, option)
+            if holds_involution != option.contains_graph_auto:
+                differ.append(option.order)
+        # the flag is involution membership only for odd f; for even f no
+        # odd power of tau is an involution, and X_2 = <tau**f> has flag false
+        if f % 2:
+            assert differ == [], f
+        else:
+            assert 2 in differ, f
+            assert all(2 * k % two_f for k in range(1, two_f, 2)), f

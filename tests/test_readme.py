@@ -1,6 +1,5 @@
 """What README.md promises: its python blocks run as printed, and __all__
 names the supported API."""
-import os
 import re
 import subprocess
 import sys
@@ -56,11 +55,14 @@ def test_readme_promises_the_documented_values():
 
 
 @pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
-def test_readme_python_block_runs(block, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_readme_python_block_runs(block, tmp_path, package_env):
     proc = subprocess.run(
-        [sys.executable, "-c", with_checks(block)], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
+        [sys.executable, "-c", with_checks(block)],
+        capture_output=True,
+        text=True,
+        env=package_env,
+        cwd=tmp_path,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
 

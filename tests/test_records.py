@@ -1,19 +1,20 @@
-"""The package's record types and what importing the package loads.
+"""The record types of the package under test, and what importing it loads.
 
 The records are NamedTuples: fields are read-only, each verdict owns its
 witness dict, and a concrete table computes its length groups once. The
-package itself imports none of the modules a record library or a timestamp
-would pull in (dataclasses brings inspect, ast and dis with it), nor
-fractions (which brings decimal and numbers), the json package, or
-__future__, so a cold process pays only for what a certificate needs.
+package under test, imported in a fresh interpreter, imports none of the
+modules a record library or a timestamp would pull in (dataclasses brings
+inspect, ast and dis with it), nor fractions (which brings decimal and
+numbers), the json package, or __future__, so a cold process pays only for
+what a certificate needs.
 """
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import dtgcert
 from dtgcert import pipeline
 from dtgcert.gates import EXCLUDES, INCONCLUSIVE, GateVerdict
 from dtgcert.groups import REE, SUBFIELD, OuterOption
@@ -25,8 +26,6 @@ from dtgcert.tables import (
     build_table,
     instantiate,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _ree_table():
@@ -90,16 +89,24 @@ def test_records_are_tuples_of_their_fields():
     assert SuborbitTable(REE, (rebuilt,)).rows == (original,)
 
 
-def test_import_loads_no_record_library_or_argument_parser():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_spawned_interpreters_import_the_package_under_test(package_env, tmp_path):
+    # the subprocess checks in tests/ are about this dtgcert, wherever it is installed
+    code = "import dtgcert; print(dtgcert.__file__)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env, cwd=tmp_path, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).resolve() == Path(dtgcert.__file__).resolve()
+
+
+def test_import_loads_no_record_library_or_argument_parser(package_env):
     code = (
         "import sys; before = set(sys.modules); import dtgcert; "
         "print(' '.join(sorted(set(sys.modules) - before))); "
         "before = set(sys.modules); import dtgcert.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     package_line, cli_line = proc.stdout.splitlines()
     loaded = set(package_line.split())
