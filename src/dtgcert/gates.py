@@ -1,13 +1,16 @@
 """Elimination gates: decision procedures with explicit numeric witnesses.
 
 Each gate replays one step of the case analysis on exact table data and
-returns a GateVerdict. A gate only ever returns "excludes" when every one of
+returns a GateVerdict whose outcome is "excludes", "inconclusive" or
+"assumed_external". A gate only ever returns "excludes" when every one of
 its sub-checks passed; any failed sub-check yields "inconclusive" with the
 failing step named, never a silent exclusion.
 
 Every gate takes the ConcreteTable of its step first and reads its
-parameter (q or r) from it, so the table and the parameter cannot disagree;
-a table of the other family raises ValueError.
+parameter (q or r) from it, so the table and the parameter cannot disagree.
+Which gate runs on which table is decided by the chain in pipeline alone; a
+table outside a gate's domain (the other family's, or for the q = 3 lookup
+any other ree table) raises ValueError.
 multiplicity_free_gate also reads whether X holds an odd power of the graph
 automorphism (meets the graph coset), and the gates that bound fused class
 counts take |X| as a plain int. A verdict lists the ASSUMPTION_* texts it
@@ -24,7 +27,6 @@ from .groups import REE, OuterOption
 
 EXCLUDES = "excludes"
 INCONCLUSIVE = "inconclusive"
-NOT_APPLICABLE = "not_applicable"
 ASSUMED_EXTERNAL = "assumed_external"
 
 GATE_MULTIPLICITY_FREE = "multiplicity_free"
@@ -110,13 +112,16 @@ def multiplicity_free_gate(ct: tables.ConcreteTable, x: OuterOption) -> GateVerd
 
 
 def sigma_in_x_gate(ct: tables.ConcreteTable) -> GateVerdict:
-    """Diameter >= 3 licenses assuming the centralizing involution lies in X."""
+    """Diameter >= 3 licenses assuming the centralizing involution lies in X.
+
+    Always inconclusive; involution_gate's diameter_at_least_3 step tests
+    the distinct lengths counted here.
+    """
     if ct.family.kind != "subfield":
         raise ValueError("the sigma-in-X gate applies to the subfield family only")
     narrative = "diameter >= 3 forces the centralizing involution into X"
     count = len(ct.length_groups)
-    outcome = INCONCLUSIVE if fusion.excludes_diameter_two(ct) else NOT_APPLICABLE
-    return GateVerdict(GATE_SIGMA_IN_X, outcome, {"distinct_nontrivial_lengths": count}, narrative)
+    return GateVerdict(GATE_SIGMA_IN_X, INCONCLUSIVE, {"distinct_nontrivial_lengths": count}, narrative)
 
 
 def order4_witness(ct: tables.ConcreteTable) -> tuple[str, int, int]:
@@ -204,8 +209,8 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     least d0 = (q + 6) / |X| classes. With d0 = a/b in lowest terms the
     cutoff fails exactly when 2**(3a) >= v**(8b), decided by exact integer
     comparison. The sharper class-count bound from the same table is reported
-    as an extra witness but does not feed the verdict. An x_order below 1
-    raises ValueError.
+    as an extra witness but does not feed the verdict; at q = 3 it is
+    inconclusive for both X. An x_order below 1 raises ValueError.
     """
     if ct.family.kind != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
@@ -213,8 +218,6 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
         raise ValueError("x_order must be >= 1")
     narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
     q = ct.param
-    if q == 3:
-        return GateVerdict(GATE_BHK, NOT_APPLICABLE, {"q": q}, narrative)
     v = ct.index
     g = gcd(q + 6, x_order)
     a, b = (q + 6) // g, x_order // g
@@ -261,14 +264,13 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     q + 3m + 1. Stabilizer orders upper-bound kernel orders, so it is enough
     that no first-sphere candidate stabilizer is divisible by any certifying
     prime and no row stabilizer is divisible by certifying primes from both
-    factors. An exclusion rests on ASSUMPTION_KERNEL.
+    factors. An exclusion rests on ASSUMPTION_KERNEL. At q = 3 the chain
+    stops at its proper_divisor_premise step.
     """
     narrative = "kernel divisibility chain on suborbit stabilizers"
     if ct.family.kind != "ree":
         raise ValueError("the kernel chain gate applies to the ree family only")
     q = ct.param
-    if q == 3:
-        return GateVerdict(GATE_KERNEL_CHAIN, NOT_APPLICABLE, {"q": q}, narrative)
     fail = partial(_fail, GATE_KERNEL_CHAIN, narrative)
 
     if not tables.proper_divisor_premise(ct):
@@ -318,16 +320,14 @@ def bcn_small_case_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
 
     The published intersection-array tables contain no feasible array with
     this vertex count and diameter; the absence is cited, not recomputed.
-    Any other ree table is not applicable; a subfield table or an x_order
-    below 1 raises ValueError.
+    Any table other than the ree table at q = 3, or an x_order below 1,
+    raises ValueError: the verdict would cite the wrong table.
     """
-    if ct.family.kind != "ree":
-        raise ValueError("the small-case lookup applies to the ree family only")
+    if ct.family.kind != "ree" or ct.param != 3:
+        raise ValueError("the small-case lookup applies to the ree table at q = 3 only")
     if x_order < 1:
         raise ValueError("x_order must be >= 1")
     narrative = "no feasible intersection array with 2808 vertices at this diameter (external tables)"
-    if ct.param != 3:
-        return GateVerdict(GATE_BCN, NOT_APPLICABLE, {"param": ct.param}, narrative)
     bound = fusion.min_fused_classes(ct.length_groups, x_order)
     return GateVerdict(
         GATE_BCN,

@@ -32,7 +32,6 @@ UNDETERMINED = "undetermined"
 _VERDICT_TEXT = {
     gates.EXCLUDES: "Excludes",
     gates.INCONCLUSIVE: "Inconclusive",
-    gates.NOT_APPLICABLE: "NotApplicable",
     gates.ASSUMED_EXTERNAL: "AssumedExternal",
 }
 
@@ -123,10 +122,8 @@ def _subfield_x_gate(ct: tables.ConcreteTable, option: OuterOption) -> gates.Gat
 
 
 def _subfield_step_gates(ct: tables.ConcreteTable) -> tuple[gates.GateVerdict, ...]:
-    sigma = gates.sigma_in_x_gate(ct)
-    if sigma.outcome != gates.INCONCLUSIVE:
-        return (sigma,)
-    return (sigma, gates.involution_gate(ct))
+    """sigma_in_x, always inconclusive, then involution, which tests the diameter."""
+    return (gates.sigma_in_x_gate(ct), gates.involution_gate(ct))
 
 
 def _ree_x_gate(ct: tables.ConcreteTable, option: OuterOption) -> gates.GateVerdict:

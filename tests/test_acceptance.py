@@ -73,6 +73,7 @@ def test_criterion_4_diameter_cutoff():
     for n in range(1, 9):
         q = REE.param_for_n(n)
         verdict = bhk_gate(instantiate(table, q), 2 * (2 * n + 1))
+        assert verdict.gate_name == gates.GATE_BHK
         want = "inconclusive" if n <= 3 else "excludes"
         assert verdict.outcome == want, (n, verdict.outcome)
     elapsed = time.perf_counter() - t0
@@ -171,6 +172,7 @@ def test_criterion_8b_weakened_gates(monkeypatch):
     monkeypatch.setattr(gates, "kernel_chain_gate", weak("kernel_chain"))
     monkeypatch.setattr(gates, "bcn_small_case_gate", weak("bcn_small_case"))
     report = analyze("ree", 0, 3)
+    assert report.certificates
     assert all(c.conclusion == "undetermined" for c in report.certificates)
     assert cli_main(["analyze", "--case", "ree", "--n", "0..3", "--x", "all",
                      "--out", "/dev/null"]) == 2

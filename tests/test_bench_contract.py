@@ -1,0 +1,46 @@
+"""What the benchmark harness under bench/ needs from the package under test.
+
+bench/oracle.py and bench/spans.py never import dtgcert, so they are loaded
+here by file path and checked against the dtgcert this process imported: the
+report digests the oracle pins, the layer modules the spans install into,
+and the Poly operators and CaseFamily methods they wrap by name. The
+harness itself runs end to end only in a benchmark run.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from dtgcert.exact import Poly
+from dtgcert.groups import CaseFamily
+from dtgcert.pipeline import analyze, emit
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load("oracle")
+spans = _load("spans")
+
+
+@pytest.mark.parametrize(
+    "case, n_min, n_max, digest",
+    [sweep for sweeps in oracle.SWEEP_REPORTS.values() for sweep in sweeps],
+    ids=lambda value: str(value)[:12],
+)
+def test_reports_have_the_digests_the_oracle_pins(case, n_min, n_max, digest):
+    assert oracle.report_digest(emit(analyze(case, n_min, n_max), "json")) == digest
+
+
+def test_spans_find_every_name_they_wrap():
+    for layer in spans.LAYERS:
+        importlib.import_module(f"dtgcert.{layer}")
+    assert {attr for attrs in spans.POLY_OPS.values() for attr in attrs} <= set(vars(Poly))
+    assert set(spans.FAMILY_METHODS) <= set(vars(CaseFamily))

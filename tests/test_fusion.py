@@ -38,13 +38,13 @@ def test_fusion_constraint_validation():
     for bad in (0, -2):
         with pytest.raises(ValueError):
             min_fused_classes(ree27.length_groups, bad)
-        # the guard runs before any comparison, also where the gate would
-        # otherwise return not_applicable
+        # the guard runs before any comparison, at q = 3 too, where the
+        # chain runs the lookup instead of the cutoff
         for ct in (ree3, ree27):
             with pytest.raises(ValueError):
                 bhk_gate(ct, bad)
-            with pytest.raises(ValueError):
-                bcn_small_case_gate(ct, bad)
+        with pytest.raises(ValueError, match="x_order"):
+            bcn_small_case_gate(ree3, bad)
 
 
 def test_length_groups_ree_q27():

@@ -1,6 +1,7 @@
 import pytest
 
 import dtgcert.gates as gates
+import dtgcert.tables as tables
 from dtgcert.exact import exp_compare
 from dtgcert.gates import (
     ASSUMED_EXTERNAL,
@@ -12,7 +13,6 @@ from dtgcert.gates import (
     GATE_MULTIPLICITY_FREE,
     GATE_SIGMA_IN_X,
     INCONCLUSIVE,
-    NOT_APPLICABLE,
     GateVerdict,
     bcn_small_case_gate,
     bhk_gate,
@@ -24,7 +24,7 @@ from dtgcert.gates import (
     sigma_in_x_gate,
 )
 from dtgcert.groups import REE, SUBFIELD, OuterOption
-from dtgcert.pipeline import analyze
+from dtgcert.pipeline import UNDETERMINED, analyze
 from dtgcert.tables import (
     ConcreteRow,
     ConcreteTable,
@@ -71,16 +71,25 @@ def test_multiplicity_free_gate():
         multiplicity_free_gate(_ree_table(27), graph)
 
 
-def test_sigma_in_x_gate():
+def test_sigma_in_x_gate(monkeypatch):
     v = sigma_in_x_gate(_sub_table(3))
     assert v.gate_name == GATE_SIGMA_IN_X
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["distinct_nontrivial_lengths"] == 12
     flat = ConcreteTable(
         SUBFIELD, 3, 100, 50,
-        (ConcreteRow("1", "one", 1, 1), ConcreteRow("A", Z_UNKNOWN, 7, 2)),
+        (ConcreteRow("1", "one", 1, 1), ConcreteRow("z", Z_TWO, 7, 1), ConcreteRow("A", Z_UNKNOWN, 7, 1)),
     )
-    assert sigma_in_x_gate(flat).outcome == NOT_APPLICABLE
+    # too few lengths to force diameter 3: sigma still hands on, and
+    # involution's diameter_at_least_3 step is the one that says so
+    v = sigma_in_x_gate(flat)
+    assert v.outcome == INCONCLUSIVE
+    assert v.witnesses == {"distinct_nontrivial_lengths": 1}
+    monkeypatch.setattr(tables, "instantiate", lambda table, param: flat)
+    (cert,) = analyze("subfield", 1, 1, x_filter=((4, True),)).certificates
+    assert [g.gate_name for g in cert.gates] == [GATE_MULTIPLICITY_FREE, GATE_SIGMA_IN_X, GATE_INVOLUTION]
+    assert cert.gates[2].witnesses["failed_step"] == "diameter_at_least_3"
+    assert cert.conclusion == UNDETERMINED
     # like every other gate, it refuses a table of the other family
     with pytest.raises(ValueError, match="subfield family only"):
         sigma_in_x_gate(_ree_table(27))
@@ -187,16 +196,6 @@ def test_involution_gate_fail_steps():
     assert v.witnesses["failed_step"] == "odd_prime_in_group_order"
 
 
-def test_bhk_gate_frozen_outcomes():
-    # full outer group: |X| = 2(2n+1)
-    for n in range(1, 9):
-        q = REE.param_for_n(n)
-        v = bhk_gate(_ree_table(q), 2 * (2 * n + 1))
-        assert v.gate_name == GATE_BHK
-        want = INCONCLUSIVE if n <= 3 else EXCLUDES
-        assert v.outcome == want, n
-
-
 def test_bhk_gate_witnesses_n1():
     v = bhk_gate(_ree_table(27), 6)
     assert v.witnesses["d0"] == "33/6"
@@ -232,7 +231,10 @@ def test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound():
 
 
 def test_bhk_gate_edges():
-    assert bhk_gate(_ree_table(3), 2).outcome == NOT_APPLICABLE
+    # at q = 3, which the chain routes to the table lookup, the cutoff
+    # cannot exclude for either X
+    assert bhk_gate(_ree_table(3), 1).outcome == INCONCLUSIVE
+    assert bhk_gate(_ree_table(3), 2).outcome == INCONCLUSIVE
     with pytest.raises(ValueError):
         bhk_gate(_sub_table(9), 2)
     # 9 is no ree parameter, so there is no table to run the gate on
@@ -271,8 +273,10 @@ def test_kernel_chain_gate_excludes():
         assert v.witnesses["gamma1_stabilizers"] == stabs
 
 
-def test_kernel_chain_gate_not_applicable_at_q3():
-    assert kernel_chain_gate(_ree_table(3)).outcome == NOT_APPLICABLE
+def test_kernel_chain_gate_stops_at_the_premise_at_q3():
+    v = kernel_chain_gate(_ree_table(3))
+    assert v.outcome == INCONCLUSIVE
+    assert v.witnesses == {"failed_step": "proper_divisor_premise"}
 
 
 def test_kernel_chain_gate_rejects_subfield():
@@ -345,6 +349,9 @@ def test_bcn_small_case_gate():
     assert v.witnesses["x_order"] == 2
     v1 = bcn_small_case_gate(_ree_table(3), 1)
     assert v1.witnesses["diameter_lower_bound"] == 8
-    assert bcn_small_case_gate(_ree_table(27), 2).outcome == NOT_APPLICABLE
+    # a verdict at any other table would cite the q = 3 tables for it
+    for q in (27, 243):
+        with pytest.raises(ValueError, match="q = 3 only"):
+            bcn_small_case_gate(_ree_table(q), 2)
     with pytest.raises(ValueError):
         bcn_small_case_gate(_sub_table(3), 2)

@@ -22,7 +22,6 @@ from dtgcert.gates import (
     ASSUMPTION_OUTER_EVEN,
     EXCLUDES,
     INCONCLUSIVE,
-    NOT_APPLICABLE,
     GateVerdict,
 )
 from dtgcert.pipeline import (
@@ -99,7 +98,6 @@ def test_conclude():
     assert conclude([_v(ASSUMED_EXTERNAL)], strict=True) == UNDETERMINED
     # an externally assumed gate only settles the case as the last word
     assert conclude([_v(ASSUMED_EXTERNAL), _v(INCONCLUSIVE)]) == UNDETERMINED
-    assert conclude([_v(NOT_APPLICABLE)]) == UNDETERMINED
 
 
 def test_conclude_strict_needs_a_chain_without_assumptions():
@@ -471,9 +469,7 @@ def test_certificate_json_schema():
         for gate in payload["gates"]:
             assert list(gate) == ["name", "verdict", "witnesses", "paper_anchor"]
             assert all(isinstance(v, str) for v in gate["witnesses"].values())
-            assert gate["verdict"] in (
-                "excludes", "inconclusive", "not_applicable", "assumed_external",
-            )
+            assert gate["verdict"] in ("excludes", "inconclusive", "assumed_external")
 
 
 def _hand_built_report():
@@ -591,15 +587,23 @@ def test_emit_rejects_bad_input():
         emit("not a report", "json")
 
 
-def test_weakened_gates_never_conclude(monkeypatch):
-    def weak(name):
-        def gate(*args, **kwargs):
-            return GateVerdict(name, INCONCLUSIVE, {}, "weakened")
-        return gate
-
-    monkeypatch.setattr(gates, "bhk_gate", weak("bhk_diameter"))
-    monkeypatch.setattr(gates, "kernel_chain_gate", weak("kernel_chain"))
-    monkeypatch.setattr(gates, "bcn_small_case_gate", weak("bcn_small_case"))
-    report = analyze("ree", 0, 2)
-    assert report.certificates
-    assert all(c.conclusion == UNDETERMINED for c in report.certificates)
+def test_sweeps_give_only_the_known_gate_outcomes():
+    # no report contains any other (gate, outcome) pair; a checker or a stats
+    # view of the reports has exactly these to handle
+    pairs = {
+        (verdict.gate_name, verdict.outcome)
+        for case, n_min, n_max in (("ree", 0, 100), ("subfield", 1, 40))
+        for strict in (False, True)
+        for cert in analyze(case, n_min, n_max, strict=strict).certificates
+        for verdict in cert.gates
+    }
+    assert pairs == {
+        (gates.GATE_BCN, ASSUMED_EXTERNAL),
+        (gates.GATE_BHK, EXCLUDES),
+        (gates.GATE_BHK, INCONCLUSIVE),
+        (gates.GATE_KERNEL_CHAIN, EXCLUDES),
+        (gates.GATE_MULTIPLICITY_FREE, EXCLUDES),
+        (gates.GATE_MULTIPLICITY_FREE, INCONCLUSIVE),
+        (gates.GATE_SIGMA_IN_X, INCONCLUSIVE),
+        (gates.GATE_INVOLUTION, EXCLUDES),
+    }
