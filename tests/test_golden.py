@@ -6,13 +6,20 @@ that timestamp is the only part of a report allowed to change between runs.
 Each analyze run must also exit with the code pinned beside it. Any refactor
 must leave these bytes and codes unchanged; a deliberate change to the report
 content regenerates them and says why.
+
+verify_tables_ree_mutant.txt comes from a patched table builder: the CLI run
+below checks the ree table with R2's length raised by 1, so the report pins
+the lines of a failing check (an inadmissible parameter, a mass residual, a
+failed divisibility and symbolic check) that no canonical table reaches.
 """
 import re
 from pathlib import Path
 
 import pytest
 
+from dtgcert import tables
 from dtgcert.cli import main
+from dtgcert.groups import REE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,3 +61,13 @@ def test_verify_tables_subfield_report_matches_golden(capsys):
     assert main(["verify-tables", "--case", "subfield", "--params", "3,9,27,81", "--symbolic"]) == 0
     produced = capsys.readouterr().out.encode()
     assert produced == (GOLDEN / "verify_tables_subfield_symbolic.txt").read_bytes()
+
+
+def test_verify_tables_failing_report_matches_golden(monkeypatch, capsys):
+    base = tables.build_table(REE)
+    row = base.rows[1]
+    rows = (base.rows[0], tables.SuborbitRow(row.z, row.length + 1, row.count)) + base.rows[2:]
+    monkeypatch.setattr(tables, "build_table", lambda family: tables.SuborbitTable(REE, rows))
+    assert main(["verify-tables", "--case", "ree", "--params", "9,27", "--symbolic"]) == 2
+    produced = capsys.readouterr().out.encode()
+    assert produced == (GOLDEN / "verify_tables_ree_mutant.txt").read_bytes()
