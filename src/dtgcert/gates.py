@@ -325,8 +325,6 @@ def bcn_small_case_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     """
     if ct.family.kind != "ree" or ct.param != 3:
         raise ValueError("the small-case lookup applies to the ree table at q = 3 only")
-    if x_order < 1:
-        raise ValueError("x_order must be >= 1")
     narrative = "no feasible intersection array with 2808 vertices at this diameter (external tables)"
     bound = fusion.min_fused_classes(ct.length_groups, x_order)
     return GateVerdict(

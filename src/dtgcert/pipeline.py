@@ -72,20 +72,31 @@ class RunReport(NamedTuple):
 
 
 class ParamCheck(NamedTuple):
+    """What verify_tables measured at one parameter; a check without a table holds only its error."""
+
     param: int
-    index: int = 0
-    mass_total: int = 0
-    mass_ok: bool = False
-    lengths_divide: bool = False
-    proper_divisors: bool = False
-    suborbit_total: int = 0
-    suborbit_expected: int = 0
-    suborbit_ok: bool = False
     table: Optional[tables.ConcreteTable] = None
     error: str = ""
+    mass_total: int = 0
+    suborbit_total: int = 0
+    lengths_divide: bool = False
+    proper_divisors: bool = False
+
+    @property
+    def mass_ok(self) -> bool:
+        return self.mass_total == self.table.index
+
+    @property
+    def suborbit_expected(self) -> int:
+        return self.table.family.suborbit_total(self.param)
+
+    @property
+    def suborbit_ok(self) -> bool:
+        return self.suborbit_total == self.suborbit_expected
 
     @property
     def ok(self) -> bool:
+        # the mass check fails first for almost every faulty table
         return not self.error and self.mass_ok and self.lengths_divide and self.suborbit_ok
 
 
@@ -223,24 +234,16 @@ def verify_tables(
         try:
             ct = tables.instantiate(tab, param)
         except ValueError as exc:
-            checks.append(ParamCheck(param=param, error=str(exc)))
+            checks.append(ParamCheck(param, error=str(exc)))
             continue
-        mass_ok, residual = tables.verify_mass(ct)
-        lengths_divide = all(ct.h_order % row.length == 0 for row in ct.rows)
-        total = tables.suborbit_count(ct)
-        expected = family.suborbit_total(param)
         checks.append(
             ParamCheck(
-                param=param,
-                index=ct.index,
-                mass_total=ct.index + residual,
-                mass_ok=mass_ok,
-                lengths_divide=lengths_divide,
+                param,
+                ct,
+                mass_total=sum(row.length * row.count for row in ct.rows),
+                suborbit_total=tables.suborbit_count(ct),
+                lengths_divide=all(ct.h_order % row.length == 0 for row in ct.rows),
                 proper_divisors=tables.proper_divisor_premise(ct),
-                suborbit_total=total,
-                suborbit_expected=expected,
-                suborbit_ok=total == expected,
-                table=ct,
             )
         )
     symbolic_ok = tables.verify_mass_symbolic(tab) if symbolic else None
@@ -372,14 +375,12 @@ def _table_report_text(report: TableCheckReport) -> str:
     lines = [f"verify-tables case={report.case} params={','.join(str(c.param) for c in report.checks)}"]
     for check in report.checks:
         lines.append("")
-        if check.error:
+        if check.table is None:
             lines.append(f"param={check.param}\terror={check.error}")
             continue
-        assert check.table is not None
         lines.append(tables.dump(check.table).rstrip("\n"))
-        lines.append(
-            f"mass: {'ok' if check.mass_ok else 'FAIL'} total={check.mass_total} residual={check.mass_total - check.index}"
-        )
+        residual = check.mass_total - check.table.index
+        lines.append(f"mass: {'ok' if check.mass_ok else 'FAIL'} total={check.mass_total} residual={residual}")
         lines.append(f"divisibility: {'ok' if check.lengths_divide else 'FAIL'}")
         lines.append(f"proper_divisors: {'true' if check.proper_divisors else 'false'}")
         lines.append(

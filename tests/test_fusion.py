@@ -43,7 +43,7 @@ def test_fusion_constraint_validation():
         for ct in (ree3, ree27):
             with pytest.raises(ValueError):
                 bhk_gate(ct, bad)
-        with pytest.raises(ValueError, match="x_order"):
+        with pytest.raises(ValueError, match=r"^x_order must be >= 1$"):
             bcn_small_case_gate(ree3, bad)
 
 

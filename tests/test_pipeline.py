@@ -235,6 +235,23 @@ def test_verify_tables_error_rows():
     assert report.checks[0].param == 9
 
 
+def test_param_checks_store_what_was_measured_and_derive_their_verdicts():
+    assert pipeline.ParamCheck._fields == (
+        "param", "table", "error", "mass_total", "suborbit_total", "lengths_divide", "proper_divisors"
+    )
+    base = tables.build_table(REE)
+    mutant = _replace_row(base, 1, "length", base.rows[1].length + 1)
+    error, good = verify_tables("ree", [9, 27]).checks
+    bad = verify_tables("ree", [27], table=mutant).checks[0]
+    assert (error.table, error.ok) == (None, False)
+    assert good.table == tables.instantiate(base, 27) and good.error == ""
+    assert (good.mass_total, good.suborbit_total) == (good.table.index, 33)
+    assert (good.mass_ok, good.lengths_divide, good.suborbit_ok, good.ok) == (True, True, True, True)
+    # R2's length + 1 adds 1 to the mass and breaks divisibility, not the count
+    assert (bad.mass_total, bad.suborbit_total) == (good.table.index + 1, 33)
+    assert (bad.mass_ok, bad.lengths_divide, bad.suborbit_ok, bad.ok) == (False, False, True, False)
+
+
 def test_verify_tables_of_no_parameter_is_an_error():
     # a check of nothing must not render "result: PASS"; the symbolic
     # identity alone is a check

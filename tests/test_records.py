@@ -44,7 +44,7 @@ RECORDS = {
     "GateVerdict": (lambda: GateVerdict("g", EXCLUDES, {"k": 1}), "witnesses"),
     "Certificate": (lambda: pipeline.analyze("ree", 1, 1).certificates[0], "conclusion"),
     "RunReport": (lambda: pipeline.analyze("ree", 1, 1), "certificates"),
-    "ParamCheck": (lambda: pipeline.verify_tables("ree", [27]).checks[0], "mass_ok"),
+    "ParamCheck": (lambda: pipeline.verify_tables("ree", [27]).checks[0], "mass_total"),
     "TableCheckReport": (lambda: pipeline.verify_tables("ree", [27]), "symbolic_ok"),
 }
 
