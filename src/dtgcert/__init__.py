@@ -20,7 +20,6 @@ from .tables import (
     instantiate,
     stabilizer_order,
     suborbit_count,
-    verify_mass,
     verify_mass_symbolic,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "instantiate",
     "stabilizer_order",
     "suborbit_count",
-    "verify_mass",
     "verify_mass_symbolic",
 ]

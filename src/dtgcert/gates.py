@@ -82,10 +82,6 @@ class GateVerdict(_GateVerdictFields):
             raise ValueError("an excluding verdict requires witnesses")
         return super().__new__(cls, gate_name, outcome, witnesses, narrative, assumptions)
 
-    @property
-    def excludes(self) -> bool:
-        return self.outcome == EXCLUDES
-
 
 def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict:
     """An inconclusive verdict naming the sub-check that did not pass."""

@@ -2,10 +2,9 @@
 
 A certificate records, for one (family, n, X) triple, the ordered gate
 verdicts and the conclusion they support. A run report bundles the
-certificates of a parameter sweep; analyze runs the same sweep for both
-families, which differ only by their gate chain. A chain is an X gate, which
-reads one outer subgroup X, followed by the step's gates, which read only
-the step's table and so run at most once per n, shared by every X.
+certificates of a parameter sweep; analyze writes out both families' gate
+chains, whose step gates read only the step's table and so run at most once
+per n, shared by every X.
 Serialization is deterministic except for an explicit generation timestamp.
 Run reports are written as JSON by a writer for their fixed schema, in
 exactly the bytes json.dumps(..., indent=2) would give for the same data, or
@@ -128,30 +127,6 @@ def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str
     return UNDETERMINED
 
 
-def _subfield_x_gate(ct: tables.ConcreteTable, option: OuterOption) -> gates.GateVerdict:
-    return gates.multiplicity_free_gate(ct, option)
-
-
-def _subfield_step_gates(ct: tables.ConcreteTable) -> tuple[gates.GateVerdict, ...]:
-    """sigma_in_x, always inconclusive, then involution, which tests the diameter."""
-    return (gates.sigma_in_x_gate(ct), gates.involution_gate(ct))
-
-
-def _ree_x_gate(ct: tables.ConcreteTable, option: OuterOption) -> gates.GateVerdict:
-    if ct.param == 3:
-        return gates.bcn_small_case_gate(ct, option.order)
-    return gates.bhk_gate(ct, option.order)
-
-
-def _ree_step_gates(ct: tables.ConcreteTable) -> tuple[gates.GateVerdict, ...]:
-    return (gates.kernel_chain_gate(ct),)
-
-
-#: Family -> (X gate, step gates). The X gate reads the table and one X; the
-#: step gates read the table alone, so one run of them serves every X of a step.
-_CHAINS = {"subfield": (_subfield_x_gate, _subfield_step_gates), "ree": (_ree_x_gate, _ree_step_gates)}
-
-
 def _select_options(family: CaseFamily, param: int, x_filter: XFilter) -> tuple[OuterOption, ...]:
     options = outer_subgroup_options(family, param)
     if x_filter is None:
@@ -176,11 +151,9 @@ def analyze(
     instantiates the table exactly once, with its integrality checks, and
     every gate of every X there reads that one table.
 
-    A chain is an X gate followed by the step's gates. The X gate runs for
-    every X; when it is inconclusive, the certificate goes on with the step's
-    gates, which read the table alone. They run at most once per n, the
-    first time an X reaches them, and every later X of that n reuses the
-    same verdicts; a step that no X reaches runs none of them.
+    The step gates read the table alone, not X. So they run lazily, once
+    per n, the first time an X is inconclusive, and every later X of that n
+    shares their verdicts.
     """
     family = get_family(case)
     if n_min < family.min_n:
@@ -190,7 +163,7 @@ def analyze(
     table = tables.build_table(family)
     if not tables.verify_mass_symbolic(table):
         raise tables.TranscriptionError(f"symbolic mass identity failed for the {family.kind} table")
-    x_gate, step_gates = _CHAINS[family.kind]
+    subfield = family.kind == "subfield"
     certificates = []
     for n in range(n_min, n_max + 1):
         param = family.param_for_n(n)
@@ -198,10 +171,18 @@ def analyze(
         ct = tables.instantiate(table, param)
         step_verdicts = None
         for option in _select_options(family, param, x_filter):
-            verdicts = (x_gate(ct, option),)
+            if subfield:
+                verdicts = (gates.multiplicity_free_gate(ct, option),)
+            elif param == 3:
+                verdicts = (gates.bcn_small_case_gate(ct, option.order),)
+            else:
+                verdicts = (gates.bhk_gate(ct, option.order),)
             if verdicts[0].outcome == gates.INCONCLUSIVE:
                 if step_verdicts is None:
-                    step_verdicts = step_gates(ct)
+                    if subfield:
+                        step_verdicts = (gates.sigma_in_x_gate(ct), gates.involution_gate(ct))
+                    else:
+                        step_verdicts = (gates.kernel_chain_gate(ct),)
                 verdicts += step_verdicts
             certificates.append(
                 Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
@@ -261,8 +242,13 @@ def gate_text(verdict: gates.GateVerdict) -> str:
     return "  ".join(parts)
 
 
+def _bool_text(value: bool) -> str:
+    """A boolean as JSON spells it, in both the JSON and the text reports."""
+    return "true" if value else "false"
+
+
 def certificate_text(cert: Certificate) -> str:
-    flag = "true" if cert.x_graph else "false"
+    flag = _bool_text(cert.x_graph)
     lines = [f"certificate: case={cert.case} n={cert.n} q={cert.q} x_order={cert.x_order} x_graph={flag}"]
     for verdict in cert.gates:
         lines.append(f"  {gate_text(verdict)}")
@@ -278,10 +264,6 @@ class _JsonStrings(dict):
     def __missing__(self, value: Union[str, int]) -> str:
         code = self[value] = encode_basestring_ascii(str(value))
         return code
-
-
-def _json_bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _run_report_json(report: RunReport) -> str:
@@ -304,7 +286,7 @@ def _run_report_json(report: RunReport) -> str:
         f'  "case": {enc(report.case)},',
         f'  "n_min": {report.n_min},',
         f'  "n_max": {report.n_max},',
-        f'  "strict": {_json_bool(report.strict)},',
+        f'  "strict": {_bool_text(report.strict)},',
         f'  "generated_at": {enc(_timestamp())},',
         '  "summary": {',
         f'    "total": {summary["total"]},',
@@ -321,7 +303,7 @@ def _run_report_json(report: RunReport) -> str:
             append(
                 f'    {{\n      "case": {codes[cert.case]},\n      "n": {cert.n},\n'
                 f'      "q": {enc(str(cert.q))},\n      "x_order": {cert.x_order},\n'
-                f'      "x_graph": {_json_bool(cert.x_graph)},'
+                f'      "x_graph": {_bool_text(cert.x_graph)},'
             )
             if not cert.gates:
                 append('      "gates": [],')
@@ -361,7 +343,7 @@ def _run_report_text(report: RunReport) -> str:
     summary = report.summary
     lines = [
         f"dtgcert {report.tool_version}",
-        f"case: {report.case}  n: {report.n_min}..{report.n_max}  strict: {'true' if report.strict else 'false'}",
+        f"case: {report.case}  n: {report.n_min}..{report.n_max}  strict: {_bool_text(report.strict)}",
         f"generated_at: {_timestamp()}",
         f"summary: total={summary['total']} no_dtg={summary['no_dtg']} undetermined={summary['undetermined']}",
     ]
@@ -382,7 +364,7 @@ def _table_report_text(report: TableCheckReport) -> str:
         residual = check.mass_total - check.table.index
         lines.append(f"mass: {'ok' if check.mass_ok else 'FAIL'} total={check.mass_total} residual={residual}")
         lines.append(f"divisibility: {'ok' if check.lengths_divide else 'FAIL'}")
-        lines.append(f"proper_divisors: {'true' if check.proper_divisors else 'false'}")
+        lines.append(f"proper_divisors: {_bool_text(check.proper_divisors)}")
         lines.append(
             f"suborbits: {'ok' if check.suborbit_ok else 'FAIL'} total={check.suborbit_total} expected={check.suborbit_expected}"
         )

@@ -224,12 +224,6 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     return ConcreteTable(family=family, param=param, index=orders[0], h_order=orders[1], rows=tuple(rows))
 
 
-def verify_mass(ct: ConcreteTable) -> tuple[bool, int]:
-    """Check sum(length * count) == coset index; returns (ok, residual)."""
-    total = sum(r.length * r.count for r in ct.rows)
-    return total == ct.index, total - ct.index
-
-
 def verify_mass_symbolic(table: SuborbitTable) -> bool:
     """Check the mass identity at the polynomial level, coefficient by coefficient.
 

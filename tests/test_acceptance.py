@@ -200,7 +200,7 @@ def test_criterion_8c_single_weakening_is_never_spurious(monkeypatch):
             report = analyze("ree", 1, 4)
             for cert in report.certificates:
                 if cert.conclusion == "no_dtg":
-                    carriers = [g for g in cert.gates if g.excludes]
+                    carriers = [g for g in cert.gates if g.outcome == gates.EXCLUDES]
                     assert carriers, cert
                     assert all(g.witnesses for g in carriers)
     print("criterion 8c (no spurious conclusions under single weakening): PASS")

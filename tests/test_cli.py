@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import dtgcert
 from dtgcert.cli import COMMANDS, main
 from dtgcert.pipeline import analyze, emit
 
@@ -186,6 +187,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "dtgcert" in capsys.readouterr().out
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex rather than tomllib, which Python 3.10 lacks
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', pyproject, re.M) == [dtgcert.__version__]
 
 
 def _without_timestamp(text):

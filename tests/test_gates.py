@@ -51,10 +51,10 @@ def test_gate_verdict_requires_witnesses_for_exclusion():
     with pytest.raises(ValueError):
         GateVerdict(gate_name="g", outcome=EXCLUDES, witnesses={}, narrative="n")
     v = GateVerdict("g", EXCLUDES, {"k": 1})
-    assert v.excludes
+    assert v.outcome == EXCLUDES
     assert v == ("g", EXCLUDES, {"k": 1}, "", ())
     assert GateVerdict(outcome=EXCLUDES, gate_name="g", witnesses={"k": 1}) == v
-    assert not GateVerdict("g", INCONCLUSIVE).excludes
+    assert GateVerdict("g", INCONCLUSIVE).outcome != EXCLUDES
 
 
 def test_multiplicity_free_gate():

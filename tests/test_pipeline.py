@@ -124,10 +124,10 @@ def test_analyze_subfield_shape():
         names = [g.gate_name for g in cert.gates]
         if cert.x_graph:
             assert names == ["multiplicity_free", "sigma_in_x", "involution"]
-            assert cert.gates[-1].excludes
+            assert cert.gates[-1].outcome == EXCLUDES
         else:
             assert names == ["multiplicity_free"]
-            assert cert.gates[0].excludes
+            assert cert.gates[0].outcome == EXCLUDES
     assert per_n == {1: 3, 2: 4, 3: 6}
     assert report.summary == {"total": 13, "no_dtg": 13, "undetermined": 0}
 
@@ -143,12 +143,12 @@ def test_analyze_ree_shape():
             assert cert.assumptions == (ASSUMPTION_BCN,)
         else:
             assert names[0] == "bhk_diameter"
-            if cert.gates[0].excludes:
+            if cert.gates[0].outcome == EXCLUDES:
                 assert names == ["bhk_diameter"]
                 assert cert.assumptions == ()
             else:
                 assert names == ["bhk_diameter", "kernel_chain"]
-                assert cert.gates[1].excludes
+                assert cert.gates[1].outcome == EXCLUDES
                 assert cert.assumptions == (ASSUMPTION_KERNEL,)
 
 

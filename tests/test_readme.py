@@ -32,7 +32,6 @@ SUPPORTED_API = [
     "instantiate",
     "stabilizer_order",
     "suborbit_count",
-    "verify_mass",
     "verify_mass_symbolic",
 ]
 

@@ -4,6 +4,7 @@ import pytest
 
 from dtgcert.exact import Poly
 from dtgcert.groups import REE, SUBFIELD
+from dtgcert.pipeline import verify_tables
 from dtgcert.tables import (
     ConcreteRow,
     ConcreteTable,
@@ -17,7 +18,6 @@ from dtgcert.tables import (
     proper_divisor_premise,
     stabilizer_order,
     suborbit_count,
-    verify_mass,
     verify_mass_symbolic,
 )
 
@@ -137,23 +137,21 @@ def test_family_orders_pinned_in_normal_form(family):
     assert (family.index._num, family.index._den) == (index._num, index._den)
 
 def test_concrete_mass_subfield():
-    table = build_table(SUBFIELD)
-    for r, expected in SUBFIELD_MASS.items():
+    report = verify_tables("subfield", list(SUBFIELD_MASS))
+    assert [check.param for check in report.checks] == list(SUBFIELD_MASS)
+    for check, (r, expected) in zip(report.checks, SUBFIELD_MASS.items()):
         assert expected == r**6 * (r**6 + 1) * (r**2 + 1)
-        ct = instantiate(table, r)
-        ok, residual = verify_mass(ct)
-        assert ok and residual == 0
-        assert ct.index == expected
+        assert check.mass_ok
+        assert check.mass_total == check.table.index == expected
 
 
 def test_concrete_mass_ree():
-    table = build_table(REE)
-    for q, expected in REE_MASS.items():
+    report = verify_tables("ree", list(REE_MASS))
+    assert [check.param for check in report.checks] == list(REE_MASS)
+    for check, (q, expected) in zip(report.checks, REE_MASS.items()):
         assert expected == q**3 * (q**3 - 1) * (q + 1)
-        ct = instantiate(table, q)
-        ok, residual = verify_mass(ct)
-        assert ok and residual == 0
-        assert ct.index == expected
+        assert check.mass_ok
+        assert check.mass_total == check.table.index == expected
 
 
 def test_ree_q3_concrete_rows():
