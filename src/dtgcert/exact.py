@@ -237,6 +237,8 @@ class Poly:
     def eval_int(self, point: int) -> int:
         """Evaluate at an integer point where the value must be an integer."""
         num = self._eval(point)
+        if self._den == 1:
+            return num
         value, rest = divmod(num, self._den)
         if rest:
             from fractions import Fraction

@@ -217,14 +217,15 @@ def verify_tables(
         except ValueError as exc:
             checks.append(ParamCheck(param, error=str(exc)))
             continue
+        h_order = ct.h_order
+        mass_total = 0
+        lengths_divide = True
+        for _, _, length, count in ct.rows:
+            mass_total += length * count
+            lengths_divide = lengths_divide and h_order % length == 0
         checks.append(
             ParamCheck(
-                param,
-                ct,
-                mass_total=sum(row.length * row.count for row in ct.rows),
-                suborbit_total=tables.suborbit_count(ct),
-                lengths_divide=all(ct.h_order % row.length == 0 for row in ct.rows),
-                proper_divisors=tables.proper_divisor_premise(ct),
+                param, ct, "", mass_total, tables.suborbit_count(ct), lengths_divide, tables.proper_divisor_premise(ct)
             )
         )
     symbolic_ok = tables.verify_mass_symbolic(tab) if symbolic else None

@@ -196,24 +196,26 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     family = table.family
     var = family.table_variable(param)
     rows = []
-    for row in table.rows:
+    trivial_counts = []
+    for (label, z_order), length_poly, count_poly in table.rows:
         try:
-            count = row.count.eval_int(var)
+            count = count_poly.eval_int(var)
         except ValueError as exc:
-            raise TranscriptionError(f"count of row {row.z.label!r} at parameter {param}: {exc}") from exc
+            raise TranscriptionError(f"count of row {label!r} at parameter {param}: {exc}") from exc
         if count < 0:
-            raise TranscriptionError(f"count of row {row.z.label!r} is {count} at parameter {param}")
+            raise TranscriptionError(f"count of row {label!r} is {count} at parameter {param}")
         if count == 0:
             continue
         try:
-            length = row.length.eval_int(var)
+            length = length_poly.eval_int(var)
         except ValueError as exc:
-            raise TranscriptionError(f"length of row {row.z.label!r} at parameter {param}: {exc}") from exc
+            raise TranscriptionError(f"length of row {label!r} at parameter {param}: {exc}") from exc
         if length < 1:
-            raise TranscriptionError(f"length of row {row.z.label!r} is {length} at parameter {param}")
-        rows.append(ConcreteRow(row.z.label, row.z.z_order, length, count))
-    trivial = [r for r in rows if r.length == 1]
-    if len(trivial) != 1 or trivial[0].count != 1:
+            raise TranscriptionError(f"length of row {label!r} is {length} at parameter {param}")
+        if length == 1:
+            trivial_counts.append(count)
+        rows.append(ConcreteRow(label, z_order, length, count))
+    if trivial_counts != [1]:
         raise TranscriptionError(f"expected exactly one trivial suborbit at parameter {param}")
     orders = []
     for name, poly in (("coset index", family.index), ("|H|", family.h_order)):
@@ -253,7 +255,8 @@ def proper_divisor_premise(ct: ConcreteTable) -> bool:
     This is the premise of the kernel-chain argument. It holds for the ree
     family from q = 27 on; at q = 3 one suborbit has length exactly |H|.
     """
-    return all(ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows)
+    h_order = ct.h_order
+    return all(h_order % r.length == 0 and r.length < h_order for r in ct.rows if r.length > 1)
 
 
 def dump(ct: ConcreteTable) -> str:

@@ -360,6 +360,46 @@ def test_verify_tables_rejects_degree_and_denominator_mutants(case):
     assert verify_tables(case, FAULT_PARAMS[case], symbolic=True).ok
 
 
+def _single_coefficient_mutants(table, rng):
+    """Every mutant that moves one stored coefficient of one row polynomial by a nonzero offset."""
+    for i, row in enumerate(table.rows):
+        for attr in ("length", "count"):
+            poly = getattr(row, attr)
+            for k in range(poly.degree + 1):
+                coeffs = list(poly.coeffs)
+                coeffs[k] += rng.choice((-3, -2, -1, 1, 2, 3))
+                yield _replace_row(table, i, attr, Poly(coeffs))
+
+
+def test_verify_tables_measures_what_the_row_by_row_definitions_give():
+    # reference values: each check's plain definition, one pass per check
+    # over the instantiated rows
+    params = {"ree": (3, 27, 243), "subfield": (9, 27)}
+    rng = random.Random(20)
+    flags = set()
+    proper_only_fails = set()
+    for case, family in (("ree", REE), ("subfield", SUBFIELD)):
+        table = tables.build_table(family)
+        for tab in [table, *_single_coefficient_mutants(table, rng)]:
+            for check in verify_tables(case, params[case], table=tab).checks:
+                if check.table is None:
+                    continue
+                ct = check.table
+                assert check.mass_total == sum(row.length * row.count for row in ct.rows)
+                assert check.suborbit_total == sum(r.count for r in ct.rows)
+                assert check.lengths_divide == all(ct.h_order % row.length == 0 for row in ct.rows)
+                assert check.proper_divisors == all(
+                    ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows
+                )
+                flags.add((check.lengths_divide, check.proper_divisors))
+                if (check.lengths_divide, check.proper_divisors) == (True, False):
+                    proper_only_fails.add((case, check.param))
+    assert flags == {(True, True), (False, False), (True, False)}
+    # a length equal to |H| divides it but is no proper divisor: only ree
+    # q = 3 has one, in the canonical table and in the mutants that keep it
+    assert proper_only_fails == {("ree", 3)}
+
+
 def test_verify_tables_on_a_given_table_builds_no_polynomial(monkeypatch):
     mutants = [
         next(_degree_and_denominator_mutants(tables.build_table(family), random.Random(7)))

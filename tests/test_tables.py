@@ -257,6 +257,15 @@ def test_instantiate_requires_unique_trivial_row():
         instantiate(SuborbitTable(REE, doubled), 3)
 
 
+def test_instantiate_requires_the_trivial_row_to_count_once():
+    base = build_table(REE)
+    trivial = base.rows[0]
+    rows = (SuborbitRow(trivial.z, trivial.length, Poly.const(2)),) + base.rows[1:]
+    with pytest.raises(TranscriptionError) as exc:
+        instantiate(SuborbitTable(REE, rows), 3)
+    assert str(exc.value) == "expected exactly one trivial suborbit at parameter 3"
+
+
 def test_stabilizer_orders_ree_q27():
     ct = instantiate(build_table(REE), 27)
     stabs = sorted({stabilizer_order(ct, r) for r in ct.nontrivial_rows})
@@ -292,6 +301,17 @@ def test_proper_divisor_premise():
     sub = build_table(SUBFIELD)
     assert proper_divisor_premise(instantiate(sub, 3))
     assert proper_divisor_premise(instantiate(sub, 9))
+    # a nontrivial length that does not divide |H| also breaks the premise
+    ct = instantiate(ree, 27)
+    (row,) = [r for r in ct.rows if r.label == "R2"]
+    assert not proper_divisor_premise(ct._replace(rows=ct.rows + (row._replace(label="bad", length=row.length + 1),)))
+    # it is the definition over the nontrivial rows on every table of the sweeps
+    for family, steps in ((REE, range(0, 13)), (SUBFIELD, range(1, 13))):
+        table = build_table(family)
+        for n in steps:
+            ct = instantiate(table, family.param_for_n(n))
+            expected = all(ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows)
+            assert proper_divisor_premise(ct) == expected
 
 
 def test_dump_format():
