@@ -9,32 +9,22 @@ powers. No floating point anywhere.
 A sum of products of polynomials (`Poly.sum_of_products`) runs in one integer
 accumulator over a common denominator, with no intermediate Poly.
 
-Polynomials store integers only, so importing this module does not import
-`fractions` (which brings `decimal` and `numbers`). The functions that make
-a Fraction import it where they do: `.coeffs`, a value at an integer
-point, the hash of a non-integer constant, an error message, and a non-int
-scalar given to a Poly.
+Polynomials store integers only and meet only ints and other polynomials:
+arithmetic and comparison take ints or Polys, division and evaluation take
+ints. A Fraction appears in two places alone, as a constructor coefficient and in
+`.coeffs`, so `fractions` (which brings `decimal` and `numbers`) is imported
+only by `.coeffs`.
 """
-import sys
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Scalar = Union[int, "Fraction"]
+from typing import Iterable, Optional, Sequence
 
 
-def _split(value: Scalar) -> tuple[int, int]:
-    """(numerator, denominator > 0) of an exact scalar; floats are refused."""
-    if isinstance(value, int):
-        return value, 1
-    if isinstance(value, float):
-        raise TypeError("floating point is not allowed in exact arithmetic")
-    from fractions import Fraction
-
-    value = Fraction(value)
-    return value.numerator, value.denominator
+def _split(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int or Fraction coefficient; anything else raises TypeError."""
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"polynomial coefficients are ints or Fractions: {value!r}") from None
 
 
 class Poly:
@@ -45,12 +35,12 @@ class Poly:
     shares no factor with all the numerators and no numerator is a trailing
     zero; equal polynomials are therefore equal structurally. Arithmetic and
     evaluation run on plain integers. A Poly is evaluated at integers only,
-    the points every table is read at; a Poly argument composes.
+    the points every table is read at.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+    def __init__(self, coeffs: Iterable = ()) -> None:
         pairs = [_split(c) for c in coeffs]
         den = lcm(*(d for _, d in pairs))
         self._set([n * (den // d) for n, d in pairs], den)
@@ -79,11 +69,12 @@ class Poly:
         return cls((0, 1))
 
     @classmethod
-    def const(cls, value: Scalar) -> "Poly":
+    def const(cls, value) -> "Poly":
         return cls((value,))
 
     @property
-    def coeffs(self) -> "tuple[Fraction, ...]":
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, ascending by degree."""
         from fractions import Fraction
 
         return tuple(Fraction(c, self._den) for c in self._num)
@@ -103,13 +94,9 @@ class Poly:
         return self._num == p._num and self._den == p._den
 
     def __hash__(self) -> int:
-        # A constant equals the int or Fraction of its value, so it hashes like it.
-        if len(self._num) <= 1:
-            if self._den == 1:
-                return hash(sum(self._num))
-            from fractions import Fraction
-
-            return hash(Fraction(self._num[0], self._den))
+        # An integer constant equals that int, so it hashes like it.
+        if self._den == 1 and len(self._num) <= 1:
+            return hash(sum(self._num))
         return hash((self._num, self._den))
 
     @staticmethod
@@ -118,10 +105,6 @@ class Poly:
             return other
         if isinstance(other, int):
             return Poly._make([other], 1)
-        # A caller holding a Fraction has imported fractions already.
-        fractions = sys.modules.get("fractions")
-        if fractions is not None and isinstance(other, fractions.Fraction):
-            return Poly._make([other.numerator], other.denominator)
         return None
 
     def __add__(self, other: object) -> "Poly":
@@ -169,13 +152,14 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: Scalar) -> "Poly":
-        n, d = _split(scalar)
-        if n == 0:
+    def __truediv__(self, divisor: int) -> "Poly":
+        if not isinstance(divisor, int):
+            return NotImplemented
+        if divisor == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        if n < 0:
-            n, d = -n, -d
-        return Poly._make([c * d for c in self._num], self._den * n)
+        if divisor < 0:
+            return Poly._make([-c for c in self._num], self._den * -divisor)
+        return Poly._make(list(self._num), self._den * divisor)
 
     def __pow__(self, exponent: int) -> "Poly":
         """Square-and-multiply from the base, reading the exponent's bits from the top.
@@ -210,41 +194,28 @@ class Poly:
             _add_product(acc, a._num, b._num, den // (a._den * b._den))
         return cls._make(acc, den)
 
-    def _eval(self, point: int) -> int:
-        """Numerator of the value at an integer point, over the common denominator.
+    def eval_int(self, point: int) -> int:
+        """The value at an integer point, which must be an integer.
 
-        Horner's rule on the integer numerators; any other point raises TypeError.
+        Horner's rule on the integer numerators. A point that is not an int
+        raises TypeError, and a value that is not an integer raises
+        ValueError naming it in lowest terms.
         """
         if not isinstance(point, int):
             raise TypeError(f"polynomials are evaluated at integers only: {point!r}")
-        acc = 0
+        num = 0
         for c in reversed(self._num):
-            acc = acc * point + c
-        return acc
-
-    def __call__(self, point: "Union[int, Poly]") -> "Union[Fraction, Poly]":
-        """The value at an integer, as a Fraction, or the composition with another Poly."""
-        if isinstance(point, Poly):
-            acc = Poly()
-            for c in reversed(self._num):
-                acc = acc * point + c
-            return acc / self._den
-        num = self._eval(point)
-        from fractions import Fraction
-
-        return Fraction(num, self._den)
-
-    def eval_int(self, point: int) -> int:
-        """Evaluate at an integer point where the value must be an integer."""
-        num = self._eval(point)
+            num = num * point + c
         if self._den == 1:
             return num
         value, rest = divmod(num, self._den)
         if rest:
-            from fractions import Fraction
-
-            raise ValueError(f"polynomial is not integer-valued at {point}: {Fraction(num, self._den)}")
+            g = gcd(num, self._den)
+            raise ValueError(f"polynomial is not integer-valued at {point}: {num // g}/{self._den // g}")
         return value
+
+    # p(x) is p.eval_int(x); bench/spans.py wraps __call__ by name.
+    __call__ = eval_int
 
     def __repr__(self) -> str:
         coeffs = self.coeffs

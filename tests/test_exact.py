@@ -79,17 +79,37 @@ def test_poly_pow_multiplies_only_what_it_keeps(k, products, monkeypatch):
     assert p**k == want
 
 
-def test_poly_evaluation_and_composition():
+def test_poly_call_is_eval_int():
+    assert Poly.__call__ is Poly.eval_int
     t = Poly.var()
     p = t**3 - 2 * t + 1
-    assert p(2) == Fraction(5)
-    assert p(-3) == Fraction(-20)
-    assert (p / 4)(3) == Fraction(11, 2)
-    # composition: p(t + 1) evaluated at 1 equals p(2)
-    composed = p(t + 1)
-    assert isinstance(composed, Poly)
-    assert composed(1) == p(2)
-    assert (t**2)(t**3) == t**6
+    assert p(2) == p.eval_int(2) == 5 and type(p(2)) is int
+    assert p(-3) == -20
+    # the same errors either way: a non-integer value, a non-int point, a Poly point
+    quarter = p / 4
+    for point, error in ((3, ValueError), (0.5, TypeError), (Fraction(1, 2), TypeError), (t + 1, TypeError)):
+        with pytest.raises(error) as called:
+            quarter(point)
+        with pytest.raises(error) as evaluated:
+            quarter.eval_int(point)
+        assert str(called.value) == str(evaluated.value)
+    assert str(called.value) == "polynomials are evaluated at integers only: Poly(t + 1)"
+
+
+def test_poly_meets_only_ints_and_polys():
+    t = Poly.var()
+    half = Fraction(1, 2)
+    operations = (
+        lambda: t + half, lambda: half + t, lambda: t - half, lambda: half - t,
+        lambda: t * half, lambda: half * t, lambda: t / half, lambda: t(t + 1),
+    )
+    for operation in operations:
+        with pytest.raises(TypeError):
+            operation()
+    assert (t == half) is False and (Poly.const(half) == half) is False and (half == Poly.const(half)) is False
+    # a Fraction enters as a coefficient of a Poly
+    assert t + Poly.const(half) == Poly((half, 1)) and t * Poly.const(half) == t / 2
+    assert t / -2 == Poly((0, Fraction(-1, 2)))
 
 
 def test_poly_rejects_fraction_points():
@@ -114,19 +134,21 @@ def test_poly_eval_int():
 def test_poly_equality_and_hash():
     t = Poly.var()
     assert Poly((5,)) == 5
-    assert Poly((Fraction(1, 2),)) == Fraction(1, 2)
+    assert Poly((Fraction(1, 2),)) == Poly.const(1) / 2
     assert t != 5
     assert hash(t + 1) == hash(Poly((1, 1)))
     assert len({t + 1, Poly((1, 1)), t}) == 2
 
 
 def test_poly_constant_hashes_like_its_value():
-    # equal objects must hash equal, and a constant Poly equals its value
-    for value in (0, 5, -7, Fraction(3, 4)):
+    # equal objects must hash equal, and an integer constant Poly equals its value
+    for value in (0, 5, -7):
         p = Poly.const(value)
         assert p == value and hash(p) == hash(value), value
         assert len({p, value}) == 1, value
     assert {Poly.const(5): "poly"}[5] == "poly"
+    # a non-integer constant equals no number, only the same Poly
+    assert hash(Poly.const(Fraction(3, 4))) == hash(Poly.const(3) / 4)
     # a nonconstant polynomial keeps its structural hash
     t = Poly.var()
     assert hash(t / 2 + 1) == hash((t + 2) / 2)
@@ -146,25 +168,24 @@ def test_poly_division_by_zero():
         Poly.var() / 0
 
 
-def _naive_factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def test_factorize_exhaustive_small_range():
-    for n in range(1, 60001):
-        assert factorize(n) == _naive_factor(n)
+    # each factorization multiplies back to n, over ascending primes from a sieve
+    limit = 60000
+    prime = [False, False] + [True] * (limit - 1)
+    for d in range(2, int(limit**0.5) + 1):
+        if prime[d]:
+            prime[d * d :: d] = [False] * len(range(d * d, limit + 1, d))
+    for n in range(1, limit + 1):
+        factors = factorize(n)
+        product = 1
+        for p, e in factors.items():
+            assert prime[p] and e >= 1, (n, p, e)
+            product *= p**e
+        assert product == n, n
+        assert list(factors) == sorted(factors), n
 
 
-def test_factorize_rho_and_edge_cases():
+def test_factorize_edge_cases():
     assert factorize(1) == {}
     assert factorize(2**10 * 3**5 * 97) == {2: 10, 3: 5, 97: 1}
     # the largest accepted input, a prime: trial division runs to its root
@@ -301,13 +322,6 @@ def _ref_eval(a, t):
     return acc
 
 
-def _ref_compose(a, b):
-    acc = ()
-    for c in reversed(a):
-        acc = _ref_add(_ref_mul(acc, b), (c,))
-    return acc
-
-
 def _random_coeffs(rng):
     """Up to seven coefficients: ints, fractions, zeros, trailing zeros too."""
     out = []
@@ -337,14 +351,19 @@ def test_poly_matches_fraction_reference():
         e = rng.randrange(0, 5)
         assert (a**e).coeffs == _ref_pow(ra, e)
         s = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 20), rng.randrange(1, 9))
-        assert (a / s).coeffs == tuple(c / s for c in ra)
+        assert (Poly.const(s) + a).coeffs == _ref_add((s,), ra)
+        assert (a * Poly.const(s)).coeffs == _ref_mul(ra, (s,))
         k = rng.randrange(-9, 10) or -3
         assert (a / k).coeffs == tuple(c / k for c in ra)
-        assert (s + a).coeffs == _ref_add((s,), ra)
+        assert (k + a).coeffs == _ref_add((Fraction(k),), ra)
         assert (a * k).coeffs == _ref_mul(ra, (Fraction(k),))
         t = rng.randrange(-40, 41)
-        assert a(t) == _ref_eval(ra, t) and isinstance(a(t), Fraction)
-        assert a(b).coeffs == _ref_compose(ra, rb)
+        want = _ref_eval(ra, t)
+        if want.denominator == 1:
+            assert a(t) == a.eval_int(t) == want and type(a(t)) is int
+        else:
+            with pytest.raises(ValueError):
+                a(t)
 
 
 def test_poly_eval_int_matches_fraction_reference():
@@ -380,8 +399,8 @@ def test_poly_normal_form_is_structural():
             ((a + b) - b, a),
             (Poly(ca + [0, Fraction(0, 7)]), a),
             (Poly(Fraction(2 * c, 2) for c in ca), a),
-            (a / Fraction(-2, 3), a * Fraction(-3, 2)),
-            (a(Poly.var()), a),
+            (a * 3 / -2, a * Poly.const(Fraction(-3, 2))),
+            (Poly(list(a.coeffs)), a),
         ]
         for x, y in twins:
             assert x == y and hash(x) == hash(y)
@@ -441,11 +460,12 @@ def test_sum_of_products_matches_naive_sum():
     assert Poly.sum_of_products([(t, Poly(())), (Poly(()), t + 1)]) == Poly(())
     assert Poly.sum_of_products([(t / 2, t / 3), (t / 4, 1 - t)]) == t**2 / 6 + t / 4 - t**2 / 4
     # leading terms cancel; the rest is normalized over the common denominator
-    assert Poly.sum_of_products([(t / 6, t + Fraction(1, 4)), (-t / 2, t / 3)]) == t / 24
+    assert Poly.sum_of_products([(t / 6, t + Poly.const(Fraction(1, 4))), (-t / 2, t / 3)]) == t / 24
 
 
 #: Run in a fresh interpreter: dtgcert is imported first and fractions only
-#: later, so Poly meets Fractions from a module it did not import itself.
+#: later, so the Fractions that Poly takes as coefficients and refuses as
+#: operands come from a module it did not import itself.
 _IMPORT_ORDER_SCRIPT = """
 import sys
 from dtgcert import pipeline
@@ -473,18 +493,19 @@ assert "fractions" not in sys.modules, "an integer-only path imported fractions"
 from fractions import Fraction
 
 half = Fraction(1, 2)
-assert Poly.const(half) == half and half == Poly.const(half)
-assert (t == half) is False and (t == "1/2") is False
-assert t + half == Poly((half, 1)) and half + t == Poly((half, 1))
-assert t - half == Poly((-half, 1)) and half - t == Poly((half, -1))
-assert t * half == t / 2 and half * t == t / 2
-assert t / half == 2 * t and t / Fraction(-2, 3) == t * Fraction(-3, 2)
-assert hash(Poly.const(half)) == hash(half) and hash(Poly.const(Fraction(4, 2))) == hash(2)
+for bad in (lambda: t + half, lambda: half - t, lambda: t * half, lambda: t / half):
+    try:
+        bad()
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("a Fraction operand was accepted")
+assert (t == half) is False and (Poly.const(half) == half) is False and (half == Poly.const(half)) is False
+assert Poly.const(half) == Poly.const(1) / 2 and hash(Poly.const(Fraction(4, 2))) == hash(2)
 coeffs = (t / 3 + 1).coeffs
 assert coeffs == (1, Fraction(1, 3)) and all(type(c) is Fraction for c in coeffs)
-value = (t / 3)(2)
-assert value == Fraction(2, 3) and type(value) is Fraction
-assert type(t(2)) is Fraction
+assert Poly(coeffs) == t / 3 + 1
+assert type(t(2)) is int
 try:
     (t / 2).eval_int(3)
 except ValueError as exc:

@@ -1,7 +1,7 @@
 """Golden reports: the CLI output must match the pinned files byte for byte.
 
-The files under tests/golden/ were generated by the CLI with the argument
-lists below; the analyze reports have their generated_at line removed, since
+The report files under tests/golden/ were generated by the CLI with the
+argument lists below (the demo_*.txt files there belong to test_demos.py); the analyze reports have their generated_at line removed, since
 that timestamp is the only part of a report allowed to change between runs.
 Each analyze run must also exit with the code pinned beside it. Any refactor
 must leave these bytes and codes unchanged; a deliberate change to the report

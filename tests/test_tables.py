@@ -55,8 +55,8 @@ def test_symbolic_mass_detects_mutation():
 
 
 def _reference_rows(family):
-    """The family's table transcribed again, halved rows made by `* Fraction(1, 2)`: label -> (length, count)."""
-    half = Fraction(1, 2)
+    """The family's table transcribed again, halved rows made by `* Poly.const(Fraction(1, 2))`: label -> (length, count)."""
+    half = Poly.const(Fraction(1, 2))
     t = Poly.var()
     one = Poly.const(1)
     if family is REE:
@@ -109,7 +109,7 @@ def _reference_rows(family):
 
 @pytest.mark.parametrize("family", [REE, SUBFIELD], ids=["ree", "subfield"])
 def test_rows_pinned_in_normal_form(family):
-    # halving by `/ 2` stores the same integers over the same denominator as `* Fraction(1, 2)`
+    # halving by `/ 2` stores the same integers over the same denominator as `* Poly.const(Fraction(1, 2))`
     def form(poly):
         return poly._num, poly._den
 
@@ -118,6 +118,14 @@ def test_rows_pinned_in_normal_form(family):
     assert list(got) == list(want)
     assert got == want
 
+
+
+@pytest.mark.parametrize("family", [REE, SUBFIELD], ids=["ree", "subfield"])
+def test_row_polynomials_round_trip_through_coeffs(family):
+    # the benchmark builds its table mutants from list(poly.coeffs) with one coefficient moved
+    for row in build_table(family).rows:
+        for poly in (row.length, row.count):
+            assert Poly(list(poly.coeffs)) == poly
 
 
 def _reference_orders(family):
@@ -241,7 +249,7 @@ def test_instantiate_rejects_fractional_count_with_message():
 @pytest.mark.parametrize("field, name", [("index", "coset index"), ("h_order", "|H|")])
 def test_instantiate_rejects_fractional_orders(field, name):
     # a family whose index or |H| is never an integer, with the real rows
-    family = REE._replace(**{field: getattr(REE, field) + Fraction(1, 2)})
+    family = REE._replace(**{field: getattr(REE, field) + Poly.const(Fraction(1, 2))})
     table = SuborbitTable(family, build_table(REE).rows)
     with pytest.raises(TranscriptionError) as exc:
         instantiate(table, 27)
