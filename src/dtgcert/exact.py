@@ -186,12 +186,25 @@ class Poly:
         Every product is scaled to the lcm of the pairs' denominators and
         added coefficient by coefficient into one list of numerators, which
         is normalized once at the end; an empty sum is the zero polynomial.
+        One pass over the pairs collects the numerators, the denominator
+        products and the accumulator size.
         """
-        pairs = [(a, b) for a, b in pairs if a._num and b._num]
-        den = lcm(*(a._den * b._den for a, b in pairs))
-        acc = [0] * max((len(a._num) + len(b._num) - 1 for a, b in pairs), default=0)
+        terms = []
+        dens = []
+        size = 0
         for a, b in pairs:
-            _add_product(acc, a._num, b._num, den // (a._den * b._den))
+            an, bn = a._num, b._num
+            if an and bn:
+                d = a._den * b._den
+                terms.append((an, bn, d))
+                dens.append(d)
+                n = len(an) + len(bn) - 1
+                if n > size:
+                    size = n
+        den = lcm(*dens)
+        acc = [0] * size
+        for an, bn, d in terms:
+            _add_product(acc, an, bn, den // d)
         return cls._make(acc, den)
 
     def eval_int(self, point: int) -> int:

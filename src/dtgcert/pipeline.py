@@ -198,6 +198,12 @@ def verify_tables(
 ) -> TableCheckReport:
     """Mass, divisibility, integrality, and count checks per parameter.
 
+    Each parameter's table is instantiated once, with its integrality
+    checks, and one pass over its rows measures the mass, the suborbit
+    total, whether every length divides |H| and the proper-divisor premise
+    (every nontrivial length divides |H| and is less than it), the values
+    tables.suborbit_count and tables.proper_divisor_premise give.
+
     The optional table override exists for fault-injection tests; by default
     the canonical table of the named family is checked. An override from
     another family, or a call that checks nothing (no params and no symbolic
@@ -218,16 +224,18 @@ def verify_tables(
             checks.append(ParamCheck(param, error=str(exc)))
             continue
         h_order = ct.h_order
-        mass_total = 0
-        lengths_divide = True
+        mass_total = suborbit_total = 0
+        lengths_divide = proper_divisors = True
         for _, _, length, count in ct.rows:
             mass_total += length * count
-            lengths_divide = lengths_divide and h_order % length == 0
-        checks.append(
-            ParamCheck(
-                param, ct, "", mass_total, tables.suborbit_count(ct), lengths_divide, tables.proper_divisor_premise(ct)
-            )
-        )
+            suborbit_total += count
+            if h_order % length:
+                lengths_divide = proper_divisors = False
+            elif length >= h_order and length > 1:
+                # a nontrivial divisor not below |H|: equal to it, or any
+                # divisor at all of an |H| <= 0
+                proper_divisors = False
+        checks.append(ParamCheck(param, ct, "", mass_total, suborbit_total, lengths_divide, proper_divisors))
     symbolic_ok = tables.verify_mass_symbolic(tab) if symbolic else None
     return TableCheckReport(case, tuple(checks), symbolic_ok)
 

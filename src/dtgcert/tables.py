@@ -55,6 +55,9 @@ class ConcreteRow(NamedTuple):
     count: int
 
 
+_tuple_new = tuple.__new__
+
+
 class _ConcreteTableFields(NamedTuple):
     family: CaseFamily
     param: int
@@ -191,7 +194,8 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
 
     Counts must evaluate to nonnegative integers, lengths of surviving rows
     to positive integers, and the coset index and |H| to integers; anything
-    else raises TranscriptionError.
+    else raises TranscriptionError. A row's length is evaluated only once
+    its count is positive, so a zero-count row's length is never evaluated.
     """
     family = table.family
     var = family.table_variable(param)
@@ -202,28 +206,31 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
             count = count_poly.eval_int(var)
         except ValueError as exc:
             raise TranscriptionError(f"count of row {label!r} at parameter {param}: {exc}") from exc
-        if count < 0:
-            raise TranscriptionError(f"count of row {label!r} is {count} at parameter {param}")
-        if count == 0:
+        if count <= 0:
+            if count:
+                raise TranscriptionError(f"count of row {label!r} is {count} at parameter {param}")
             continue
         try:
             length = length_poly.eval_int(var)
         except ValueError as exc:
             raise TranscriptionError(f"length of row {label!r} at parameter {param}: {exc}") from exc
-        if length < 1:
-            raise TranscriptionError(f"length of row {label!r} is {length} at parameter {param}")
-        if length == 1:
+        if length <= 1:
+            if length < 1:
+                raise TranscriptionError(f"length of row {label!r} is {length} at parameter {param}")
             trivial_counts.append(count)
-        rows.append(ConcreteRow(label, z_order, length, count))
+        # what ConcreteRow(label, z_order, length, count) does, without its frame
+        rows.append(_tuple_new(ConcreteRow, (label, z_order, length, count)))
     if trivial_counts != [1]:
         raise TranscriptionError(f"expected exactly one trivial suborbit at parameter {param}")
-    orders = []
-    for name, poly in (("coset index", family.index), ("|H|", family.h_order)):
-        try:
-            orders.append(poly.eval_int(var))
-        except ValueError as exc:
-            raise TranscriptionError(f"{name} at parameter {param}: {exc}") from exc
-    return ConcreteTable(family=family, param=param, index=orders[0], h_order=orders[1], rows=tuple(rows))
+    try:
+        index = family.index.eval_int(var)
+    except ValueError as exc:
+        raise TranscriptionError(f"coset index at parameter {param}: {exc}") from exc
+    try:
+        h_order = family.h_order.eval_int(var)
+    except ValueError as exc:
+        raise TranscriptionError(f"|H| at parameter {param}: {exc}") from exc
+    return ConcreteTable(family, param, index, h_order, tuple(rows))
 
 
 def verify_mass_symbolic(table: SuborbitTable) -> bool:

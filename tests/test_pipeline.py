@@ -400,6 +400,58 @@ def test_verify_tables_measures_what_the_row_by_row_definitions_give():
     assert proper_only_fails == {("ree", 3)}
 
 
+def test_verify_tables_flags_agree_with_the_tables_definitions_on_hand_built_tables():
+    base = tables.build_table(REE)
+    r2 = base.rows[1]
+
+    def with_extra_row(length, family=REE):
+        return tables.SuborbitTable(family, base.rows + (tables.SuborbitRow(r2.z, length, Poly.const(1)),))
+
+    cases = [
+        # a length equal to |H| divides it and is no proper divisor
+        (with_extra_row(REE.h_order), (True, False)),
+        # a length above |H| divides it not
+        (with_extra_row(2 * REE.h_order), (False, False)),
+        # under an |H| below 0 every length divides it and none is below it
+        (tables.SuborbitTable(REE._replace(h_order=-REE.h_order), base.rows), (True, False)),
+        # the trivial row alone is never a proper-divisor fault, even under |H| = 1
+        (tables.SuborbitTable(REE._replace(h_order=Poly.const(1)), base.rows[:1]), (True, True)),
+        (base, (True, True)),
+    ]
+    for table, flags in cases:
+        (check,) = verify_tables("ree", [27], table=table).checks
+        assert (check.lengths_divide, check.proper_divisors) == flags
+        assert check.proper_divisors == tables.proper_divisor_premise(check.table)
+        assert check.suborbit_total == tables.suborbit_count(check.table)
+
+
+def test_instantiate_evaluates_each_count_each_surviving_length_and_both_orders_once(monkeypatch):
+    evaluated = []
+    original = Poly.eval_int
+
+    def counted(self, point):
+        evaluated.append(self)
+        return original(self, point)
+
+    monkeypatch.setattr(Poly, "eval_int", counted)
+    for family, param in ((REE, 3), (REE, 27), (SUBFIELD, 3)):
+        table = tables.build_table(family)
+        evaluated.clear()
+        ct = tables.instantiate(table, param)
+        # a count, then the length only where the count is positive
+        surviving = {row.label for row in ct.rows}
+        expected = []
+        for row in table.rows:
+            expected.append(row.count)
+            if row.z.label in surviving:
+                expected.append(row.length)
+        expected += [family.index, family.h_order]
+        assert [id(p) for p in evaluated] == [id(p) for p in expected]
+        evaluated.clear()
+        verify_tables(family.kind, [param, param], symbolic=True, table=table)
+        assert len(evaluated) == 2 * (len(table.rows) + len(ct.rows) + 2)
+
+
 def test_verify_tables_on_a_given_table_builds_no_polynomial(monkeypatch):
     mutants = [
         next(_degree_and_denominator_mutants(tables.build_table(family), random.Random(7)))

@@ -233,8 +233,43 @@ def test_instantiate_rejects_negative_count():
         SuborbitRow(build_table(REE).rows[0].z, Poly.const(1), Poly.const(1)),
         SuborbitRow(build_table(REE).rows[1].z, Poly.const(2), t - 5),
     )
-    with pytest.raises(TranscriptionError):
+    with pytest.raises(TranscriptionError) as exc:
         instantiate(SuborbitTable(REE, rows), 3)
+    assert str(exc.value) == "count of row 'R2' is -4 at parameter 3"
+
+
+def _trivial_and_r2(length, count):
+    """A ree table of the trivial row and one row labelled R2 with the given length and count."""
+    rows = build_table(REE).rows
+    return SuborbitTable(REE, (rows[0], SuborbitRow(rows[1].z, length, count)))
+
+
+# the ree table variable is m = 3 at q = 27
+@pytest.mark.parametrize(
+    "length, count, message",
+    [
+        (Poly.var() - 3, Poly.const(1), "length of row 'R2' is 0 at parameter 27"),
+        (Poly.var() - 5, Poly.const(1), "length of row 'R2' is -2 at parameter 27"),
+        (Poly.var() / 2, Poly.const(1), "length of row 'R2' at parameter 27: polynomial is not integer-valued at 3: 3/2"),
+        (Poly.const(2), Poly.var() / 2, "count of row 'R2' at parameter 27: polynomial is not integer-valued at 3: 3/2"),
+        # the count is read first: a negative count hides a fractional length
+        (Poly.var() / 2, Poly.var() - 4, "count of row 'R2' is -1 at parameter 27"),
+    ],
+    ids=["zero-length", "negative-length", "fractional-length", "fractional-count", "count-first"],
+)
+def test_instantiate_names_each_faulty_row_value(length, count, message):
+    with pytest.raises(TranscriptionError) as exc:
+        instantiate(_trivial_and_r2(length, count), 27)
+    assert str(exc.value) == message
+
+
+def test_instantiate_never_evaluates_the_length_of_a_zero_count_row():
+    # the length is 3/2 at m = 3, where the count is 0: the row is dropped, not rejected
+    t = Poly.var()
+    ct = instantiate(_trivial_and_r2(t / 2, t - 3), 27)
+    assert [row.label for row in ct.rows] == ["R1"]
+    with pytest.raises(TranscriptionError, match="length of row 'R2' at parameter 243"):
+        instantiate(_trivial_and_r2(t / 2, t - 3), 243)
 
 
 def test_instantiate_rejects_fractional_count_with_message():
@@ -253,7 +288,8 @@ def test_instantiate_rejects_fractional_orders(field, name):
     table = SuborbitTable(family, build_table(REE).rows)
     with pytest.raises(TranscriptionError) as exc:
         instantiate(table, 27)
-    assert str(exc.value).startswith(f"{name} at parameter 27: polynomial is not integer-valued at 3: ")
+    value = 2 * getattr(REE, field).eval_int(3) + 1
+    assert str(exc.value) == f"{name} at parameter 27: polynomial is not integer-valued at 3: {value}/2"
 
 
 def test_instantiate_requires_unique_trivial_row():
