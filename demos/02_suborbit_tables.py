@@ -4,8 +4,8 @@ Each family carries a parametrized table of suborbit lengths and counts. The
 demo instantiates both at small parameters and replays the checks that pin
 the transcription down: the mass identity (lengths times counts sum to the
 coset index), stabilizer divisibility, and the suborbit count formula. The
-concrete mass sums come from verify_tables, which the verify-tables command
-reports.
+concrete mass sums and suborbit totals come from verify_tables, which the
+verify-tables command reports.
 """
 from dtgcert import (
     REE,
@@ -13,7 +13,6 @@ from dtgcert import (
     build_table,
     dump,
     stabilizer_order,
-    suborbit_count,
     verify_mass_symbolic,
 )
 from dtgcert.pipeline import verify_tables
@@ -25,7 +24,7 @@ check = ree_checks[0]
 ct = check.table
 print(dump(ct), end="")
 print(f"mass identity: {check.mass_ok} (residual {check.mass_total - ct.index})")
-print(f"suborbits: {suborbit_count(ct)} (= q + 6)")
+print(f"suborbits: {check.suborbit_total} (= q + 6)")
 
 print()
 print("== ree table at q = 27 ==")
@@ -33,7 +32,7 @@ check = ree_checks[1]
 ct27 = check.table
 print(f"vertices: {ct27.index}")
 print(f"mass identity: {check.mass_ok}")
-print(f"suborbits: {suborbit_count(ct27)} (= q + 6)")
+print(f"suborbits: {check.suborbit_total} (= q + 6)")
 stabs = sorted({stabilizer_order(ct27, row) for row in ct27.nontrivial_rows})
 print(f"point-stabilizer orders: {stabs}")
 
@@ -43,7 +42,7 @@ check = verify_tables("subfield", [3]).checks[0]
 ct_sub = check.table
 print(f"vertices: {ct_sub.index}")
 print(f"mass identity: {check.mass_ok}")
-print(f"surviving rows: {len(ct_sub.rows)} carrying {suborbit_count(ct_sub)} suborbits")
+print(f"surviving rows: {len(ct_sub.rows)} carrying {check.suborbit_total} suborbits")
 lengths = tuple(length for length, _ in ct_sub.length_groups)
 print(f"distinct nontrivial lengths: {lengths}")
 

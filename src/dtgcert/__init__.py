@@ -19,7 +19,6 @@ from .tables import (
     dump,
     instantiate,
     stabilizer_order,
-    suborbit_count,
     verify_mass_symbolic,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "dump",
     "instantiate",
     "stabilizer_order",
-    "suborbit_count",
     "verify_mass_symbolic",
 ]

@@ -269,7 +269,8 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     q = ct.param
     fail = partial(_fail, GATE_KERNEL_CHAIN, narrative)
 
-    if not tables.proper_divisor_premise(ct):
+    *_, proper_divisors = tables.measure(ct)
+    if not proper_divisors:
         return fail("proper_divisor_premise")
 
     (minus_value, p_minus), (plus_value, p_plus) = kernel_prime_data(q)

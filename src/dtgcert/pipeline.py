@@ -83,20 +83,21 @@ class ParamCheck(NamedTuple):
 
     @property
     def mass_ok(self) -> bool:
-        return self.mass_total == self.table.index
+        return self.table is not None and self.mass_total == self.table.index
 
     @property
     def suborbit_expected(self) -> int:
+        """The family's suborbit total at this parameter; only a check with a table has one."""
         return self.table.family.suborbit_total(self.param)
 
     @property
     def suborbit_ok(self) -> bool:
-        return self.suborbit_total == self.suborbit_expected
+        return self.table is not None and self.suborbit_total == self.suborbit_expected
 
     @property
     def ok(self) -> bool:
         # the mass check fails first for almost every faulty table
-        return not self.error and self.mass_ok and self.lengths_divide and self.suborbit_ok
+        return self.mass_ok and self.lengths_divide and self.suborbit_ok
 
 
 class TableCheckReport(NamedTuple):
@@ -199,10 +200,8 @@ def verify_tables(
     """Mass, divisibility, integrality, and count checks per parameter.
 
     Each parameter's table is instantiated once, with its integrality
-    checks, and one pass over its rows measures the mass, the suborbit
-    total, whether every length divides |H| and the proper-divisor premise
-    (every nontrivial length divides |H| and is less than it), the values
-    tables.suborbit_count and tables.proper_divisor_premise give.
+    checks, and tables.measure takes its mass, suborbit total, whether every
+    length divides |H| and the proper-divisor premise in one pass.
 
     The optional table override exists for fault-injection tests; by default
     the canonical table of the named family is checked. An override from
@@ -223,19 +222,7 @@ def verify_tables(
         except ValueError as exc:
             checks.append(ParamCheck(param, error=str(exc)))
             continue
-        h_order = ct.h_order
-        mass_total = suborbit_total = 0
-        lengths_divide = proper_divisors = True
-        for _, _, length, count in ct.rows:
-            mass_total += length * count
-            suborbit_total += count
-            if h_order % length:
-                lengths_divide = proper_divisors = False
-            elif length >= h_order and length > 1:
-                # a nontrivial divisor not below |H|: equal to it, or any
-                # divisor at all of an |H| <= 0
-                proper_divisors = False
-        checks.append(ParamCheck(param, ct, "", mass_total, suborbit_total, lengths_divide, proper_divisors))
+        checks.append(ParamCheck(param, ct, "", *tables.measure(ct)))
     symbolic_ok = tables.verify_mass_symbolic(tab) if symbolic else None
     return TableCheckReport(case, tuple(checks), symbolic_ok)
 

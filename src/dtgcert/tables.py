@@ -30,15 +30,10 @@ class TranscriptionError(ValueError):
     """A table failed an exactness check that only a transcription bug causes."""
 
 
-class ZClassDescriptor(NamedTuple):
-    """Opaque class label plus the known order tag of the class element."""
-
-    label: str
-    z_order: str
-
-
 class SuborbitRow(NamedTuple):
-    z: ZClassDescriptor
+    """One row of a parametrized table; z is the pair (class label, order tag of z)."""
+
+    z: tuple[str, str]
     length: Poly
     count: Poly
 
@@ -88,7 +83,7 @@ class ConcreteTable(_ConcreteTableFields):
 
 
 def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
-    return SuborbitRow(ZClassDescriptor(label, z_order), length, count)
+    return SuborbitRow((label, z_order), length, count)
 
 
 def _subfield_rows() -> tuple[SuborbitRow, ...]:
@@ -251,19 +246,27 @@ def stabilizer_order(ct: ConcreteTable, row: ConcreteRow) -> int:
     return ct.h_order // row.length
 
 
-def suborbit_count(ct: ConcreteTable) -> int:
-    """Total number of suborbits, the trivial one included."""
-    return sum(r.count for r in ct.rows)
+def measure(ct: ConcreteTable) -> tuple[int, int, bool, bool]:
+    """The mass total, suborbit total, whether every length divides |H|, and the premise.
 
-
-def proper_divisor_premise(ct: ConcreteTable) -> bool:
-    """Whether every nontrivial length strictly divides |H|.
-
-    This is the premise of the kernel-chain argument. It holds for the ree
-    family from q = 27 on; at q = 3 one suborbit has length exactly |H|.
+    One pass over the rows measures all four. The proper-divisor premise,
+    of the kernel-chain argument, is that every nontrivial length divides
+    |H| and is less than it. It holds for the ree family from q = 27 on; at
+    q = 3 one suborbit has length exactly |H|.
     """
     h_order = ct.h_order
-    return all(h_order % r.length == 0 and r.length < h_order for r in ct.rows if r.length > 1)
+    mass_total = suborbit_total = 0
+    lengths_divide = proper_divisors = True
+    for _, _, length, count in ct.rows:
+        mass_total += length * count
+        suborbit_total += count
+        if h_order % length:
+            lengths_divide = proper_divisors = False
+        elif length >= h_order and length > 1:
+            # a nontrivial divisor not below |H|: equal to it, or any
+            # divisor at all of an |H| <= 0
+            proper_divisors = False
+    return mass_total, suborbit_total, lengths_divide, proper_divisors
 
 
 def dump(ct: ConcreteTable) -> str:

@@ -93,7 +93,7 @@ def test_criterion_6_order4_witnesses():
     print("criterion 6 (order-4 torus witnesses n=1..10): PASS")
 
 
-def test_criterion_7_end_to_end_cli():
+def test_criterion_7_end_to_end_cli(package_env):
     t0 = time.perf_counter()
     runs = {
         "subfield": ["analyze", "--case", "subfield", "--n", "1..3", "--x", "all"],
@@ -103,7 +103,7 @@ def test_criterion_7_end_to_end_cli():
     for case, args in runs.items():
         proc = subprocess.run(
             [sys.executable, "-m", "dtgcert", *args, "--format", "json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         reports[case] = json.loads(proc.stdout)

@@ -240,6 +240,8 @@ def test_accepted_forms_read_as_their_plain_spelling(argv, plain, capsys):
         (["analyze", "--case", "ree", "--n", "1", "2"], "unrecognized arguments: 2"),
         (["certify"], "argument command: invalid choice: 'certify' (choose from 'analyze', 'verify-tables')"),
         ([], "the following arguments are required: command"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["analyze", "--case", "ree", "--n", "0", "--x", "abc"], "invalid outer subgroup token: 'abc'"),
     ],
 )
 def test_rejected_forms(argv, error, capsys):

@@ -317,15 +317,12 @@ def test_kernel_chain_gate_candidate_shape_failure():
 
 def test_kernel_chain_gate_divisible_candidate_failure():
     real = _ree_table(27)
-    h = real.h_order
-    # give R2 a stabilizer divisible by 19: length h/19 keeps divisibility
-    rows = tuple(
-        ConcreteRow(r.label, r.z_order, h // 19, r.count) if r.label == "R2" else r
-        for r in real.rows
-    )
-    broken = ConcreteTable(REE, 27, real.index, h, rows)
-    v = kernel_chain_gate(broken)
-    assert v.witnesses["failed_step"] in ("first_sphere_candidates", "candidate_stabilizer_divisible")
+    # the lengths stay; scaling |H| by a certifying prime makes the first
+    # candidate's stabilizer divisible by it
+    for prime in (19, 37):
+        v = kernel_chain_gate(real._replace(h_order=prime * real.h_order))
+        assert v.outcome == INCONCLUSIVE
+        assert v.witnesses == {"failed_step": "candidate_stabilizer_divisible", "row": "R2", "prime": prime}
 
 
 def test_kernel_chain_gate_both_factors_failure():

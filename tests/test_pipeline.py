@@ -252,6 +252,12 @@ def test_param_checks_store_what_was_measured_and_derive_their_verdicts():
     assert (bad.mass_ok, bad.lengths_divide, bad.suborbit_ok, bad.ok) == (False, False, True, False)
 
 
+def test_a_check_that_holds_only_an_error_fails_each_verdict():
+    (check,) = verify_tables("ree", [9]).checks
+    assert check.table is None and check.error
+    assert (check.mass_ok, check.lengths_divide, check.suborbit_ok, check.ok) == (False, False, False, False)
+
+
 def test_verify_tables_of_no_parameter_is_an_error():
     # a check of nothing must not render "result: PASS"; the symbolic
     # identity alone is a check
@@ -421,8 +427,11 @@ def test_verify_tables_flags_agree_with_the_tables_definitions_on_hand_built_tab
     for table, flags in cases:
         (check,) = verify_tables("ree", [27], table=table).checks
         assert (check.lengths_divide, check.proper_divisors) == flags
-        assert check.proper_divisors == tables.proper_divisor_premise(check.table)
-        assert check.suborbit_total == tables.suborbit_count(check.table)
+        ct = check.table
+        assert check.proper_divisors == all(
+            ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows
+        )
+        assert check.suborbit_total == sum(r.count for r in ct.rows)
 
 
 def test_instantiate_evaluates_each_count_each_surviving_length_and_both_orders_once(monkeypatch):
@@ -443,7 +452,7 @@ def test_instantiate_evaluates_each_count_each_surviving_length_and_both_orders_
         expected = []
         for row in table.rows:
             expected.append(row.count)
-            if row.z.label in surviving:
+            if row.z[0] in surviving:
                 expected.append(row.length)
         expected += [family.index, family.h_order]
         assert [id(p) for p in evaluated] == [id(p) for p in expected]

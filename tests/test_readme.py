@@ -31,7 +31,6 @@ SUPPORTED_API = [
     "dump",
     "instantiate",
     "stabilizer_order",
-    "suborbit_count",
     "verify_mass_symbolic",
 ]
 

@@ -22,7 +22,6 @@ from dtgcert.tables import (
     ConcreteRow,
     SuborbitRow,
     SuborbitTable,
-    ZClassDescriptor,
     build_table,
     instantiate,
 )
@@ -36,7 +35,6 @@ def _ree_table():
 RECORDS = {
     "CaseFamily": (lambda: REE, "index"),
     "OuterOption": (lambda: OuterOption(2, False), "order"),
-    "ZClassDescriptor": (lambda: build_table(REE).rows[0].z, "label"),
     "SuborbitRow": (lambda: build_table(REE).rows[0], "count"),
     "SuborbitTable": (lambda: build_table(REE), "rows"),
     "ConcreteRow": (lambda: _ree_table().rows[0], "length"),
@@ -84,7 +82,7 @@ def test_records_are_tuples_of_their_fields():
     assert (length, count) == (row.length, row.count) == (7, 2)
     # positional construction, as the fault-injection mutants are built
     original = build_table(REE).rows[0]
-    rebuilt = SuborbitRow(ZClassDescriptor("R1", "one"), original.length, original.count)
+    rebuilt = SuborbitRow(("R1", "one"), original.length, original.count)
     assert rebuilt == original
     assert SuborbitTable(REE, (rebuilt,)).rows == (original,)
 

@@ -15,9 +15,8 @@ from dtgcert.tables import (
     build_table,
     dump,
     instantiate,
-    proper_divisor_premise,
+    measure,
     stabilizer_order,
-    suborbit_count,
     verify_mass_symbolic,
 )
 
@@ -113,7 +112,7 @@ def test_rows_pinned_in_normal_form(family):
     def form(poly):
         return poly._num, poly._den
 
-    got = {row.z.label: (form(row.length), form(row.count)) for row in build_table(family).rows}
+    got = {row.z[0]: (form(row.length), form(row.count)) for row in build_table(family).rows}
     want = {label: (form(length), form(count)) for label, (length, count) in _reference_rows(family).items()}
     assert list(got) == list(want)
     assert got == want
@@ -191,13 +190,23 @@ def test_ree_q27_counts():
     }
 
 
+def suborbit_count(ct):
+    """Total number of suborbits, the trivial one included, row by row."""
+    return sum(r.count for r in ct.rows)
+
+
+def proper_divisor_premise(ct):
+    """Every nontrivial length divides |H| and is less than it, row by row."""
+    return all(ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows)
+
+
 def test_suborbit_count():
     ree = build_table(REE)
-    assert suborbit_count(instantiate(ree, 3)) == 9
-    assert suborbit_count(instantiate(ree, 27)) == 33
     sub = build_table(SUBFIELD)
-    assert suborbit_count(instantiate(sub, 3)) == 21
-    assert suborbit_count(instantiate(sub, 9)) == 105
+    for table, param, expected in ((ree, 3, 9), (ree, 27, 33), (sub, 3, 21), (sub, 9, 105)):
+        ct = instantiate(table, param)
+        assert suborbit_count(ct) == expected
+        assert measure(ct)[1] == expected
 
 
 def test_subfield_r3_survivors():
@@ -338,24 +347,33 @@ def test_stabilizer_order_of_a_row_and_error():
 
 
 def test_proper_divisor_premise():
+    def premise(ct):
+        *_, proper_divisors = measure(ct)
+        assert proper_divisors == proper_divisor_premise(ct)
+        return proper_divisors
+
     ree = build_table(REE)
-    assert not proper_divisor_premise(instantiate(ree, 3))
-    assert proper_divisor_premise(instantiate(ree, 27))
-    assert proper_divisor_premise(instantiate(ree, 243))
+    assert not premise(instantiate(ree, 3))
+    assert premise(instantiate(ree, 27))
+    assert premise(instantiate(ree, 243))
     sub = build_table(SUBFIELD)
-    assert proper_divisor_premise(instantiate(sub, 3))
-    assert proper_divisor_premise(instantiate(sub, 9))
+    assert premise(instantiate(sub, 3))
+    assert premise(instantiate(sub, 9))
     # a nontrivial length that does not divide |H| also breaks the premise
     ct = instantiate(ree, 27)
     (row,) = [r for r in ct.rows if r.label == "R2"]
-    assert not proper_divisor_premise(ct._replace(rows=ct.rows + (row._replace(label="bad", length=row.length + 1),)))
-    # it is the definition over the nontrivial rows on every table of the sweeps
+    assert not premise(ct._replace(rows=ct.rows + (row._replace(label="bad", length=row.length + 1),)))
+    # measure gives the row-by-row definitions on every table of the sweeps
     for family, steps in ((REE, range(0, 13)), (SUBFIELD, range(1, 13))):
         table = build_table(family)
         for n in steps:
             ct = instantiate(table, family.param_for_n(n))
-            expected = all(ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows)
-            assert proper_divisor_premise(ct) == expected
+            assert measure(ct) == (
+                sum(r.length * r.count for r in ct.rows),
+                suborbit_count(ct),
+                all(ct.h_order % r.length == 0 for r in ct.rows),
+                proper_divisor_premise(ct),
+            )
 
 
 def test_dump_format():
