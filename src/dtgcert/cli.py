@@ -13,7 +13,8 @@ import sys
 from typing import NamedTuple, Optional, Sequence
 
 from . import pipeline, tables
-from .pipeline import VERSION
+from .groups import FAMILIES
+from .pipeline import FORMATS, VERSION
 
 #: Option kinds: one value, one or more values, one int, or a flag that takes none.
 VALUE, VALUES, INT, FLAG = "value", "values", "int", "flag"
@@ -109,8 +110,6 @@ def _run_verify_tables(args: dict) -> int:
     return 0 if report.ok else 2
 
 
-CASES = ("subfield", "ree")
-
 #: Command -> (summary, runner, option table). The tables are the only place
 #: options are declared: _parse() reads argv by them and _help_text() lists them.
 COMMANDS = {
@@ -118,11 +117,11 @@ COMMANDS = {
         "run a gate pipeline and emit certificates",
         _run_analyze,
         {
-            "--case": Option(VALUE, "coset family to sweep", choices=CASES, required=True),
+            "--case": Option(VALUE, "coset family to sweep", choices=tuple(FAMILIES), required=True),
             "--n": Option(VALUE, "step range, e.g. 1..3 or a single step like 2", required=True),
             "--x": Option(VALUES, "outer subgroup filter: 'all', or orders like '2' or '6,graph'", default=("all",)),
             "--strict": Option(FLAG, "conclude only from certificates that rely on no assumption"),
-            "--format": Option(VALUE, "report format", default="text", choices=("json", "text")),
+            "--format": Option(VALUE, "report format", default="text", choices=FORMATS),
             "--out": Option(VALUE, "write the report to this path instead of stdout"),
             "--max-n": Option(INT, "safety cap on the range end", default=12),
         },
@@ -131,7 +130,7 @@ COMMANDS = {
         "check table consistency at concrete parameters",
         _run_verify_tables,
         {
-            "--case": Option(VALUE, "coset family whose table is checked", choices=CASES, required=True),
+            "--case": Option(VALUE, "coset family whose table is checked", choices=tuple(FAMILIES), required=True),
             "--params": Option(
                 VALUE, "comma-separated parameter values (e.g. 3,27,243) or a step range like 0..3", required=True
             ),

@@ -101,7 +101,7 @@ def multiplicity_free_gate(ct: tables.ConcreteTable, x: OuterOption) -> GateVerd
     return GateVerdict(
         GATE_MULTIPLICITY_FREE,
         INCONCLUSIVE if graph else EXCLUDES,
-        {"q": ct.param * ct.param, "x_order": x.order, "contains_graph_auto": "true" if graph else "false"},
+        {"q": ct.family.q_value(ct.param), "x_order": x.order, "contains_graph_auto": "true" if graph else "false"},
         narrative,
         (ASSUMPTION_MULTIPLICITY_FREE, ASSUMPTION_OUTER_EVEN),
     )
@@ -133,7 +133,7 @@ def order4_witness(ct: tables.ConcreteTable) -> tuple[str, int, int]:
     if ct.family.kind != "subfield":
         raise ValueError("order-4 torus witnesses apply to the subfield family only")
     r = ct.param
-    q = r * r
+    q = ct.family.q_value(r)
     kappa = q**3 - 1
     theta_exp = q * q + q + 1
     gamma = cyclic_order(kappa, theta_exp * (r + 1))
@@ -201,29 +201,27 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
 def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     """Exact form of the diameter cutoff d < (8/3) log2(v) for the ree family.
 
-    q is the table's parameter and v its coset index. The fused table has at
-    least d0 = (q + 6) / |X| classes. With d0 = a/b in lowest terms the
-    cutoff fails exactly when 2**(3a) >= v**(8b), decided by exact integer
-    comparison. The sharper class-count bound from the same table is reported
-    as an extra witness but does not feed the verdict; at q = 3 it is
-    inconclusive for both X. An x_order below 1 raises ValueError.
+    v is the table's coset index and N its suborbit count, the trivial one
+    included, from CaseFamily.suborbit_total. The fused table has at least
+    d0 = N / |X| classes. With d0 = a/b in lowest terms the cutoff fails
+    exactly when 2**(3a) >= v**(8b), decided by exact integer comparison.
+    The sharper class-count bound from the same table is reported as an
+    extra witness but does not feed the verdict; at q = 3 it is inconclusive
+    for both X. An x_order below 1 raises ValueError.
     """
     if ct.family.kind != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
-    if x_order < 1:
-        raise ValueError("x_order must be >= 1")
-    narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
-    q = ct.param
-    v = ct.index
-    g = gcd(q + 6, x_order)
-    a, b = (q + 6) // g, x_order // g
-    comparison = exp_compare(2, 3 * a, v, 8 * b)
-
     refined = fusion.min_fused_classes(ct.length_groups, x_order)
+    narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
+    suborbits = ct.family.suborbit_total(ct.param)
+    v = ct.index
+    g = gcd(suborbits, x_order)
+    a, b = suborbits // g, x_order // g
+    comparison = exp_compare(2, 3 * a, v, 8 * b)
     refined_excludes = exp_compare(2, 3 * refined, v, 8) >= 0
 
     witnesses: dict[str, Witness] = {
-        "d0": f"{q + 6}/{x_order}",
+        "d0": f"{suborbits}/{x_order}",
         "d0_lowest_terms": f"{a}/{b}",
         "vertices": v,
         "exact_comparison": "2^(3a) >= v^(8b)" if comparison >= 0 else "2^(3a) < v^(8b)",

@@ -89,12 +89,13 @@ def _ree_family() -> CaseFamily:
 SUBFIELD = _subfield_family()
 REE = _ree_family()
 
-_FAMILIES = {SUBFIELD.kind: SUBFIELD, REE.kind: REE}
+#: Every family by its kind, in the order the command line offers them.
+FAMILIES = {SUBFIELD.kind: SUBFIELD, REE.kind: REE}
 
 
 def get_family(kind: str) -> CaseFamily:
     try:
-        return _FAMILIES[kind]
+        return FAMILIES[kind]
     except KeyError:
         raise ValueError(f"unknown case family: {kind!r}") from None
 

@@ -10,6 +10,7 @@ Run reports are written as JSON by a writer for their fixed schema, in
 exactly the bytes json.dumps(..., indent=2) would give for the same data, or
 as text.
 """
+import sys
 import time
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -24,6 +25,9 @@ except ImportError:
     from json.encoder import encode_basestring_ascii
 
 VERSION = "0.1.0"
+
+#: The formats emit writes; a table check report is written as text only.
+FORMATS = ("json", "text")
 
 NO_DTG = "no_dtg"
 UNDETERMINED = "undetermined"
@@ -157,8 +161,6 @@ def analyze(
     shares their verdicts.
     """
     family = get_family(case)
-    if n_min < family.min_n:
-        raise ValueError(f"{family.kind} analysis requires n >= {family.min_n}")
     if n_min > n_max:
         raise ValueError(f"empty step range {n_min}..{n_max}")
     table = tables.build_table(family)
@@ -373,15 +375,25 @@ def _table_report_text(report: TableCheckReport) -> str:
 
 
 def emit(report: Union[RunReport, TableCheckReport], format: str = "json") -> bytes:
-    """Deterministic serialization (modulo the generated_at timestamp)."""
-    if format not in ("json", "text"):
+    """Deterministic serialization (modulo the generated_at timestamp).
+
+    Integers of any size are written in full: the writers convert only
+    integers the package computed, so Python's cap on int-to-str digits is
+    lifted while they run and the caller's cap is restored afterwards.
+    """
+    if format not in FORMATS:
         raise ValueError(f"unknown format: {format!r}")
     if isinstance(report, RunReport):
-        if format == "json":
-            return _run_report_json(report).encode()
-        return _run_report_text(report).encode()
-    if isinstance(report, TableCheckReport):
+        write = _run_report_json if format == "json" else _run_report_text
+    elif isinstance(report, TableCheckReport):
         if format == "json":
             raise ValueError("table check reports are emitted as text only")
-        return _table_report_text(report).encode()
-    raise TypeError(f"cannot emit {type(report).__name__}")
+        write = _table_report_text
+    else:
+        raise TypeError(f"cannot emit {type(report).__name__}")
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write(report).encode()
+    finally:
+        sys.set_int_max_str_digits(cap)

@@ -9,13 +9,13 @@ import sys
 import time
 
 import dtgcert.gates as gates
-import dtgcert.pipeline as pipeline
 from dtgcert.cli import main as cli_main
-from dtgcert.exact import Poly, cyclic_order, factorize
+from dtgcert.exact import cyclic_order, factorize
 from dtgcert.gates import GateVerdict, bhk_gate, kernel_prime_data, order4_witness
 from dtgcert.groups import REE, SUBFIELD
-from dtgcert.tables import SuborbitRow, SuborbitTable, build_table, instantiate
+from dtgcert.tables import build_table, instantiate
 from dtgcert.pipeline import analyze, verify_tables
+from helpers import single_coefficient_mutants
 
 REE_PARAMS = (3, 27, 243, 2187)
 SUBFIELD_PARAMS = (3, 9, 27, 81)
@@ -135,25 +135,12 @@ def test_criterion_7_end_to_end_cli(package_env):
     print(f"criterion 7 (end-to-end CLI runs, {elapsed:.3f}s): PASS")
 
 
-def _mutations(table):
-    for i, row in enumerate(table.rows):
-        for attr in ("length", "count"):
-            poly = getattr(row, attr)
-            for k in range(poly.degree + 1):
-                coeffs = list(poly.coeffs)
-                coeffs[k] += 1
-                mutated = Poly(coeffs)
-                fields = {"length": row.length, "count": row.count, attr: mutated}
-                new_row = SuborbitRow(row.z, fields["length"], fields["count"])
-                yield SuborbitTable(table.family, table.rows[:i] + (new_row,) + table.rows[i + 1:])
-
-
 def test_criterion_8a_table_fault_injection():
     cases = {"ree": (REE, [3, 27]), "subfield": (SUBFIELD, [3, 9])}
     mutants = 0
     for case, (family, params) in cases.items():
         table = build_table(family)
-        for mutated in _mutations(table):
+        for mutated in single_coefficient_mutants(table, lambda: 1):
             report = verify_tables(case, params, symbolic=True, table=mutated)
             assert not report.ok, case
             mutants += 1
@@ -162,12 +149,14 @@ def test_criterion_8a_table_fault_injection():
     print(f"criterion 8a (single-coefficient fault injection, {mutants} mutants): PASS")
 
 
-def test_criterion_8b_weakened_gates(monkeypatch):
-    def weak(name):
-        def gate(*args, **kwargs):
-            return GateVerdict(name, gates.INCONCLUSIVE, {}, "weakened")
-        return gate
+def weak(name):
+    """A stand-in gate that is always inconclusive, with no witness."""
+    def gate(*args, **kwargs):
+        return GateVerdict(name, gates.INCONCLUSIVE, {}, "weakened")
+    return gate
 
+
+def test_criterion_8b_weakened_gates(monkeypatch):
     monkeypatch.setattr(gates, "bhk_gate", weak("bhk_diameter"))
     monkeypatch.setattr(gates, "kernel_chain_gate", weak("kernel_chain"))
     monkeypatch.setattr(gates, "bcn_small_case_gate", weak("bcn_small_case"))
@@ -189,11 +178,6 @@ def test_criterion_8b_weakened_gates(monkeypatch):
 def test_criterion_8c_single_weakening_is_never_spurious(monkeypatch):
     # disabling one gate may let another genuine argument conclude, but any
     # remaining exclusion must carry its own computed witnesses
-    def weak(name):
-        def gate(*args, **kwargs):
-            return GateVerdict(name, gates.INCONCLUSIVE, {}, "weakened")
-        return gate
-
     for target in ("bhk_gate", "kernel_chain_gate"):
         with monkeypatch.context() as patch:
             patch.setattr(gates, target, weak(target))

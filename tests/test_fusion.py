@@ -41,7 +41,7 @@ def test_fusion_constraint_validation():
         # the guard runs before any comparison, at q = 3 too, where the
         # chain runs the lookup instead of the cutoff
         for ct in (ree3, ree27):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^x_order must be >= 1$"):
                 bhk_gate(ct, bad)
         with pytest.raises(ValueError, match=r"^x_order must be >= 1$"):
             bcn_small_case_gate(ree3, bad)

@@ -12,7 +12,6 @@ below checks the ree table with R2's length raised by 1, so the report pins
 the lines of a failing check (an inadmissible parameter, a mass residual, a
 failed divisibility and symbolic check) that no canonical table reaches.
 """
-import re
 from pathlib import Path
 
 import pytest
@@ -20,14 +19,9 @@ import pytest
 from dtgcert import tables
 from dtgcert.cli import main
 from dtgcert.groups import REE
+from helpers import r2_length_plus_one, unstamped
 
 GOLDEN = Path(__file__).parent / "golden"
-
-#: The generated_at line of a report, by its format's file suffix.
-_GENERATED_AT = {
-    ".json": re.compile(rb'^  "generated_at": "[^"\n]*",\n', re.M),
-    ".txt": re.compile(rb"^generated_at: [^\n]*\n", re.M),
-}
 
 #: Golden file -> (analyze arguments, exit code).
 ANALYZE = {
@@ -46,9 +40,7 @@ def test_analyze_report_matches_golden(name, tmp_path):
     argv, code = ANALYZE[name]
     out = tmp_path / name
     assert main(["analyze", *argv, "--out", str(out)]) == code
-    produced, stamps = _GENERATED_AT[out.suffix].subn(b"", out.read_bytes())
-    assert stamps == 1
-    assert produced == (GOLDEN / name).read_bytes()
+    assert unstamped(out.read_bytes()) == (GOLDEN / name).read_bytes()
 
 
 def test_verify_tables_report_matches_golden(capsys):
@@ -64,10 +56,8 @@ def test_verify_tables_subfield_report_matches_golden(capsys):
 
 
 def test_verify_tables_failing_report_matches_golden(monkeypatch, capsys):
-    base = tables.build_table(REE)
-    row = base.rows[1]
-    rows = (base.rows[0], tables.SuborbitRow(row.z, row.length + 1, row.count)) + base.rows[2:]
-    monkeypatch.setattr(tables, "build_table", lambda family: tables.SuborbitTable(REE, rows))
+    mutant = r2_length_plus_one(tables.build_table(REE))
+    monkeypatch.setattr(tables, "build_table", lambda family: mutant)
     assert main(["verify-tables", "--case", "ree", "--params", "9,27", "--symbolic"]) == 2
     produced = capsys.readouterr().out.encode()
     assert produced == (GOLDEN / "verify_tables_ree_mutant.txt").read_bytes()

@@ -5,11 +5,11 @@ import sys
 import time
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import pytest
 
 import dtgcert.gates as gates
-import dtgcert.groups as groups
 import dtgcert.pipeline as pipeline
 import dtgcert.tables as tables
 from dtgcert.exact import Poly
@@ -37,6 +37,7 @@ from dtgcert.pipeline import (
     gate_text,
     verify_tables,
 )
+from helpers import measured_row_by_row, r2_length_plus_one, replace_row, single_coefficient_mutants, unstamped
 
 
 def _v(outcome, name="g", assumptions=()):
@@ -78,15 +79,6 @@ def run_report_jsonable(report):
         "summary": report.summary,
         "certificates": [certificate_jsonable(c) for c in report.certificates],
     }
-
-
-_GENERATED_AT = re.compile(rb'^  "generated_at": "[^"\n]*",\n', re.M)
-
-
-def _unstamped(blob):
-    blob, stamps = _GENERATED_AT.subn(b"", blob)
-    assert stamps == 1
-    return blob
 
 
 def test_conclude():
@@ -197,16 +189,15 @@ def test_analyze_strict_mode():
 
 
 def test_analyze_range_validation():
-    with pytest.raises(ValueError):
-        analyze("subfield", 0, 2)
-    with pytest.raises(ValueError):
-        analyze("ree", -1, 2)
-    with pytest.raises(ValueError):
-        analyze("ree", 5, 2)
-    with pytest.raises(ValueError):
-        analyze("subfield", 3, 2)
-    with pytest.raises(ValueError):
-        analyze("nonesuch", 1, 2)
+    for args, message in (
+        (("subfield", 0, 2), "subfield family requires n >= 1"),
+        (("ree", -1, 2), "ree family requires n >= 0"),
+        (("ree", 5, 2), "empty step range 5..2"),
+        (("subfield", 3, 2), "empty step range 3..2"),
+        (("nonesuch", 1, 2), "unknown case family: 'nonesuch'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analyze(*args)
 
 
 def test_subfield_assumptions_present():
@@ -240,7 +231,7 @@ def test_param_checks_store_what_was_measured_and_derive_their_verdicts():
         "param", "table", "error", "mass_total", "suborbit_total", "lengths_divide", "proper_divisors"
     )
     base = tables.build_table(REE)
-    mutant = _replace_row(base, 1, "length", base.rows[1].length + 1)
+    mutant = r2_length_plus_one(base)
     error, good = verify_tables("ree", [9, 27]).checks
     bad = verify_tables("ree", [27], table=mutant).checks[0]
     assert (error.table, error.ok) == (None, False)
@@ -291,10 +282,7 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_verify_tables_detects_broken_override(monkeypatch):
-    base = tables.build_table(REE)
-    row = base.rows[1]
-    rows = (base.rows[0], tables.SuborbitRow(row.z, row.length + 1, row.count)) + base.rows[2:]
-    mutant = tables.SuborbitTable(REE, rows)
+    mutant = r2_length_plus_one(tables.build_table(REE))
     # the mutant is checked as given: no table keyed by its family stands in
     calls = _count_calls(monkeypatch, tables, ("build_table", "instantiate"))
     report = verify_tables("ree", [3, 27], symbolic=True, table=mutant)
@@ -306,10 +294,7 @@ def test_verify_tables_detects_broken_override(monkeypatch):
 def test_analyze_checks_the_symbolic_mass_identity_before_any_certificate(monkeypatch, capsys):
     from dtgcert import cli
 
-    base = tables.build_table(REE)
-    row = base.rows[1]
-    rows = (base.rows[0], tables.SuborbitRow(row.z, row.length + 1, row.count)) + base.rows[2:]
-    mutant = tables.SuborbitTable(REE, rows)
+    mutant = r2_length_plus_one(tables.build_table(REE))
     # R2's length + 1 stays integral, so instantiate alone accepts the mutant
     for n in range(3):
         tables.instantiate(mutant, REE.param_for_n(n))
@@ -326,13 +311,6 @@ def test_analyze_checks_the_symbolic_mass_identity_before_any_certificate(monkey
 FAULT_PARAMS = {"ree": (27, 243), "subfield": (9, 27)}
 
 
-def _replace_row(table, i, attr, poly):
-    row = table.rows[i]
-    fields = {"length": row.length, "count": row.count, attr: poly}
-    new_row = tables.SuborbitRow(row.z, fields["length"], fields["count"])
-    return tables.SuborbitTable(table.family, table.rows[:i] + (new_row,) + table.rows[i + 1 :])
-
-
 def _degree_and_denominator_mutants(table, rng):
     """Mutants the benchmark's single-coefficient faults leave out.
 
@@ -347,8 +325,8 @@ def _degree_and_denominator_mutants(table, rng):
         for attr in ("length", "count"):
             poly = getattr(row, attr)
             for degree in (poly.degree + 1, beyond):
-                yield _replace_row(table, i, attr, poly + rng.choice((-3, -2, -1, 1, 2, 3)) * t**degree)
-        yield _replace_row(table, i, "count", row.count / 2)
+                yield replace_row(table, i, attr, poly + rng.choice((-3, -2, -1, 1, 2, 3)) * t**degree)
+        yield replace_row(table, i, "count", row.count / 2)
 
 
 @pytest.mark.parametrize("case", sorted(FAULT_PARAMS))
@@ -366,37 +344,19 @@ def test_verify_tables_rejects_degree_and_denominator_mutants(case):
     assert verify_tables(case, FAULT_PARAMS[case], symbolic=True).ok
 
 
-def _single_coefficient_mutants(table, rng):
-    """Every mutant that moves one stored coefficient of one row polynomial by a nonzero offset."""
-    for i, row in enumerate(table.rows):
-        for attr in ("length", "count"):
-            poly = getattr(row, attr)
-            for k in range(poly.degree + 1):
-                coeffs = list(poly.coeffs)
-                coeffs[k] += rng.choice((-3, -2, -1, 1, 2, 3))
-                yield _replace_row(table, i, attr, Poly(coeffs))
-
-
 def test_verify_tables_measures_what_the_row_by_row_definitions_give():
-    # reference values: each check's plain definition, one pass per check
-    # over the instantiated rows
     params = {"ree": (3, 27, 243), "subfield": (9, 27)}
     rng = random.Random(20)
+    offset = partial(rng.choice, (-3, -2, -1, 1, 2, 3))
     flags = set()
     proper_only_fails = set()
     for case, family in (("ree", REE), ("subfield", SUBFIELD)):
         table = tables.build_table(family)
-        for tab in [table, *_single_coefficient_mutants(table, rng)]:
+        for tab in [table, *single_coefficient_mutants(table, offset)]:
             for check in verify_tables(case, params[case], table=tab).checks:
                 if check.table is None:
                     continue
-                ct = check.table
-                assert check.mass_total == sum(row.length * row.count for row in ct.rows)
-                assert check.suborbit_total == sum(r.count for r in ct.rows)
-                assert check.lengths_divide == all(ct.h_order % row.length == 0 for row in ct.rows)
-                assert check.proper_divisors == all(
-                    ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows
-                )
+                assert check[3:] == measured_row_by_row(check.table)
                 flags.add((check.lengths_divide, check.proper_divisors))
                 if (check.lengths_divide, check.proper_divisors) == (True, False):
                     proper_only_fails.add((case, check.param))
@@ -427,11 +387,7 @@ def test_verify_tables_flags_agree_with_the_tables_definitions_on_hand_built_tab
     for table, flags in cases:
         (check,) = verify_tables("ree", [27], table=table).checks
         assert (check.lengths_divide, check.proper_divisors) == flags
-        ct = check.table
-        assert check.proper_divisors == all(
-            ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows
-        )
-        assert check.suborbit_total == sum(r.count for r in ct.rows)
+        assert check[3:] == measured_row_by_row(check.table)
 
 
 def test_instantiate_evaluates_each_count_each_surviving_length_and_both_orders_once(monkeypatch):
@@ -629,7 +585,7 @@ def _hand_built_report():
 def test_emit_json_matches_json_dumps(make):
     report = make()
     expected = (json.dumps(run_report_jsonable(report), indent=2) + "\n").encode()
-    assert _unstamped(emit(report, "json")) == _unstamped(expected)
+    assert unstamped(emit(report, "json")) == unstamped(expected)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="_json is CPython's accelerator module")
@@ -656,8 +612,7 @@ def test_emit_json_roundtrip_and_determinism(monkeypatch):
     assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", data["generated_at"])
     stamp = datetime.strptime(data["generated_at"], "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
     assert before - timedelta(seconds=2) <= stamp <= after + timedelta(seconds=2)
-    strip = lambda blob: [l for l in blob.decode().splitlines() if "generated_at" not in l]
-    assert strip(blob1) == strip(blob2)
+    assert unstamped(blob1) == unstamped(blob2)
 
 
 def test_emit_text_gate_lines():

@@ -19,6 +19,7 @@ from dtgcert.tables import (
     stabilizer_order,
     verify_mass_symbolic,
 )
+from helpers import measured_row_by_row, replace_row
 
 # oracle-frozen coset indices, also recomputed from the order formulas below
 SUBFIELD_MASS = {
@@ -47,10 +48,8 @@ def test_symbolic_mass_identity():
 
 def test_symbolic_mass_detects_mutation():
     table = build_table(REE)
-    row = table.rows[5]
-    bumped = Poly(tuple(row.length.coeffs) + (1,))
-    rows = table.rows[:5] + (SuborbitRow(row.z, bumped, row.count),) + table.rows[6:]
-    assert not verify_mass_symbolic(SuborbitTable(REE, rows))
+    bumped = Poly(tuple(table.rows[5].length.coeffs) + (1,))
+    assert not verify_mass_symbolic(replace_row(table, 5, "length", bumped))
 
 
 def _reference_rows(family):
@@ -190,22 +189,12 @@ def test_ree_q27_counts():
     }
 
 
-def suborbit_count(ct):
-    """Total number of suborbits, the trivial one included, row by row."""
-    return sum(r.count for r in ct.rows)
-
-
-def proper_divisor_premise(ct):
-    """Every nontrivial length divides |H| and is less than it, row by row."""
-    return all(ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows)
-
-
 def test_suborbit_count():
     ree = build_table(REE)
     sub = build_table(SUBFIELD)
     for table, param, expected in ((ree, 3, 9), (ree, 27, 33), (sub, 3, 21), (sub, 9, 105)):
         ct = instantiate(table, param)
-        assert suborbit_count(ct) == expected
+        assert measured_row_by_row(ct)[1] == expected
         assert measure(ct)[1] == expected
 
 
@@ -283,10 +272,8 @@ def test_instantiate_never_evaluates_the_length_of_a_zero_count_row():
 
 def test_instantiate_rejects_fractional_count_with_message():
     base = build_table(REE)
-    row = base.rows[10]
-    rows = base.rows[:10] + (SuborbitRow(row.z, row.length, row.count / 2),) + base.rows[11:]
     with pytest.raises(TranscriptionError) as exc:
-        instantiate(SuborbitTable(REE, rows), 27)
+        instantiate(replace_row(base, 10, "count", base.rows[10].count / 2), 27)
     assert str(exc.value) == "count of row 'R11' at parameter 27: polynomial is not integer-valued at 3: 3/2"
 
 
@@ -349,7 +336,7 @@ def test_stabilizer_order_of_a_row_and_error():
 def test_proper_divisor_premise():
     def premise(ct):
         *_, proper_divisors = measure(ct)
-        assert proper_divisors == proper_divisor_premise(ct)
+        assert proper_divisors == measured_row_by_row(ct)[3]
         return proper_divisors
 
     ree = build_table(REE)
@@ -368,12 +355,7 @@ def test_proper_divisor_premise():
         table = build_table(family)
         for n in steps:
             ct = instantiate(table, family.param_for_n(n))
-            assert measure(ct) == (
-                sum(r.length * r.count for r in ct.rows),
-                suborbit_count(ct),
-                all(ct.h_order % r.length == 0 for r in ct.rows),
-                proper_divisor_premise(ct),
-            )
+            assert measure(ct) == measured_row_by_row(ct)
 
 
 def test_dump_format():
