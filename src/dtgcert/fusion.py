@@ -19,7 +19,10 @@ def min_fused_classes(groups: tuple[tuple[int, int], ...], x_order: int) -> int:
     """
     if x_order < 1:
         raise ValueError("x_order must be >= 1")
-    return sum(-(-mult // x_order) for _, mult in groups)
+    total = 0
+    for _, mult in groups:
+        total -= -mult // x_order
+    return total
 
 
 def excludes_diameter_two(ct: ConcreteTable) -> bool:

@@ -54,6 +54,9 @@ DEFAULT_STRIP = frozenset({2, 3, 5, 7})
 
 Witness = Union[int, str]
 
+#: What the namedtuple's own __new__ calls; GateVerdict.__new__ calls it directly.
+_tuple_new = tuple.__new__
+
 
 class _GateVerdictFields(NamedTuple):
     gate_name: str
@@ -80,7 +83,7 @@ class GateVerdict(_GateVerdictFields):
             witnesses = {}
         if outcome == EXCLUDES and not witnesses:
             raise ValueError("an excluding verdict requires witnesses")
-        return super().__new__(cls, gate_name, outcome, witnesses, narrative, assumptions)
+        return _tuple_new(cls, (gate_name, outcome, witnesses, narrative, assumptions))
 
 
 def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict:
@@ -207,7 +210,9 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     exactly when 2**(3a) >= v**(8b), decided by exact integer comparison.
     The sharper class-count bound from the same table is reported as an
     extra witness but does not feed the verdict; at q = 3 it is inconclusive
-    for both X. An x_order below 1 raises ValueError.
+    for both X. An x_order below 1 raises ValueError. d0 is written as text,
+    so past Python's int-to-str digit cap (q of more than 4300 digits) the
+    gate needs the cap lifted, as pipeline.analyze does for its sweep.
     """
     if ct.family.kind != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
@@ -215,14 +220,19 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
     suborbits = ct.family.suborbit_total(ct.param)
     v = ct.index
+    d0 = f"{suborbits}/{x_order}"
     g = gcd(suborbits, x_order)
-    a, b = suborbits // g, x_order // g
+    if g == 1:
+        a, b, lowest = suborbits, x_order, d0
+    else:
+        a, b = suborbits // g, x_order // g
+        lowest = f"{a}/{b}"
     comparison = exp_compare(2, 3 * a, v, 8 * b)
     refined_excludes = exp_compare(2, 3 * refined, v, 8) >= 0
 
     witnesses: dict[str, Witness] = {
-        "d0": f"{suborbits}/{x_order}",
-        "d0_lowest_terms": f"{a}/{b}",
+        "d0": d0,
+        "d0_lowest_terms": lowest,
         "vertices": v,
         "exact_comparison": "2^(3a) >= v^(8b)" if comparison >= 0 else "2^(3a) < v^(8b)",
         "refined_min_classes": refined,

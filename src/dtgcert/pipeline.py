@@ -53,7 +53,11 @@ class Certificate(NamedTuple):
     @property
     def assumptions(self) -> tuple[str, ...]:
         """The union of the assumptions its gates report, in gate order."""
-        return tuple(dict.fromkeys(a for verdict in self.gates for a in verdict.assumptions))
+        seen = {}
+        for verdict in self.gates:
+            for assumption in verdict.assumptions:
+                seen[assumption] = None
+        return tuple(seen)
 
 
 class RunReport(NamedTuple):
@@ -123,10 +127,13 @@ def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str
     its outcome, the case stays undetermined, and a terminal
     externally-assumed gate settles nothing.
     """
-    if strict and any(v.assumptions for v in verdicts):
-        return UNDETERMINED
-    if any(v.outcome == gates.EXCLUDES for v in verdicts):
-        return NO_DTG
+    if strict:
+        for v in verdicts:
+            if v.assumptions:
+                return UNDETERMINED
+    for v in verdicts:
+        if v.outcome == gates.EXCLUDES:
+            return NO_DTG
     if verdicts and verdicts[-1].outcome == gates.ASSUMED_EXTERNAL and not strict:
         return NO_DTG
     return UNDETERMINED
@@ -159,6 +166,11 @@ def analyze(
     The step gates read the table alone, not X. So they run lazily, once
     per n, the first time an X is inconclusive, and every later X of that n
     shares their verdicts.
+
+    Witnesses hold integers of any size written as text, such as bhk_gate's
+    d0, so like emit the sweep runs with Python's int-to-str digit cap
+    lifted, once for the whole sweep, and the caller's cap restored
+    afterwards.
     """
     family = get_family(case)
     if n_min > n_max:
@@ -166,9 +178,19 @@ def analyze(
     table = tables.build_table(family)
     if not tables.verify_mass_symbolic(table):
         raise tables.TranscriptionError(f"symbolic mass identity failed for the {family.kind} table")
-    subfield = family.kind == "subfield"
+    steps = range(n_min, n_max + 1)
+    certificates = _without_digit_cap(_certificates, family, table, steps, x_filter, strict)
+    return RunReport(VERSION, case, n_min, n_max, strict, certificates)
+
+
+def _certificates(
+    family: CaseFamily, table: tables.SuborbitTable, steps: range, x_filter: XFilter, strict: bool
+) -> tuple[Certificate, ...]:
+    """analyze's sweep: the certificates of every step and selected X, in order."""
+    case = family.kind
+    subfield = case == "subfield"
     certificates = []
-    for n in range(n_min, n_max + 1):
+    for n in steps:
         param = family.param_for_n(n)
         q = family.q_value(param)
         ct = tables.instantiate(table, param)
@@ -190,7 +212,7 @@ def analyze(
             certificates.append(
                 Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
             )
-    return RunReport(VERSION, case, n_min, n_max, strict, tuple(certificates))
+    return tuple(certificates)
 
 
 def verify_tables(
@@ -270,10 +292,13 @@ def _run_report_json(report: RunReport) -> str:
     The schema is fixed, so its lines are written directly and joined once:
     strings through the encoder json.dumps uses, integers with str, and
     every list or object with one entry per line, or as [] / {} when empty.
-    Witnesses are written as strings. The same gate names, narratives and
-    table integers recur across a sweep, so their literals are memoized;
-    witnesses of other types, bool among them, bypass the memo because they
-    can compare equal to an int.
+    Witnesses are written as strings. Names, witness keys and integer
+    literals recur across a sweep (gate names, narratives, conclusions,
+    assumptions, each step's q, table integers such as vertices), so their
+    literals are memoized. str witnesses are mostly unique per X (d0,
+    d0_lowest_terms), so they go straight to the encoder; witnesses of
+    other types, bool among them, bypass the memo too, because they can
+    compare equal to an int.
     """
     enc = encode_basestring_ascii
     codes = _JsonStrings()
@@ -300,8 +325,8 @@ def _run_report_json(report: RunReport) -> str:
         for cert in report.certificates:
             append(
                 f'    {{\n      "case": {codes[cert.case]},\n      "n": {cert.n},\n'
-                f'      "q": {enc(str(cert.q))},\n      "x_order": {cert.x_order},\n'
-                f'      "x_graph": {_bool_text(cert.x_graph)},'
+                f'      "q": {codes[cert.q]},\n      "x_order": {cert.x_order},\n'
+                f'      "x_graph": {"true" if cert.x_graph else "false"},'
             )
             if not cert.gates:
                 append('      "gates": [],')
@@ -317,7 +342,7 @@ def _run_report_json(report: RunReport) -> str:
                     else:
                         append('          "witnesses": {')
                         append(",\n".join([
-                            f"            {codes[k]}: {codes[v] if type(v) in (int, str) else enc(str(v))}"
+                            f"            {codes[k]}: {enc(v) if type(v) is str else codes[v] if type(v) is int else enc(str(v))}"
                             for k, v in verdict.witnesses.items()
                         ]))
                         append("          },")
@@ -374,12 +399,25 @@ def _table_report_text(report: TableCheckReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _without_digit_cap(fn, *args):
+    """fn(*args) with Python's int-to-str digit cap lifted; the caller's cap is restored afterwards.
+
+    The only place the package touches the cap. analyze and emit convert
+    only integers the package computed, so they write them in full.
+    """
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def emit(report: Union[RunReport, TableCheckReport], format: str = "json") -> bytes:
     """Deterministic serialization (modulo the generated_at timestamp).
 
-    Integers of any size are written in full: the writers convert only
-    integers the package computed, so Python's cap on int-to-str digits is
-    lifted while they run and the caller's cap is restored afterwards.
+    Integers of any size are written in full: the writers run through
+    _without_digit_cap, as analyze's sweep does.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format: {format!r}")
@@ -391,9 +429,4 @@ def emit(report: Union[RunReport, TableCheckReport], format: str = "json") -> by
         write = _table_report_text
     else:
         raise TypeError(f"cannot emit {type(report).__name__}")
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return write(report).encode()
-    finally:
-        sys.set_int_max_str_digits(cap)
+    return _without_digit_cap(write, report).encode()

@@ -89,6 +89,21 @@ def test_reports_print_integers_past_the_int_str_digit_cap(capsysbinary):
     assert sys.get_int_max_str_digits() == cap
 
 
+def test_analyze_runs_gates_past_the_int_str_digit_cap(capsys):
+    # from n = 4506 on, q itself has more than 4300 digits, and bhk_gate
+    # writes it into its d0 witness while analyze runs, before emit; the
+    # run starts from Python's default cap and must leave it in place
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["analyze", "--case", "ree", "--n", "4506", "--max-n", "4506", "--x", "1", "--format", "json"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    (cert,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert (cert["conclusion"], len(cert["q"])) == ("no_dtg", 4301)
+
+
 def test_analyze_single_step_and_filter(capsys):
     assert main(["analyze", "--case", "ree", "--n", "0", "--x", "2,graph"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import dtgcert.gates as gates
@@ -203,6 +205,25 @@ def test_bhk_gate_witnesses_n1():
     assert v.witnesses["vertices"] == 10847222568
     assert v.witnesses["exact_comparison"] == "2^(3a) < v^(8b)"
     assert v.witnesses["refined_min_classes"] == 10
+
+
+def test_bhk_witnesses_of_ree_sweep_match_values_computed_here():
+    # n = 0 is the q = 3 lookup, which runs no cutoff gate
+    reduced = unreduced = 0
+    for cert in analyze("ree", 1, 100).certificates:
+        (verdict,) = [v for v in cert.gates if v.gate_name == GATE_BHK]
+        q, x = cert.q, cert.x_order
+        d0 = Fraction(q + 6, x)
+        assert verdict.witnesses["d0"] == f"{q + 6}/{x}"
+        # lowest terms keep a denominator of 1
+        assert verdict.witnesses["d0_lowest_terms"] == f"{d0.numerator}/{d0.denominator}"
+        assert verdict.witnesses["vertices"] == q**3 * (q**3 - 1) * (q + 1)
+        if d0.denominator == x:
+            unreduced += 1
+        else:
+            reduced += 1
+    # both branches of the gate's formatting are reached
+    assert (reduced, unreduced) == (206, 482)
 
 
 def test_bhk_gate_small_x_excludes_earlier():

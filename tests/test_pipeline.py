@@ -547,23 +547,33 @@ def test_certificate_json_schema():
 
 
 def _hand_built_report():
+    # int witnesses are memoized and str witnesses are not, so the report
+    # holds the pairs that policy splits: 5 and "5" in one verdict, a str
+    # repeated across certificates, an int equal to its certificate's q,
+    # and True (== 1) before 1
     excluding = GateVerdict(
         "quoting",
         EXCLUDES,
         {
             "flag": True,
+            "one": 1,
             "big": 3**201,
             "text": 'say "no" \\ back\nslash caf\u00e9 \u2713',
             'key "with" \\ \u00e9': "v",
+            "five": 5,
+            "five_text": "5",
+            "q_again": 27,
+            "shared": "11/2",
         },
         'anchor "quoted"\t\u00e9',
         ("ass\u00fcmption \"one\"", "second"),
     )
     quiet = GateVerdict("quiet", INCONCLUSIVE, {}, "")
+    repeated = GateVerdict("repeated", INCONCLUSIVE, {"shared": "11/2", "five_text": "5", "q": 3}, "")
     certificates = (
         Certificate("ree", 1, 27, 2, True, (quiet, excluding), NO_DTG),
         Certificate("subfield", 2, 81, 8, False, (), UNDETERMINED),
-        Certificate("ree", 0, 3, 1, False, (quiet,), UNDETERMINED),
+        Certificate("ree", 0, 3, 1, False, (quiet, repeated), UNDETERMINED),
     )
     return RunReport(VERSION, "ree", 0, 2, True, certificates)
 

@@ -198,6 +198,23 @@ def test_suborbit_count():
         assert measure(ct)[1] == expected
 
 
+@pytest.mark.parametrize(
+    "family, total, param_of",
+    [(SUBFIELD, Poly([6, 2, 1]), lambda r: r), (REE, Poly([6, 0, 3]), lambda m: 3 * m * m)],
+    ids=["subfield", "ree"],
+)
+def test_suborbit_total_is_the_sum_of_the_count_polynomials(family, total, param_of):
+    # r*r + 2r + 6 in r (subfield) and 3m*m + 6 in m (ree), at every parameter
+    counted = Poly()
+    for row in build_table(family).rows:
+        counted = counted + row.count
+    assert counted == total
+    # suborbit_total(param) is of degree <= 2 in the table variable, as is
+    # the sum, so agreeing at three points makes them the same polynomial
+    for t in (1, 2, 3):
+        assert family.suborbit_total(param_of(t)) == total.eval_int(t)
+
+
 def test_subfield_r3_survivors():
     ct = instantiate(build_table(SUBFIELD), 3)
     assert len(ct.rows) == 20
