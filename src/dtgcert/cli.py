@@ -32,10 +32,6 @@ class Option(NamedTuple):
     required: bool = False
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -44,7 +40,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         single = int(text)
         return single, single
     except ValueError:
-        raise _UsageError(f"invalid range: {text!r}") from None
+        raise ValueError(f"invalid range: {text!r}") from None
 
 
 def _parse_x(tokens: Sequence[str]) -> pipeline.XFilter:
@@ -53,18 +49,18 @@ def _parse_x(tokens: Sequence[str]) -> pipeline.XFilter:
     chosen = []
     for token in tokens:
         if token == "all":
-            raise _UsageError("'all' cannot be combined with explicit orders")
+            raise ValueError("'all' cannot be combined with explicit orders")
         parts = token.split(",")
         try:
             order = int(parts[0])
         except ValueError:
-            raise _UsageError(f"invalid outer subgroup token: {token!r}") from None
+            raise ValueError(f"invalid outer subgroup token: {token!r}") from None
         if len(parts) == 1:
             chosen.append((order, False))
         elif len(parts) == 2 and parts[1] == "graph":
             chosen.append((order, True))
         else:
-            raise _UsageError(f"invalid outer subgroup token: {token!r}")
+            raise ValueError(f"invalid outer subgroup token: {token!r}")
     return chosen
 
 
@@ -73,12 +69,12 @@ def _parse_params(case: str, text: str) -> list[int]:
     if ".." in text:
         lo, hi = _parse_range(text)
         if lo > hi:
-            raise _UsageError(f"empty step range {lo}..{hi}")
+            raise ValueError(f"empty step range {lo}..{hi}")
         return [family.param_for_n(n) for n in range(lo, hi + 1)]
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise _UsageError(f"invalid parameter list: {text!r}") from None
+        raise ValueError(f"invalid parameter list: {text!r}") from None
 
 
 def _write(payload: bytes, out: Optional[str]) -> None:
@@ -94,11 +90,11 @@ def _write(payload: bytes, out: Optional[str]) -> None:
 def _run_analyze(args: dict) -> int:
     n_min, n_max = _parse_range(args["--n"])
     if n_max > args["--max-n"]:
-        raise _UsageError(f"range end {n_max} exceeds the cap {args['--max-n']}; raise it with --max-n")
+        raise ValueError(f"range end {n_max} exceeds the cap {args['--max-n']}; raise it with --max-n")
     x_filter = _parse_x(args["--x"])
     report = pipeline.analyze(args["--case"], n_min, n_max, x_filter=x_filter, strict=args["--strict"])
     if not report.certificates:
-        raise _UsageError(f"--x {' '.join(args['--x'])} selects no outer subgroup for n in {n_min}..{n_max}")
+        raise ValueError(f"--x {' '.join(args['--x'])} selects no outer subgroup for n in {n_min}..{n_max}")
     _write(pipeline.emit(report, args["--format"]), args["--out"])
     return 0 if all(c.conclusion == pipeline.NO_DTG for c in report.certificates) else 2
 
@@ -187,10 +183,10 @@ def _parse(argv: Sequence[str]) -> tuple[str, dict]:
     """(command, option -> value) from argv, read by the command's option table.
 
     -h/--help and --version print to stdout and raise SystemExit(0); any
-    other mistake raises _UsageError with the message main() prints.
+    other mistake raises ValueError with the message main() prints.
     """
     if not argv:
-        raise _UsageError("the following arguments are required: command")
+        raise ValueError("the following arguments are required: command")
     command = argv[0]
     if command in _HELP:
         _exit_with(_help_text())
@@ -198,9 +194,9 @@ def _parse(argv: Sequence[str]) -> tuple[str, dict]:
         _exit_with(f"dtgcert {VERSION}\n")
     if command not in COMMANDS:
         if _is_option(command):
-            raise _UsageError(f"unrecognized arguments: {command}")
+            raise ValueError(f"unrecognized arguments: {command}")
         choices = ", ".join(map(repr, COMMANDS))
-        raise _UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {choices})")
     table = COMMANDS[command][2]
     args = {name: False if opt.kind == FLAG else opt.default for name, opt in table.items()}
     tokens = argv[1:]
@@ -213,10 +209,10 @@ def _parse(argv: Sequence[str]) -> tuple[str, dict]:
         name, eq, inline = token.partition("=")
         opt = table.get(name)
         if opt is None:
-            raise _UsageError(f"unrecognized arguments: {token}")
+            raise ValueError(f"unrecognized arguments: {token}")
         if opt.kind == FLAG:
             if eq:
-                raise _UsageError(f"argument {name}: ignored explicit argument {inline!r}")
+                raise ValueError(f"argument {name}: ignored explicit argument {inline!r}")
             args[name] = True
             continue
         if eq:
@@ -229,20 +225,20 @@ def _parse(argv: Sequence[str]) -> tuple[str, dict]:
             given = tokens[start:i]
         if not given:
             expected = "at least one argument" if opt.kind == VALUES else "one argument"
-            raise _UsageError(f"argument {name}: expected {expected}")
+            raise ValueError(f"argument {name}: expected {expected}")
         value = tuple(given) if opt.kind == VALUES else given[0]
         if opt.kind == INT:
             try:
                 value = int(value)
             except ValueError:
-                raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
+                raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
         if opt.choices and value not in opt.choices:
             choices = ", ".join(map(repr, opt.choices))
-            raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+            raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
         args[name] = value
     missing = [name for name, opt in table.items() if opt.required and args[name] is None]
     if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     return command, args
 
 
@@ -250,9 +246,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command, args = _parse(sys.argv[1:] if argv is None else argv)
         return COMMANDS[command][1](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except tables.TranscriptionError as exc:
         print(f"transcription error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Order formulas and structural data for the two coset-action families.
+"""Order formulas, suborbit tables and structural data for the two coset-action families.
 
 Two families are covered, named by the vertex stabilizer inside G2(q):
 
@@ -16,18 +16,21 @@ from math import isqrt
 from typing import NamedTuple
 
 from .exact import Poly, is_power_of
+from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_TWO, Z_UNKNOWN, SuborbitRow
 
 
 class CaseFamily(NamedTuple):
-    """One coset-action family with exact order polynomials.
+    """One coset-action family: its order polynomials and its suborbit table.
 
     h_order and index are polynomials in the family's table variable (r for
-    subfield, m for ree) whose product is the order of G2(q).
+    subfield, m for ree) whose product is the order of G2(q). rows is the
+    parametrized suborbit table, in the same variable.
     """
 
     kind: str
     h_order: Poly
     index: Poly
+    rows: tuple[SuborbitRow, ...]
     min_n: int
 
     def param_for_n(self, n: int) -> int:
@@ -68,22 +71,105 @@ class CaseFamily(NamedTuple):
         return 2 * n if self.kind == "subfield" else 2 * n + 1
 
 
+def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
+    return SuborbitRow((label, z_order), length, count)
+
+
 def _subfield_family() -> CaseFamily:
+    # |H|, the index and the rows share one variable; each factor that
+    # recurs is built once and named.
     r = Poly.var()
+    one = Poly.const(1)
     r2 = r**2
-    r6 = r2**3
-    h = r6 * (r6 - 1) * (r2 - 1)
+    r3 = r2 * r
+    r4 = r2 * r2
+    r5 = r4 * r
+    r6 = r3 * r3
+    r6_1 = r6 - 1
+    r2_1 = r2 - 1
+    r3_minus = r3 - 1
+    r3_plus = r3 + 1
+    unipotent = r6_1 * r2_1
+    unipotent_pair = r2 * unipotent / 2
+    regular = r4 * unipotent
+    mixed_pair = regular / 2
+    h_root = r4 * r6_1
+    gamma_a = r5 * r3_minus * (r2 - r + 1)
+    gamma_b = r5 * r6_1 * (r - 1)
+    gamma_count = (r - 3) / 2
+    eta_a = r5 * r3_plus * (r2 + r + 1)
+    eta_b = r5 * r6_1 * (r + 1)
+    eta_count = (r - 1) / 2
+    theta = r6 * r6_1
+    theta_count = (r - 1) ** 2 / 4
+    h = r6 * r6_1 * r2_1
     index = r6 * (r6 + 1) * (r2 + 1)
-    return CaseFamily("subfield", h, index, min_n=1)
+    rows = (
+        _row("1", Z_ONE, one, one),
+        _row("x_{3a+2b}(1)", Z_THREE, r6_1, one),
+        _row("x_{2a+b}(1)", Z_THREE, r6_1, one),
+        _row("x_{2a+b}(1)x_{3a+2b}(1)", Z_THREE, unipotent, one),
+        _row("x_{a+b}(1)x_{3a+b}(1)#1", Z_THREE, unipotent_pair, one),
+        _row("x_{a+b}(1)x_{3a+b}(1)#2", Z_THREE, unipotent_pair, one),
+        _row("x_a(1)x_b(1)", Z_THREE, regular, one),
+        _row("h(-1,-1,1)", Z_TWO, r4 * (r4 + r2 + 1), one),
+        _row("h(-1,-1,1)x_b(1)", Z_UNKNOWN, h_root, one),
+        _row("h(-1,-1,1)x_{2a+b}(1)", Z_UNKNOWN, h_root, one),
+        _row("h(-1,-1,1)x_b(1)x_{2a+b}(1)#1", Z_UNKNOWN, mixed_pair, one),
+        _row("h(-1,-1,1)x_b(1)x_{2a+b}(1)#2", Z_UNKNOWN, mixed_pair, one),
+        _row("h_gamma(i,-2i,i)", Z_GAMMA, gamma_a, gamma_count),
+        _row("h_gamma(i,-2i,i)x_{3a+2b}(1)", Z_GAMMA, gamma_b, gamma_count),
+        _row("h_gamma(i,-i,0)", Z_GAMMA, gamma_a, gamma_count),
+        _row("h_gamma(i,-i,0)x_{2a+b}(1)", Z_GAMMA, gamma_b, gamma_count),
+        _row("h_gamma(i,j,-i-j)", Z_GAMMA, r6 * r3_minus * (r2 - r + 1) * (r - 1), (r2 - 8 * r + 15) / 12),
+        _row("h_eta(i,-2i,i)", Z_ETA, eta_a, eta_count),
+        _row("h_eta(i,-2i,i)x_{3a+2b}(1)", Z_ETA, eta_b, eta_count),
+        _row("h_eta(i,-i,0)", Z_ETA, eta_a, eta_count),
+        _row("h_eta(i,-i,0)x_{2a+b}(1)", Z_ETA, eta_b, eta_count),
+        _row("h_eta(i,j,-i-j)", Z_ETA, r6 * r3_plus * (r2 + r + 1) * (r + 1), (r2 - 4 * r + 3) / 12),
+        _row("h_theta(i,(r-1)i,-ri)", Z_THETA, theta, theta_count),
+        _row("h_theta(i,ri,-(r+1)i)", Z_THETA, theta, theta_count),
+        _row("h_tau(i,ri,r^2i)", Z_TAU, r6 * r3_minus * r2_1 * (r + 1), r * (r + 1) / 6),
+        _row("h_sigma(i,-ri,r^2i)", Z_SIGMA, r6 * r3_plus * r2_1 * (r - 1), r * (r - 1) / 6),
+    )
+    return CaseFamily("subfield", h, index, rows, min_n=1)
 
 
 def _ree_family() -> CaseFamily:
+    # |H|, the index and the rows share one variable; each factor that
+    # recurs is built once and named.
     m = Poly.var()
     q = 3 * m**2
-    q3 = q**3
-    h = q3 * (q3 + 1) * (q - 1)
+    one = Poly.const(1)
+    q2 = q * q
+    q3 = q2 * q
+    q3_1 = q3 + 1
+    q_1 = q - 1
+    q2_q_1 = q2 - q + 1
+    q2_1 = q2 - 1
+    three_m = 3 * m
+    r2_length = q3_1 * q_1
+    r3_pair = q * r2_length / 2
+    r5_length = q2 * r2_length
+    r7_pair = r5_length / 2
+    split = q3 * q2_1
+    h = q3 * q3_1 * q_1
     index = q3 * (q3 - 1) * (q + 1)
-    return CaseFamily("ree", h, index, min_n=0)
+    rows = (
+        _row("R1", Z_ONE, one, one),
+        _row("R2", Z_UNKNOWN, r2_length, one),
+        _row("R3", Z_UNKNOWN, r3_pair, one),
+        _row("R4", Z_UNKNOWN, r3_pair, one),
+        _row("R5", Z_UNKNOWN, r5_length, one),
+        _row("R6", Z_UNKNOWN, q2 * q2_q_1, one),
+        _row("R7", Z_UNKNOWN, r7_pair, one),
+        _row("R8", Z_UNKNOWN, r7_pair, one),
+        _row("R9", Z_UNKNOWN, q3 * q3_1, (q - 3) / 2),
+        _row("R10", Z_UNKNOWN, q3 * q2_q_1 * q_1, (q - 3) / 6),
+        _row("R11", Z_UNKNOWN, split * (q - three_m + 1), (q - three_m) / 6),
+        _row("R12", Z_UNKNOWN, split * (q + three_m + 1), (q + three_m) / 6),
+    )
+    return CaseFamily("ree", h, index, rows, min_n=0)
 
 
 SUBFIELD = _subfield_family()

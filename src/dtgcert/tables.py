@@ -1,19 +1,25 @@
-"""Suborbit tables for the two coset actions, as exact polynomial data.
+"""Suborbit tables as exact polynomial data, and the checks on them.
 
-Each table lists, per class of suborbits, the suborbit length and the number
+A table lists, per class of suborbits, the suborbit length and the number
 of suborbits in the class, both as polynomials in the family's table
 variable. Rows whose defining class element z has a known order carry that
 order as a tag; it feeds the commuting-involution gate.
+
+Each family's rows are transcribed in groups, beside its |H| and coset
+index, and built once at import. This module holds the row and table types,
+instantiation at a parameter and the exactness checks; it names no family.
 
 Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
 them as distinct suborbits of equal length.
 """
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import Poly
-from .groups import CaseFamily
+
+if TYPE_CHECKING:
+    from .groups import CaseFamily
 
 Z_ONE = "one"
 Z_TWO = "two"
@@ -39,7 +45,7 @@ class SuborbitRow(NamedTuple):
 
 
 class SuborbitTable(NamedTuple):
-    family: CaseFamily
+    family: "CaseFamily"
     rows: tuple[SuborbitRow, ...]
 
 
@@ -54,7 +60,7 @@ _tuple_new = tuple.__new__
 
 
 class _ConcreteTableFields(NamedTuple):
-    family: CaseFamily
+    family: "CaseFamily"
     param: int
     index: int
     h_order: int
@@ -82,106 +88,9 @@ class ConcreteTable(_ConcreteTableFields):
         return tuple(sorted(groups.items()))
 
 
-def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
-    return SuborbitRow((label, z_order), length, count)
-
-
-def _subfield_rows() -> tuple[SuborbitRow, ...]:
-    # Each factor that recurs across rows is built once and named.
-    r = Poly.var()
-    one = Poly.const(1)
-    r2 = r**2
-    r3 = r2 * r
-    r4 = r2 * r2
-    r5 = r4 * r
-    r6 = r3 * r3
-    r6_1 = r6 - 1
-    r2_1 = r2 - 1
-    r3_minus = r3 - 1
-    r3_plus = r3 + 1
-    unipotent = r6_1 * r2_1
-    unipotent_pair = r2 * unipotent / 2
-    regular = r4 * unipotent
-    mixed_pair = regular / 2
-    h_root = r4 * r6_1
-    gamma_a = r5 * r3_minus * (r2 - r + 1)
-    gamma_b = r5 * r6_1 * (r - 1)
-    gamma_count = (r - 3) / 2
-    eta_a = r5 * r3_plus * (r2 + r + 1)
-    eta_b = r5 * r6_1 * (r + 1)
-    eta_count = (r - 1) / 2
-    theta = r6 * r6_1
-    theta_count = (r - 1) ** 2 / 4
-    return (
-        _row("1", Z_ONE, one, one),
-        _row("x_{3a+2b}(1)", Z_THREE, r6_1, one),
-        _row("x_{2a+b}(1)", Z_THREE, r6_1, one),
-        _row("x_{2a+b}(1)x_{3a+2b}(1)", Z_THREE, unipotent, one),
-        _row("x_{a+b}(1)x_{3a+b}(1)#1", Z_THREE, unipotent_pair, one),
-        _row("x_{a+b}(1)x_{3a+b}(1)#2", Z_THREE, unipotent_pair, one),
-        _row("x_a(1)x_b(1)", Z_THREE, regular, one),
-        _row("h(-1,-1,1)", Z_TWO, r4 * (r4 + r2 + 1), one),
-        _row("h(-1,-1,1)x_b(1)", Z_UNKNOWN, h_root, one),
-        _row("h(-1,-1,1)x_{2a+b}(1)", Z_UNKNOWN, h_root, one),
-        _row("h(-1,-1,1)x_b(1)x_{2a+b}(1)#1", Z_UNKNOWN, mixed_pair, one),
-        _row("h(-1,-1,1)x_b(1)x_{2a+b}(1)#2", Z_UNKNOWN, mixed_pair, one),
-        _row("h_gamma(i,-2i,i)", Z_GAMMA, gamma_a, gamma_count),
-        _row("h_gamma(i,-2i,i)x_{3a+2b}(1)", Z_GAMMA, gamma_b, gamma_count),
-        _row("h_gamma(i,-i,0)", Z_GAMMA, gamma_a, gamma_count),
-        _row("h_gamma(i,-i,0)x_{2a+b}(1)", Z_GAMMA, gamma_b, gamma_count),
-        _row("h_gamma(i,j,-i-j)", Z_GAMMA, r6 * r3_minus * (r2 - r + 1) * (r - 1), (r2 - 8 * r + 15) / 12),
-        _row("h_eta(i,-2i,i)", Z_ETA, eta_a, eta_count),
-        _row("h_eta(i,-2i,i)x_{3a+2b}(1)", Z_ETA, eta_b, eta_count),
-        _row("h_eta(i,-i,0)", Z_ETA, eta_a, eta_count),
-        _row("h_eta(i,-i,0)x_{2a+b}(1)", Z_ETA, eta_b, eta_count),
-        _row("h_eta(i,j,-i-j)", Z_ETA, r6 * r3_plus * (r2 + r + 1) * (r + 1), (r2 - 4 * r + 3) / 12),
-        _row("h_theta(i,(r-1)i,-ri)", Z_THETA, theta, theta_count),
-        _row("h_theta(i,ri,-(r+1)i)", Z_THETA, theta, theta_count),
-        _row("h_tau(i,ri,r^2i)", Z_TAU, r6 * r3_minus * r2_1 * (r + 1), r * (r + 1) / 6),
-        _row("h_sigma(i,-ri,r^2i)", Z_SIGMA, r6 * r3_plus * r2_1 * (r - 1), r * (r - 1) / 6),
-    )
-
-
-def _ree_rows() -> tuple[SuborbitRow, ...]:
-    # Each factor that recurs across rows is built once and named.
-    m = Poly.var()
-    q = 3 * m**2
-    one = Poly.const(1)
-    q2 = q * q
-    q3 = q2 * q
-    q3_1 = q3 + 1
-    q_1 = q - 1
-    q2_q_1 = q2 - q + 1
-    q2_1 = q2 - 1
-    three_m = 3 * m
-    r2_length = q3_1 * q_1
-    r3_pair = q * r2_length / 2
-    r5_length = q2 * r2_length
-    r7_pair = r5_length / 2
-    split = q3 * q2_1
-    return (
-        _row("R1", Z_ONE, one, one),
-        _row("R2", Z_UNKNOWN, r2_length, one),
-        _row("R3", Z_UNKNOWN, r3_pair, one),
-        _row("R4", Z_UNKNOWN, r3_pair, one),
-        _row("R5", Z_UNKNOWN, r5_length, one),
-        _row("R6", Z_UNKNOWN, q2 * q2_q_1, one),
-        _row("R7", Z_UNKNOWN, r7_pair, one),
-        _row("R8", Z_UNKNOWN, r7_pair, one),
-        _row("R9", Z_UNKNOWN, q3 * q3_1, (q - 3) / 2),
-        _row("R10", Z_UNKNOWN, q3 * q2_q_1 * q_1, (q - 3) / 6),
-        _row("R11", Z_UNKNOWN, split * (q - three_m + 1), (q - three_m) / 6),
-        _row("R12", Z_UNKNOWN, split * (q + three_m + 1), (q + three_m) / 6),
-    )
-
-
-def build_table(family: CaseFamily) -> SuborbitTable:
-    """The full parametrized suborbit table for a family."""
-    if family.kind == "subfield":
-        return SuborbitTable(family, _subfield_rows())
-    if family.kind == "ree":
-        return SuborbitTable(family, _ree_rows())
-    raise ValueError(f"unknown family kind: {family.kind!r}")
+def build_table(family: "CaseFamily") -> SuborbitTable:
+    """The full parametrized suborbit table for a family: the rows it was built with."""
+    return SuborbitTable(family, family.rows)
 
 
 def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:

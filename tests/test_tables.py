@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dtgcert.tables as tables
 from dtgcert.exact import Poly
 from dtgcert.groups import REE, SUBFIELD
 from dtgcert.pipeline import verify_tables
@@ -386,9 +389,21 @@ def test_dump_format():
     assert text.endswith("\n")
 
 
-def test_build_table_unknown_family():
-    from dtgcert.groups import CaseFamily
-
-    fake = CaseFamily(kind="other", h_order=Poly.const(1), index=Poly.const(1), min_n=0)
-    with pytest.raises(ValueError):
-        build_table(fake)
+def test_build_table_reads_the_family_rows_and_tables_names_no_family():
+    # each family's rows are built once, with the family; tables only reads them
+    for family in (SUBFIELD, REE):
+        table = build_table(family)
+        assert table.family is family and table.rows is family.rows
+    tree = ast.parse(Path(tables.__file__).read_text())
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not literals & {"subfield", "ree"}
+    type_checking = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    groups_imports = [
+        node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) and "groups" in ast.unparse(node)
+    ]
+    assert groups_imports and all(id(node) in type_checking for node in groups_imports)
