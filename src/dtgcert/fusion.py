@@ -25,15 +25,6 @@ def min_fused_classes(groups: tuple[tuple[int, int], ...], x_order: int) -> int:
     return total
 
 
-def excludes_diameter_two(ct: ConcreteTable) -> bool:
-    """True when >= 3 distinct nontrivial lengths force diameter >= 3.
-
-    Fusion only merges equal lengths, so three distinct nontrivial lengths
-    survive as at least three distinct fused orbits.
-    """
-    return len(ct.length_groups) >= 3
-
-
 def smallest_fused_candidates(ct: ConcreteTable) -> tuple[ConcreteRow, ...]:
     """The table's rows whose length is among the two smallest nontrivial
     lengths, sorted by (length, label).

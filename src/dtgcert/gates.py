@@ -171,7 +171,8 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
     if not pair_rows:
         return fail("commuting_pair")
 
-    if not fusion.excludes_diameter_two(ct):
+    # fusion only merges equal lengths, so >= 3 distinct nontrivial lengths force diameter >= 3
+    if len(ct.length_groups) < 3:
         return fail("diameter_at_least_3")
     if ct.h_order * ct.index % 3 != 0:
         return fail("odd_prime_in_group_order")

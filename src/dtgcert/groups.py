@@ -11,6 +11,9 @@ Outer automorphisms enter the arguments only through the order of a subgroup
 X of Out and whether X meets the graph coset, that is, holds an odd power of
 the graph automorphism, so X is modeled by (order, contains_graph_auto)
 descriptors rather than by explicit maps.
+
+Each family is one CaseFamily, built at import: h_order, index, rows, min_n,
+param_exponent, q_power, suborbits and param_form, with kind only its name.
 """
 from math import isqrt
 from typing import NamedTuple
@@ -20,11 +23,13 @@ from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_T
 
 
 class CaseFamily(NamedTuple):
-    """One coset-action family: its order polynomials and its suborbit table.
+    """One coset-action family: its order polynomials, suborbit table and step map.
 
-    h_order and index are polynomials in the family's table variable (r for
-    subfield, m for ree) whose product is the order of G2(q). rows is the
-    parametrized suborbit table, in the same variable.
+    h_order, index and rows (the parametrized suborbit table) are in the
+    family's table variable (r for subfield, m for ree); h_order * index is
+    |G2(q)|. Step n >= min_n has param 3**(a*n + b) for param_exponent (a, b)
+    and q = param**q_power. suborbits is N, the trivial suborbit included, in
+    param; param_form spells the admissible params in n_of_param's error.
     """
 
     kind: str
@@ -32,27 +37,29 @@ class CaseFamily(NamedTuple):
     index: Poly
     rows: tuple[SuborbitRow, ...]
     min_n: int
+    param_exponent: tuple[int, int]
+    q_power: int
+    suborbits: Poly
+    param_form: str
 
     def param_for_n(self, n: int) -> int:
         """Public parameter for step n: subfield r = 3**n, ree q = 3**(2n+1)."""
         if n < self.min_n:
             raise ValueError(f"{self.kind} family requires n >= {self.min_n}")
-        return 3**n if self.kind == "subfield" else 3 ** (2 * n + 1)
+        a, b = self.param_exponent
+        return 3 ** (a * n + b)
 
     def suborbit_total(self, param: int) -> int:
         """Number of suborbits at param, the trivial one included: r*r + 2r + 6 for subfield, q + 6 for ree."""
-        return param * param + 2 * param + 6 if self.kind == "subfield" else param + 6
+        return self.suborbits.eval_int(param)
 
     def n_of_param(self, param: int) -> int:
         """Inverse of param_for_n; validates admissibility."""
+        a, b = self.param_exponent
         e = is_power_of(param, 3) if param >= 1 else None
-        if self.kind == "subfield":
-            if e is None or e < 1:
-                raise ValueError(f"subfield parameter must be 3**n, n >= 1: {param}")
-            return e
-        if e is None or e % 2 == 0:
-            raise ValueError(f"ree parameter must be 3**(2n+1): {param}")
-        return (e - 1) // 2
+        if e is None or e < a * self.min_n + b or (e - b) % a:
+            raise ValueError(f"{self.kind} parameter must be {self.param_form}: {param}")
+        return (e - b) // a
 
     def table_variable(self, param: int) -> int:
         """Evaluation point 3**n for the family's polynomials: r itself for subfield, m for ree."""
@@ -63,12 +70,12 @@ class CaseFamily(NamedTuple):
 
         Plain arithmetic: param is not validated again here.
         """
-        return param * param if self.kind == "subfield" else param
+        return param**self.q_power
 
     def field_exponent(self, param: int) -> int:
         """f with q = 3**f; the field automorphism has order f."""
-        n = self.n_of_param(param)
-        return 2 * n if self.kind == "subfield" else 2 * n + 1
+        a, b = self.param_exponent
+        return self.q_power * (a * self.n_of_param(param) + b)
 
 
 def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
@@ -132,7 +139,10 @@ def _subfield_family() -> CaseFamily:
         _row("h_tau(i,ri,r^2i)", Z_TAU, r6 * r3_minus * r2_1 * (r + 1), r * (r + 1) / 6),
         _row("h_sigma(i,-ri,r^2i)", Z_SIGMA, r6 * r3_plus * r2_1 * (r - 1), r * (r - 1) / 6),
     )
-    return CaseFamily("subfield", h, index, rows, min_n=1)
+    return CaseFamily(
+        "subfield", h, index, rows, min_n=1,
+        param_exponent=(1, 0), q_power=2, suborbits=r2 + 2 * r + 6, param_form="3**n, n >= 1",
+    )
 
 
 def _ree_family() -> CaseFamily:
@@ -169,7 +179,10 @@ def _ree_family() -> CaseFamily:
         _row("R11", Z_UNKNOWN, split * (q - three_m + 1), (q - three_m) / 6),
         _row("R12", Z_UNKNOWN, split * (q + three_m + 1), (q + three_m) / 6),
     )
-    return CaseFamily("ree", h, index, rows, min_n=0)
+    return CaseFamily(
+        "ree", h, index, rows, min_n=0,
+        param_exponent=(2, 1), q_power=1, suborbits=Poly((6, 1)), param_form="3**(2n+1)",
+    )
 
 
 SUBFIELD = _subfield_family()
@@ -194,10 +207,6 @@ class OuterOption(NamedTuple):
     contains_graph_auto: bool
 
 
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
 def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption, ...]:
     """All (order, contains_graph_auto) descriptors of subgroups of Out.
 
@@ -205,11 +214,10 @@ def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption,
     square is the field automorphism (order f, q = 3**f). The unique subgroup
     of each order d | 2f is X_d = <tau**(2f/d)>. contains_graph_auto marks
     the X_d that hold an odd power of tau, that is, meet the graph coset:
-    exactly those where 2f/d is odd, so d has the same 2-adic valuation as
-    2f. This is not membership of the involution tau**f, which X_d holds
-    when d is even. The two agree for every d when f is odd (every ree
-    step). When f is even (every subfield step) they differ at d = 2, and
-    no odd power of tau is an involution.
+    exactly those where 2f/d is odd. This is not membership of the
+    involution tau**f, which X_d holds when d is even. The two agree for
+    every d when f is odd (every ree step). When f is even (every subfield
+    step) they differ at d = 2, and no odd power of tau is an involution.
     """
     two_f = 2 * family.field_exponent(param)
     small, large = [], []
@@ -218,6 +226,5 @@ def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption,
             small.append(d)
             if d * d != two_f:
                 large.append(two_f // d)
-    v2 = _v2(two_f)
-    return tuple(OuterOption(d, _v2(d) == v2) for d in small + large[::-1])
+    return tuple(OuterOption(d, two_f // d % 2 == 1) for d in small + large[::-1])
 

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from dtgcert.fusion import excludes_diameter_two, min_fused_classes, smallest_fused_candidates
+from dtgcert.fusion import min_fused_classes, smallest_fused_candidates
 from dtgcert.gates import bcn_small_case_gate, bhk_gate
 from dtgcert.groups import REE, SUBFIELD
-from dtgcert.tables import ConcreteRow, ConcreteTable, Z_UNKNOWN, build_table, instantiate
+from dtgcert.tables import build_table, instantiate
 
 
 def exhaustive_min_fused_classes(groups: tuple[tuple[int, int], ...], x: int) -> int:
@@ -90,20 +90,6 @@ def test_exhaustive_guard():
     groups = ((10, 41),)
     with pytest.raises(ValueError):
         exhaustive_min_fused_classes(groups, 2)
-
-
-def test_excludes_diameter_two():
-    for fam, param in ((REE, 3), (REE, 27), (SUBFIELD, 3), (SUBFIELD, 9)):
-        assert excludes_diameter_two(instantiate(build_table(fam), param))
-    flat = ConcreteTable(
-        REE, 3, 2808, 1512,
-        (
-            ConcreteRow("R1", "one", 1, 1),
-            ConcreteRow("A", Z_UNKNOWN, 7, 2),
-            ConcreteRow("B", Z_UNKNOWN, 11, 1),
-        ),
-    )
-    assert not excludes_diameter_two(flat)
 
 
 SUBFIELD_CANDIDATES = ("x_{2a+b}(1)", "x_{3a+2b}(1)", "x_{2a+b}(1)x_{3a+2b}(1)")

@@ -166,6 +166,20 @@ def test_involution_gate_fail_steps():
     v = involution_gate(flat)
     assert v.witnesses["failed_step"] == "diameter_at_least_3"
 
+    # fusion only merges equal lengths, so the step needs three distinct
+    # nontrivial lengths: exactly two fail it, and every real table passes it
+    two_lengths = ConcreteTable(
+        SUBFIELD, 3, real.index, real.h_order,
+        (
+            ConcreteRow("1", "one", 1, 1),
+            ConcreteRow("z", Z_TWO, 7, 2),
+            ConcreteRow("A", Z_THREE, 11, 1),
+        ),
+    )
+    assert involution_gate(two_lengths).witnesses["failed_step"] == "diameter_at_least_3"
+    for r in (3, 9, 27):
+        assert involution_gate(_sub_table(r)).outcome == EXCLUDES, r
+
     bad_candidate = ConcreteTable(
         SUBFIELD, 3, real.index, real.h_order,
         (

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import dtgcert.groups as groups
 from dtgcert.exact import Poly, cyclic_order
 from dtgcert.gates import order4_witness
 from dtgcert.groups import (
@@ -92,6 +96,65 @@ def test_table_variable_and_q():
     # suborbits at the parameter, the trivial one included (tests/test_tables.py counts them in the tables)
     assert SUBFIELD.suborbit_total(3) == 21 and SUBFIELD.suborbit_total(9) == 105
     assert REE.suborbit_total(3) == 9 and REE.suborbit_total(27) == 33
+
+
+#: Each family's step map in closed form: n -> (param, q, f, table variable,
+#: N with the trivial suborbit), the n of an admissible param 3**e (None when
+#: 3**e is not admissible), and n_of_param's error for an inadmissible param.
+CLOSED_FORMS = {
+    "subfield": (
+        lambda n: (3**n, 3 ** (2 * n), 2 * n, 3**n, 3 ** (2 * n) + 2 * 3**n + 6),
+        lambda e: e if e >= 1 else None,
+        "subfield parameter must be 3**n, n >= 1: {}",
+    ),
+    "ree": (
+        lambda n: (3 ** (2 * n + 1), 3 ** (2 * n + 1), 2 * n + 1, 3**n, 3 ** (2 * n + 1) + 6),
+        lambda e: (e - 1) // 2 if e % 2 else None,
+        "ree parameter must be 3**(2n+1): {}",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+def test_step_map_matches_closed_forms(kind):
+    family = get_family(kind)
+    step, n_of_exponent, message = CLOSED_FORMS[kind]
+    for n in range(family.min_n, 400):
+        param = family.param_for_n(n)
+        facts = (
+            param,
+            family.q_value(param),
+            family.field_exponent(param),
+            family.table_variable(param),
+            family.suborbit_total(param),
+        )
+        assert facts == step(n), n
+    expected = {3**e: n_of_exponent(e) for e in range(802)}
+    expected.update((bad, None) for bad in [0, -3, 2, 5, 12] + [2 * 3**k for k in range(20)])
+    for param, n in expected.items():
+        if n is not None:
+            assert family.n_of_param(param) == n, param
+            continue
+        with pytest.raises(ValueError) as err:
+            family.n_of_param(param)
+        assert str(err.value) == message.format(param)
+
+
+def test_case_family_methods_name_no_family():
+    # a family is data: CaseFamily's methods read its fields and never
+    # compare self.kind or spell a family's name
+    tree = ast.parse(Path(groups.__file__).read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CaseFamily")
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert {"param_for_n", "n_of_param", "suborbit_total", "q_value", "field_exponent"} <= {m.name for m in methods}
+    for method in methods:
+        for node in ast.walk(method):
+            if isinstance(node, ast.Constant):
+                assert node.value not in ("subfield", "ree"), method.name
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                assert "self.kind" not in map(ast.unparse, operands), method.name
+    assert not hasattr(groups, "_v2")
 
 
 def test_outer_subgroup_options_ree():
