@@ -15,13 +15,6 @@ from helpers import GENERATED_AT, unstamped
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_verify_tables_command(capsys):
-    assert main(["verify-tables", "--case", "ree", "--params", "3,27", "--symbolic"]) == 0
-    out = capsys.readouterr().out
-    assert "result: PASS" in out
-    assert "symbolic mass identity: ok" in out
-
-
 def test_verify_tables_step_range(capsys):
     # 0..2 expands to q = 3, 27, 243
     assert main(["verify-tables", "--case", "ree", "--params", "0..2"]) == 0
@@ -32,10 +25,10 @@ def test_verify_tables_step_range(capsys):
 def test_verify_tables_bad_param(capsys):
     assert main(["verify-tables", "--case", "ree", "--params", "9"]) == 2
     assert "result: FAIL" in capsys.readouterr().out
-    # a parameter below 1 gets the family's own message
-    for bad in ("0", "-3"):
-        assert main(["verify-tables", "--case", "ree", "--params", bad]) == 2
-        assert f"param={bad}\terror=ree parameter must be 3**(2n+1): {bad}\n" in capsys.readouterr().out
+    # a parameter below 1, or subfield's 1, gets the family's own message
+    for case, bad, form in (("ree", "0", "3**(2n+1)"), ("ree", "-3", "3**(2n+1)"), ("subfield", "1", "3**n, n >= 1")):
+        assert main(["verify-tables", "--case", case, "--params", bad]) == 2
+        assert f"param={bad}\terror={case} parameter must be {form}: {bad}" in capsys.readouterr().out.splitlines()
 
 
 def test_analyze_text(capsys):
@@ -160,6 +153,9 @@ def test_verify_tables_empty_range_is_an_error(capsys):
 def test_analyze_strict_exit_code(capsys):
     assert main(["analyze", "--case", "ree", "--n", "0", "--strict"]) == 2
     assert "undetermined" in capsys.readouterr().out
+    # one undetermined certificate among concluded ones is enough
+    assert main(["analyze", "--case", "ree", "--n", "3..4", "--strict"]) == 2
+    assert "summary: total=10 no_dtg=9 undetermined=1" in capsys.readouterr().out
 
 
 def test_analyze_range_cap(capsys):

@@ -212,15 +212,6 @@ def test_involution_gate_fail_steps():
     assert v.witnesses["failed_step"] == "odd_prime_in_group_order"
 
 
-def test_bhk_gate_witnesses_n1():
-    v = bhk_gate(_ree_table(27), 6)
-    assert v.witnesses["d0"] == "33/6"
-    assert v.witnesses["d0_lowest_terms"] == "11/2"
-    assert v.witnesses["vertices"] == 10847222568
-    assert v.witnesses["exact_comparison"] == "2^(3a) < v^(8b)"
-    assert v.witnesses["refined_min_classes"] == 10
-
-
 def test_bhk_witnesses_of_ree_sweep_match_values_computed_here():
     # n = 0 is the q = 3 lookup, which runs no cutoff gate
     reduced = unreduced = 0
@@ -238,12 +229,6 @@ def test_bhk_witnesses_of_ree_sweep_match_values_computed_here():
             reduced += 1
     # both branches of the gate's formatting are reached
     assert (reduced, unreduced) == (206, 482)
-
-
-def test_bhk_gate_small_x_excludes_earlier():
-    # with trivial X the class count d0 = q + 6 is much larger
-    assert bhk_gate(_ree_table(2187), 1).outcome == EXCLUDES
-    assert bhk_gate(_ree_table(27), 1).outcome == INCONCLUSIVE
 
 
 def test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound():
@@ -329,13 +314,12 @@ def test_kernel_chain_gate_premise_failure():
 
 
 def test_kernel_chain_gate_no_certifying_primes(monkeypatch):
-    def hollow(q):
-        return (19, ()), (37, ())
-
-    monkeypatch.setattr(gates, "kernel_prime_data", hollow)
-    v = kernel_chain_gate(_ree_table(27))
-    assert v.outcome == INCONCLUSIVE
-    assert v.witnesses["failed_step"] == "no_certifying_primes"
+    # the chain needs a certifying prime of each factor of q*q - q + 1
+    for minus, plus in (((), ()), ((19,), ()), ((), (37,))):
+        monkeypatch.setattr(gates, "kernel_prime_data", lambda q: ((19, minus), (37, plus)))
+        v = kernel_chain_gate(_ree_table(27))
+        assert v.outcome == INCONCLUSIVE, (minus, plus)
+        assert v.witnesses["failed_step"] == "no_certifying_primes", (minus, plus)
 
 
 def test_kernel_chain_gate_candidate_shape_failure():

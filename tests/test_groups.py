@@ -35,69 +35,6 @@ def test_order_product_identity_symbolic():
     assert REE.h_order * REE.index == g2_order(3 * t**2)
 
 
-def test_subfield_orders_concrete():
-    # |G2(q)| with q = r^2 against the generic order formula, written out
-    for r in (3, 9, 27):
-        q = r * r
-        h = SUBFIELD.h_order.eval_int(SUBFIELD.table_variable(r))
-        index = SUBFIELD.index.eval_int(SUBFIELD.table_variable(r))
-        assert h == r**6 * (r**6 - 1) * (r**2 - 1)
-        assert index == r**6 * (r**6 + 1) * (r**2 + 1)
-        assert h * index == g2_order(q)
-    assert SUBFIELD.index.eval_int(SUBFIELD.table_variable(3)) == 5321700
-
-
-def test_ree_orders_concrete():
-    for q in (3, 27, 243, 2187):
-        h = REE.h_order.eval_int(REE.table_variable(q))
-        index = REE.index.eval_int(REE.table_variable(q))
-        assert h == q**3 * (q**3 + 1) * (q - 1)
-        assert index == q**3 * (q**3 - 1) * (q + 1)
-        assert h * index == g2_order(q)
-    assert REE.index.eval_int(REE.table_variable(3)) == 2808
-    assert REE.index.eval_int(REE.table_variable(27)) == 10847222568
-
-
-def test_param_roundtrip():
-    for n in range(1, 8):
-        assert SUBFIELD.n_of_param(SUBFIELD.param_for_n(n)) == n
-    for n in range(0, 8):
-        assert REE.n_of_param(REE.param_for_n(n)) == n
-
-
-def test_param_admissibility():
-    with pytest.raises(ValueError):
-        SUBFIELD.param_for_n(0)
-    with pytest.raises(ValueError):
-        REE.param_for_n(-1)
-    for bad in (1, 2, 5, 12):
-        with pytest.raises(ValueError):
-            SUBFIELD.n_of_param(bad)
-    # 9 = 3^2 has even exponent, inadmissible for the ree family
-    for bad in (1, 9, 81, 5):
-        with pytest.raises(ValueError):
-            REE.n_of_param(bad)
-    # a parameter below 1 gets the family's own message
-    for bad in (0, -3, -27):
-        with pytest.raises(ValueError, match=rf"^subfield parameter must be 3\*\*n, n >= 1: {bad}$"):
-            SUBFIELD.n_of_param(bad)
-        with pytest.raises(ValueError, match=rf"^ree parameter must be 3\*\*\(2n\+1\): {bad}$"):
-            REE.n_of_param(bad)
-
-
-def test_table_variable_and_q():
-    assert SUBFIELD.table_variable(27) == 27
-    assert SUBFIELD.q_value(27) == 729
-    assert SUBFIELD.field_exponent(27) == 6
-    assert REE.table_variable(27) == 3
-    assert REE.q_value(27) == 27
-    assert REE.field_exponent(27) == 3
-    assert REE.table_variable(2187) == 27
-    # suborbits at the parameter, the trivial one included (tests/test_tables.py counts them in the tables)
-    assert SUBFIELD.suborbit_total(3) == 21 and SUBFIELD.suborbit_total(9) == 105
-    assert REE.suborbit_total(3) == 9 and REE.suborbit_total(27) == 33
-
-
 #: Each family's step map in closed form: n -> (param, q, f, table variable,
 #: N with the trivial suborbit), the n of an admissible param 3**e (None when
 #: 3**e is not admissible), and n_of_param's error for an inadmissible param.

@@ -144,14 +144,6 @@ def test_analyze_ree_shape():
                 assert cert.assumptions == (ASSUMPTION_KERNEL,)
 
 
-def test_analyze_ree_full_out_uses_kernel_chain():
-    for n in (1, 2, 3):
-        report = analyze("ree", n, n, x_filter=[(2 * (2 * n + 1), False)])
-        (cert,) = report.certificates
-        assert [g.gate_name for g in cert.gates] == ["bhk_diameter", "kernel_chain"]
-        assert cert.conclusion == NO_DTG
-
-
 def test_analyze_x_filter():
     report = analyze("ree", 1, 1, x_filter=[(6, False)])
     (cert,) = report.certificates
@@ -219,13 +211,6 @@ def test_verify_tables_ok():
         assert check.suborbit_expected == check.param**2 + 2 * check.param + 6
 
 
-def test_verify_tables_error_rows():
-    report = verify_tables("ree", [9])
-    assert not report.ok
-    assert report.checks[0].error
-    assert report.checks[0].param == 9
-
-
 def test_param_checks_store_what_was_measured_and_derive_their_verdicts():
     assert pipeline.ParamCheck._fields == (
         "param", "table", "error", "mass_total", "suborbit_total", "lengths_divide", "proper_divisors"
@@ -247,6 +232,45 @@ def test_a_check_that_holds_only_an_error_fails_each_verdict():
     (check,) = verify_tables("ree", [9]).checks
     assert check.table is None and check.error
     assert (check.mass_ok, check.lengths_divide, check.suborbit_ok, check.ok) == (False, False, False, False)
+
+
+def _r2_and_r3_lengths_moved(table):
+    """R2's length + 1 and R3's length - 1: the mass and counts stay, and R2's length divides |H| no more."""
+    table = replace_row(table, 1, "length", table.rows[1].length + 1)
+    return replace_row(table, 2, "length", table.rows[2].length - 1)
+
+
+def _r2_counted_for_r3_and_r4(table):
+    """R2 counted 1 + q times, R3 and R4 not at all: their lengths sum to q times R2's, so the mass stays."""
+    table = replace_row(table, 1, "count", 1 + 3 * Poly.var() ** 2)
+    for i in (2, 3):
+        table = replace_row(table, i, "count", Poly.const(0))
+    return table
+
+
+def _r9_count_moved_off_q27(table):
+    """R9's count + (m - 3): unchanged at q = 27, where m = 3, so only the symbolic identity sees it."""
+    return replace_row(table, 8, "count", table.rows[8].count + Poly.var() - 3)
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (_r2_and_r3_lengths_moved, "divisibility: FAIL"),
+        (_r2_counted_for_r3_and_r4, "suborbits: FAIL total=58 expected=33"),
+        (_r9_count_moved_off_q27, "symbolic mass identity: FAIL"),
+    ],
+    ids=["divisibility", "suborbit-count", "symbolic-identity"],
+)
+def test_each_check_alone_fails_the_report_and_the_exit_code(mutate, failing, monkeypatch, capsys):
+    from dtgcert import cli
+
+    mutant = mutate(tables.build_table(REE))
+    assert not verify_tables("ree", [27], symbolic=True, table=mutant).ok
+    monkeypatch.setattr(tables, "build_table", lambda family: mutant)
+    assert cli.main(["verify-tables", "--case", "ree", "--params", "27", "--symbolic"]) == 2
+    # the mass check and the other checks pass
+    assert [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line] == [failing, "result: FAIL"]
 
 
 def test_verify_tables_of_no_parameter_is_an_error():
