@@ -1,13 +1,16 @@
 """Exact integer, rational, and polynomial arithmetic.
 
 Everything in this package reduces to computations done here: arbitrary
-precision integers, rationals in lowest terms, dense univariate polynomials
-over the rationals evaluated at integer points, integer factorization by
-trial division, cyclic-group element orders, and exact comparison of huge
-powers. No floating point anywhere.
+precision integers, rationals in lowest terms, univariate polynomials over
+the rationals evaluated at integer points, integer factorization by trial
+division, cyclic-group element orders, and exact comparison of huge powers.
+No floating point anywhere.
 
-A sum of products of polynomials (`Poly.sum_of_products`) runs in one integer
-accumulator over a common denominator, with no intermediate Poly.
+A polynomial keeps an evaluation plan, built from its numerators on first
+use and kept for its life: evaluation runs Horner's rule along its nonzero
+stride only, and a sum of products (`Poly.sum_of_products`) convolves
+nonzero terms only, in one integer accumulator over a common denominator,
+with no intermediate Poly.
 
 Polynomials store integers only and meet only ints and other polynomials:
 arithmetic and comparison take ints or Polys, division and evaluation take
@@ -28,7 +31,7 @@ def _split(value) -> tuple[int, int]:
 
 
 class Poly:
-    """Immutable dense univariate polynomial with rational coefficients.
+    """Immutable univariate polynomial with rational coefficients.
 
     The coefficients are stored as integer numerators, ascending by degree,
     over one positive common denominator, reduced so that the denominator
@@ -36,9 +39,19 @@ class Poly:
     zero; equal polynomials are therefore equal structurally. Arithmetic and
     evaluation run on plain integers. A Poly is evaluated at integers only,
     the points every table is read at.
+
+    Its evaluation plan writes it as t**s * Q(t**g) / den: the shift s is
+    its lowest nonzero exponent, the stride g the gcd of its other nonzero
+    exponents' distances from s (1 if there are none), and Q's numerators
+    are the stored ones at s, s + g, s + 2g, .... The plan also lists the
+    nonzero (exponent, numerator) terms. `eval_int` and `sum_of_products`
+    build it from the numerators alone on first use, and the polynomial
+    keeps it for its life. It records the polynomial's shape, never a
+    value. Arithmetic results start without one and `*` builds none, so
+    multiplying out a family's table at import builds no plan.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_plan")
 
     def __init__(self, coeffs: Iterable = ()) -> None:
         pairs = [_split(c) for c in coeffs]
@@ -56,6 +69,16 @@ class Poly:
                 den //= g
         self._num = tuple(num)
         self._den = den
+        self._plan = None
+
+    def _build_plan(self) -> tuple:
+        """Store and return the plan (s, g, Q's numerators highest degree first, nonzero terms)."""
+        num = self._num
+        terms = _terms(num)
+        shift = terms[0][0] if terms else 0
+        stride = gcd(*[k - shift for k, _ in terms]) or 1
+        plan = self._plan = (shift, stride, num[shift::stride][::-1], terms)
+        return plan
 
     @classmethod
     def _make(cls, num: list[int], den: int) -> "Poly":
@@ -147,7 +170,7 @@ class Poly:
         if not a or not b:
             return Poly()
         out = [0] * (len(a) + len(b) - 1)
-        _add_product(out, a, b)
+        _add_product(out, _terms(a), _terms(b))
         return Poly._make(out, self._den * p._den)
 
     __rmul__ = __mul__
@@ -184,41 +207,45 @@ class Poly:
         """sum(a * b for a, b in pairs), accumulated in one list of integers.
 
         Every product is scaled to the lcm of the pairs' denominators and
-        added coefficient by coefficient into one list of numerators, which
-        is normalized once at the end; an empty sum is the zero polynomial.
-        One pass over the pairs collects the numerators, the denominator
-        products and the accumulator size.
+        added term by term, over each operand's planned nonzero terms, into
+        one list of numerators, which is normalized once at the end; an
+        empty sum is the zero polynomial. One pass over the pairs collects
+        the terms, the denominator products and the accumulator size.
         """
-        terms = []
+        products = []
         dens = []
         size = 0
         for a, b in pairs:
             an, bn = a._num, b._num
             if an and bn:
                 d = a._den * b._den
-                terms.append((an, bn, d))
+                products.append(((a._plan or a._build_plan())[3], (b._plan or b._build_plan())[3], d))
                 dens.append(d)
                 n = len(an) + len(bn) - 1
                 if n > size:
                     size = n
         den = lcm(*dens)
         acc = [0] * size
-        for an, bn, d in terms:
-            _add_product(acc, an, bn, den // d)
+        for at, bt, d in products:
+            _add_product(acc, at, bt, den // d)
         return cls._make(acc, den)
 
     def eval_int(self, point: int) -> int:
         """The value at an integer point, which must be an integer.
 
-        Horner's rule on the integer numerators. A point that is not an int
-        raises TypeError, and a value that is not an integer raises
-        ValueError naming it in lowest terms.
+        Horner's rule on the plan's numerators of Q at point**g, times
+        point**s. A point that is not an int raises TypeError, and a value
+        that is not an integer raises ValueError naming it in lowest terms.
         """
         if not isinstance(point, int):
             raise TypeError(f"polynomials are evaluated at integers only: {point!r}")
+        shift, stride, strided, _ = self._plan or self._build_plan()
+        x = point**stride if stride != 1 else point
         num = 0
-        for c in reversed(self._num):
-            num = num * point + c
+        for c in strided:
+            num = num * x + c
+        if shift:
+            num *= point**shift
         if self._den == 1:
             return num
         value, rest = divmod(num, self._den)
@@ -255,20 +282,25 @@ class Poly:
         return f"Poly({text})"
 
 
-def _add_product(acc: list[int], a: Sequence[int], b: Sequence[int], scale: int = 1) -> None:
-    """Add scale * (a * b), the convolution of two numerator lists, into acc in place.
+def _terms(num: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero (exponent, numerator) terms of a numerator list, ascending."""
+    return [(k, c) for k, c in enumerate(num) if c]
 
-    acc must hold at least len(a) + len(b) - 1 entries. The shorter list is
-    the outer loop, and zero coefficients are skipped.
+
+def _add_product(
+    acc: list[int], a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]], scale: int = 1
+) -> None:
+    """Add scale * (a * b), the product of two nonzero-term lists, into acc in place.
+
+    acc must reach past the sum of the two top exponents. The shorter list
+    is the outer loop.
     """
     if len(a) < len(b):
         a, b = b, a
-    for j, cb in enumerate(b):
-        if cb:
-            cb *= scale
-            for i, ca in enumerate(a, j):
-                if ca:
-                    acc[i] += ca * cb
+    for j, cb in b:
+        cb *= scale
+        for i, ca in a:
+            acc[i + j] += ca * cb
 
 
 def factorize(n: int) -> dict[int, int]:

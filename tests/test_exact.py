@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,10 @@ from dtgcert.exact import (
     factorize,
     is_power_of,
 )
+from dtgcert.groups import REE
+from dtgcert.pipeline import analyze, verify_tables
+from dtgcert.tables import build_table
+from helpers import single_coefficient_mutants
 
 
 def test_poly_construction_strips_trailing_zeros():
@@ -336,6 +341,42 @@ def _random_coeffs(rng):
     return out
 
 
+#: Points that reach every part of an evaluation plan: 0, the units,
+#: negatives, and powers of 3 as the tables use them.
+_PLAN_POINTS = (0, 1, -1, -2, -5, 2, 3, 27, 3**7, -(3**5), 3**40)
+
+#: Q's coefficients, lowest first: a monomial; 1 - u, whose first gap is
+#: the stride g; 2 - 3u**2, whose stride is 2g; and two Qs whose first gap
+#: (2g, 3g) is wider than their stride g.
+_PLAN_QS = (
+    (Fraction(3, 2),),
+    (1, -1),
+    (2, 0, -3),
+    (1, 0, 5, 2),
+    (Fraction(4, 3), 0, 0, -1, Fraction(2, 3)),
+)
+
+
+def _shaped_polys(rng):
+    """Polynomials t**s * Q(t**g) for every shift s in 0..6 and stride g in 1..6.
+
+    Each (s, g) gets every Q of _PLAN_QS and one random Q of up to four
+    coefficients over a small denominator. The zero polynomial, constants
+    and monomials come first.
+    """
+    polys = [Poly(()), Poly.const(7), Poly.const(Fraction(-5, 3)), Poly.var(), Poly((0, 0, 0, -3))]
+    for s in range(7):
+        for g in range(1, 7):
+            den = rng.choice((1, 2, 3))
+            randq = [Fraction(rng.randrange(-9, 10), den) for _ in range(rng.randrange(1, 5))]
+            for q in _PLAN_QS + ((*randq[:-1], randq[-1] or 1),):
+                coeffs = [0] * (s + g * (len(q) - 1) + 1)
+                for k, c in enumerate(q):
+                    coeffs[s + g * k] = c
+                polys.append(Poly(coeffs))
+    return polys
+
+
 def test_poly_matches_fraction_reference():
     rng = random.Random(20211)
     for _ in range(300):
@@ -383,6 +424,16 @@ def test_poly_eval_int_matches_fraction_reference():
             with pytest.raises(ValueError) as exc:
                 p.eval_int(point)
             assert str(exc.value) == f"polynomial is not integer-valued at {point}: {want}"
+    # t**s * Q(t**g), each polynomial at every point in turn, so its plan is reused
+    for p in _shaped_polys(rng):
+        for point in _PLAN_POINTS:
+            want = _ref_eval(p.coeffs, point)
+            if want.denominator == 1:
+                assert p.eval_int(point) == want.numerator, (p, point)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    p.eval_int(point)
+                assert str(exc.value) == f"polynomial is not integer-valued at {point}: {want}"
     # (t^2 - 1)/4 is an integer at odd points only
     assert ((t**2 - 1) / 4).eval_int(7) == 12
     with pytest.raises(ValueError):
@@ -454,6 +505,16 @@ def test_sum_of_products_matches_naive_sum():
         assert Poly.sum_of_products(cancelling) == Poly(())
         checked += 1
     assert checked == 200
+    # t**s * Q(t**g) operands, one Poly object reused within a pair and across pairs
+    shaped = _shaped_polys(rng)
+    for _ in range(200):
+        pool = rng.sample(shaped, 3)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(0, 5))] + [(pool[0], pool[0])]
+        ref = ()
+        for a, b in pairs:
+            ref = _ref_add(ref, _ref_mul(a.coeffs, b.coeffs))
+        got = Poly.sum_of_products(pairs)
+        assert got.coeffs == ref and got == _naive_sum_of_products(pairs)
     assert Poly.sum_of_products([]) == Poly(())
     assert Poly.sum_of_products(iter(())) == 0
     t = Poly.var()
@@ -528,3 +589,59 @@ def test_poly_takes_fractions_imported_after_it(package_env):
         [sys.executable, "-c", _IMPORT_ORDER_SCRIPT], capture_output=True, text=True, env=package_env, timeout=60
     )
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def _family_polys(family):
+    """Every polynomial a family holds: its orders, its suborbit total and each row's length and count."""
+    return [family.h_order, family.index, family.suborbits] + [p for row in family.rows for p in (row.length, row.count)]
+
+
+#: Run in a fresh interpreter: importing the package builds no evaluation plan.
+_NO_PLAN_AT_IMPORT_SCRIPT = """
+import gc
+import dtgcert
+from dtgcert.exact import Poly
+
+polys = [o for o in gc.get_objects() if type(o) is Poly]
+family = [p for f in (dtgcert.REE, dtgcert.SUBFIELD) for p in (f.h_order, f.index, *(q for r in f.rows for q in (r.length, r.count)))]
+assert all(any(p is o for o in polys) for p in family), "gc missed a family polynomial"
+assert all(p._plan is None for p in polys), "import built a plan"
+print("ok")
+"""
+
+
+def test_import_builds_no_plan(package_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_PLAN_AT_IMPORT_SCRIPT], capture_output=True, text=True, env=package_env, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_plans_are_built_once_per_polynomial(monkeypatch):
+    ree_polys = {id(p) for p in _family_polys(REE)}
+    for p in _family_polys(REE):
+        monkeypatch.setattr(p, "_plan", None)
+    built = Counter()
+    build = Poly._build_plan
+
+    def counted(self):
+        built[id(self)] += 1
+        return build(self)
+
+    monkeypatch.setattr(Poly, "_build_plan", counted)
+    first = analyze("ree", 0, 100)
+    assert built and set(built) <= ree_polys and max(built.values()) == 1
+    built.clear()
+    assert analyze("ree", 0, 100) == first
+    assert not built
+
+
+def test_a_mutant_fails_after_the_canonical_plans_exist():
+    table = build_table(REE)
+    assert verify_tables("ree", [3, 27], symbolic=True).ok
+    assert all(p._plan is not None for row in table.rows for p in (row.length, row.count))
+    mutants = 0
+    for mutant in single_coefficient_mutants(table, lambda: -1):
+        assert not verify_tables("ree", [3, 27], symbolic=True, table=mutant).ok
+        mutants += 1
+    assert mutants == 152

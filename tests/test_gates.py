@@ -192,7 +192,22 @@ def test_involution_gate_fail_steps():
     )
     v = involution_gate(bad_candidate)
     assert v.witnesses["failed_step"] == "candidate_z_orders"
-    assert "z" in v.witnesses["offending_rows"] or "B" in v.witnesses["offending_rows"]
+    assert v.witnesses["offending_rows"] == "z"
+
+    # a first-sphere candidate of unknown z order fails the step as well
+    unknown_candidate = ConcreteTable(
+        SUBFIELD, 3, real.index, real.h_order,
+        (
+            ConcreteRow("1", "one", 1, 1),
+            ConcreteRow("z", Z_TWO, 13, 1),
+            ConcreteRow("A", Z_THREE, 5, 1),
+            ConcreteRow("B", Z_UNKNOWN, 7, 1),
+            ConcreteRow("C", Z_THREE, 11, 1),
+        ),
+    )
+    v = involution_gate(unknown_candidate)
+    assert v.witnesses["failed_step"] == "candidate_z_orders"
+    assert v.witnesses["offending_rows"] == "B"
 
     no_torus = ConcreteTable(
         SUBFIELD, 3, real.index, real.h_order,
