@@ -6,8 +6,8 @@ option keeps its last value.
 
 Exit codes: 0 all certificates conclude no_dtg (or checks pass), 2 at least
 one undetermined certificate (or failed check), 1 usage or internal error,
-including a run that covers nothing: a reversed analyze n range or
-verify-tables step range, or an --x filter that matches no outer subgroup.
+including a run that covers nothing: a reversed --n range, or an --x
+filter that matches no outer subgroup.
 """
 import sys
 from typing import NamedTuple, Optional, Sequence
@@ -34,13 +34,13 @@ class Option(NamedTuple):
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        single = int(text)
-        return single, single
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ValueError(f"invalid range: {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"empty step range {lo}..{hi}")
+    return lo, hi
 
 
 def _parse_x(tokens: Sequence[str]) -> pipeline.XFilter:
@@ -62,19 +62,6 @@ def _parse_x(tokens: Sequence[str]) -> pipeline.XFilter:
         else:
             raise ValueError(f"invalid outer subgroup token: {token!r}")
     return chosen
-
-
-def _parse_params(case: str, text: str) -> list[int]:
-    family = pipeline.get_family(case)
-    if ".." in text:
-        lo, hi = _parse_range(text)
-        if lo > hi:
-            raise ValueError(f"empty step range {lo}..{hi}")
-        return [family.param_for_n(n) for n in range(lo, hi + 1)]
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"invalid parameter list: {text!r}") from None
 
 
 def _write(payload: bytes, out: Optional[str]) -> None:
@@ -100,11 +87,16 @@ def _run_analyze(args: dict) -> int:
 
 
 def _run_verify_tables(args: dict) -> int:
-    params = _parse_params(args["--case"], args["--params"])
-    report = pipeline.verify_tables(args["--case"], params, symbolic=args["--symbolic"])
+    n_min, n_max = _parse_range(args["--n"])
+    family = pipeline.get_family(args["--case"])
+    params = [family.param_for_n(n) for n in range(n_min, n_max + 1)]
+    report = pipeline.verify_tables(args["--case"], params, symbolic=True)
     _write(pipeline.emit(report, "text"), None)
     return 0 if report.ok else 2
 
+
+#: The step range both commands take.
+_N = Option(VALUE, "step range, e.g. 1..3 or a single step like 2", required=True)
 
 #: Command -> (summary, runner, option table). The tables are the only place
 #: options are declared: _parse() reads argv by them and _help_text() lists them.
@@ -114,7 +106,7 @@ COMMANDS = {
         _run_analyze,
         {
             "--case": Option(VALUE, "coset family to sweep", choices=tuple(FAMILIES), required=True),
-            "--n": Option(VALUE, "step range, e.g. 1..3 or a single step like 2", required=True),
+            "--n": _N,
             "--x": Option(VALUES, "outer subgroup filter: 'all', or orders like '2' or '6,graph'", default=("all",)),
             "--strict": Option(FLAG, "conclude only from certificates that rely on no assumption"),
             "--format": Option(VALUE, "report format", default="text", choices=FORMATS),
@@ -123,14 +115,11 @@ COMMANDS = {
         },
     ),
     "verify-tables": (
-        "check table consistency at concrete parameters",
+        "check a family's table as polynomials and at every step in range",
         _run_verify_tables,
         {
             "--case": Option(VALUE, "coset family whose table is checked", choices=tuple(FAMILIES), required=True),
-            "--params": Option(
-                VALUE, "comma-separated parameter values (e.g. 3,27,243) or a step range like 0..3", required=True
-            ),
-            "--symbolic": Option(FLAG, "also check the polynomial mass identity"),
+            "--n": _N,
         },
     ),
 }

@@ -185,21 +185,14 @@ class Poly:
         return Poly._make(list(self._num), self._den * divisor)
 
     def __pow__(self, exponent: int) -> "Poly":
-        """Square-and-multiply from the base, reading the exponent's bits from the top.
-
-        self**k takes one squaring per bit after the leading one and one
-        product with self per further set bit: t**6 takes 3 products and
-        t**13 takes 5. self**0 is the constant 1.
-        """
+        """self multiplied by itself, k - 1 products for self**k; self**0 is the constant 1."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         if exponent == 0:
             return Poly._make([1], 1)
         result = self
-        for bit in bin(exponent)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
+        for _ in range(exponent - 1):
+            result = result * self
         return result
 
     @classmethod

@@ -17,18 +17,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_verify_tables_step_range(capsys):
     # 0..2 expands to q = 3, 27, 243
-    assert main(["verify-tables", "--case", "ree", "--params", "0..2"]) == 0
+    assert main(["verify-tables", "--case", "ree", "--n", "0..2"]) == 0
     out = capsys.readouterr().out
     assert "param=243" in out
-
-
-def test_verify_tables_bad_param(capsys):
-    assert main(["verify-tables", "--case", "ree", "--params", "9"]) == 2
-    assert "result: FAIL" in capsys.readouterr().out
-    # a parameter below 1, or subfield's 1, gets the family's own message
-    for case, bad, form in (("ree", "0", "3**(2n+1)"), ("ree", "-3", "3**(2n+1)"), ("subfield", "1", "3**n, n >= 1")):
-        assert main(["verify-tables", "--case", case, "--params", bad]) == 2
-        assert f"param={bad}\terror={case} parameter must be {form}: {bad}" in capsys.readouterr().out.splitlines()
+    # --n counts steps, as analyze's does, whether a range or a single step
+    for n, params in (("0", "3"), ("3", "2187")):
+        assert main(["verify-tables", "--case", "ree", "--n", n]) == 0
+        assert capsys.readouterr().out.startswith(f"verify-tables case=ree params={params}\n")
 
 
 def test_analyze_text(capsys):
@@ -78,7 +73,7 @@ def test_reports_print_integers_past_the_int_str_digit_cap(capsysbinary):
     assert len(cert["gates"][0]["witnesses"]["vertices"]) == 4306
     assert main([*argv, "--format", "text"]) == 0
     for case in ("ree", "subfield"):
-        assert main(["verify-tables", "--case", case, "--params", "644..644"]) == 0
+        assert main(["verify-tables", "--case", case, "--n", "644"]) == 0
     assert sys.get_int_max_str_digits() == cap
 
 
@@ -144,9 +139,9 @@ def test_analyze_empty_out_is_an_error(out, capsys):
 
 def test_verify_tables_empty_range_is_an_error(capsys):
     # a step range that checks no parameter must not report "result: PASS"
-    assert main(["verify-tables", "--case", "ree", "--params", "5..2"]) == 1
+    assert main(["verify-tables", "--case", "ree", "--n", "5..2"]) == 1
     captured = capsys.readouterr()
-    assert "error: empty step range 5..2" in captured.err
+    assert captured.err == "error: empty step range 5..2\n"
     assert captured.out == ""
 
 
@@ -176,12 +171,7 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["analyze", "--case", "ree", "--n", "1", "--x", "2,twist"]) == 1
     capsys.readouterr()
-    for params in (",", "3,,27", "3,", ",3"):
-        assert main(["verify-tables", "--case", "ree", "--params", params]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: invalid parameter list: {params!r}\n"
-        assert captured.out == ""
-    assert main(["verify-tables", "--case", "ree", "--params", "a,b"]) == 1
+    assert main(["verify-tables", "--case", "ree", "--n", "a..b"]) == 1
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
@@ -221,7 +211,7 @@ def test_pyproject_version_is_the_package_version():
             ["analyze", "--case", "subfield", "--n", "2", "--x", "4", "8,graph", "--strict"],
             ["analyze", "--strict", "--x", "4", "8,graph", "--n", "2", "--case", "subfield"],
         ),
-        (["verify-tables", "--params=1..2", "--case", "subfield"], ["verify-tables", "--case", "subfield", "--params", "1..2"]),
+        (["verify-tables", "--n=1..2", "--case", "subfield"], ["verify-tables", "--case", "subfield", "--n", "1..2"]),
     ],
 )
 def test_accepted_forms_read_as_their_plain_spelling(argv, plain, capsysbinary):
@@ -238,7 +228,7 @@ def test_accepted_forms_read_as_their_plain_spelling(argv, plain, capsysbinary):
     "argv, error",
     [
         (["analyze", "--case", "ree"], "the following arguments are required: --n"),
-        (["verify-tables"], "the following arguments are required: --case, --params"),
+        (["verify-tables"], "the following arguments are required: --case, --n"),
         (["analyze", "--case", "weyl", "--n", "1"], "argument --case: invalid choice: 'weyl' (choose from 'subfield', 'ree')"),
         (["analyze", "--case", "ree", "--n", "1", "--max-n", "abc"], "argument --max-n: invalid int value: 'abc'"),
         (["analyze", "--case", "ree", "--n", "1", "--bogus"], "unrecognized arguments: --bogus"),
@@ -252,6 +242,10 @@ def test_accepted_forms_read_as_their_plain_spelling(argv, plain, capsysbinary):
         ([], "the following arguments are required: command"),
         (["--bogus"], "unrecognized arguments: --bogus"),
         (["analyze", "--case", "ree", "--n", "0", "--x", "abc"], "invalid outer subgroup token: 'abc'"),
+        (["verify-tables", "--case", "ree", "--params", "3"], "unrecognized arguments: --params"),
+        (["verify-tables", "--case", "ree", "--n", "1", "--symbolic"], "unrecognized arguments: --symbolic"),
+        (["verify-tables", "--case", "ree", "--n", "3,27"], "invalid range: '3,27'"),
+        (["verify-tables", "--case", "subfield", "--n", "0"], "subfield family requires n >= 1"),
     ],
 )
 def test_rejected_forms(argv, error, capsys):
@@ -290,5 +284,5 @@ def test_readme_has_command_lines():
 @pytest.mark.parametrize("line", README_COMMANDS)
 def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(shlex.split(line)[1:]) in (0, 2)
+    assert main(shlex.split(line)[1:]) == 0
     assert capsys.readouterr().err == ""

@@ -9,8 +9,8 @@ content regenerates them and says why.
 
 verify_tables_ree_mutant.txt comes from a patched table builder: the CLI run
 below checks the ree table with R2's length raised by 1, so the report pins
-the lines of a failing check (an inadmissible parameter, a mass residual, a
-failed divisibility and symbolic check) that no canonical table reaches.
+the lines of a failing check (a mass residual, a failed divisibility and
+symbolic check) that no canonical table reaches.
 """
 from pathlib import Path
 
@@ -44,13 +44,13 @@ def test_analyze_report_matches_golden(name, tmp_path):
 
 
 def test_verify_tables_report_matches_golden(capsys):
-    assert main(["verify-tables", "--case", "ree", "--params", "3,27,243,2187", "--symbolic"]) == 0
+    assert main(["verify-tables", "--case", "ree", "--n", "0..3"]) == 0
     produced = capsys.readouterr().out.encode()
     assert produced == (GOLDEN / "verify_tables_ree_symbolic.txt").read_bytes()
 
 
 def test_verify_tables_subfield_report_matches_golden(capsys):
-    assert main(["verify-tables", "--case", "subfield", "--params", "3,9,27,81", "--symbolic"]) == 0
+    assert main(["verify-tables", "--case", "subfield", "--n", "1..4"]) == 0
     produced = capsys.readouterr().out.encode()
     assert produced == (GOLDEN / "verify_tables_subfield_symbolic.txt").read_bytes()
 
@@ -58,6 +58,6 @@ def test_verify_tables_subfield_report_matches_golden(capsys):
 def test_verify_tables_failing_report_matches_golden(monkeypatch, capsys):
     mutant = r2_length_plus_one(tables.build_table(REE))
     monkeypatch.setattr(tables, "build_table", lambda family: mutant)
-    assert main(["verify-tables", "--case", "ree", "--params", "9,27", "--symbolic"]) == 2
+    assert main(["verify-tables", "--case", "ree", "--n", "1"]) == 2
     produced = capsys.readouterr().out.encode()
     assert produced == (GOLDEN / "verify_tables_ree_mutant.txt").read_bytes()

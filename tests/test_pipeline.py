@@ -234,6 +234,22 @@ def test_a_check_that_holds_only_an_error_fails_each_verdict():
     assert (check.mass_ok, check.lengths_divide, check.suborbit_ok, check.ok) == (False, False, False, False)
 
 
+def test_verify_tables_reports_each_bad_parameter():
+    # a power of 3 off the family's form, a parameter below 1, or subfield's 1
+    # gets the family's own message in an error row
+    for case, bad, form in (
+        ("ree", 9, "3**(2n+1)"),
+        ("ree", 0, "3**(2n+1)"),
+        ("ree", -3, "3**(2n+1)"),
+        ("subfield", 1, "3**n, n >= 1"),
+    ):
+        report = verify_tables(case, [bad])
+        assert not report.ok
+        lines = emit(report, "text").decode().splitlines()
+        assert f"param={bad}\terror={case} parameter must be {form}: {bad}" in lines
+        assert lines[-1] == "result: FAIL"
+
+
 def _r2_and_r3_lengths_moved(table):
     """R2's length + 1 and R3's length - 1: the mass and counts stay, and R2's length divides |H| no more."""
     table = replace_row(table, 1, "length", table.rows[1].length + 1)
@@ -268,7 +284,7 @@ def test_each_check_alone_fails_the_report_and_the_exit_code(mutate, failing, mo
     mutant = mutate(tables.build_table(REE))
     assert not verify_tables("ree", [27], symbolic=True, table=mutant).ok
     monkeypatch.setattr(tables, "build_table", lambda family: mutant)
-    assert cli.main(["verify-tables", "--case", "ree", "--params", "27", "--symbolic"]) == 2
+    assert cli.main(["verify-tables", "--case", "ree", "--n", "1"]) == 2
     # the mass check and the other checks pass
     assert [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line] == [failing, "result: FAIL"]
 
