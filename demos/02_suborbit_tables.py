@@ -1,7 +1,7 @@
 """Suborbit tables: exact transcription, instantiation, and integrity checks.
 
 Each family carries a parametrized table of suborbit lengths and counts. The
-demo instantiates both at small parameters and replays the checks that pin
+demo instantiates both at their first steps and replays the checks that pin
 the transcription down: the mass identity (lengths times counts sum to the
 coset index), stabilizer divisibility, and the suborbit count formula. The
 concrete mass sums and suborbit totals come from verify_tables, which the
@@ -17,7 +17,8 @@ from dtgcert import (
 )
 from dtgcert.pipeline import verify_tables
 
-ree_checks = verify_tables("ree", [3, 27]).checks
+# verify_tables is handed parameters; the steps make them: q = 3, 27 and r = 3
+ree_checks = verify_tables("ree", [REE.param_for_n(n) for n in (0, 1)]).checks
 
 print("== ree table at q = 3 ==")
 check = ree_checks[0]
@@ -38,7 +39,7 @@ print(f"point-stabilizer orders: {stabs}")
 
 print()
 print("== subfield table at r = 3 ==")
-check = verify_tables("subfield", [3]).checks[0]
+check = verify_tables("subfield", [SUBFIELD.param_for_n(1)]).checks[0]
 ct_sub = check.table
 print(f"vertices: {ct_sub.index}")
 print(f"mass identity: {check.mass_ok}")

@@ -11,7 +11,7 @@ from dtgcert.pipeline import gate_text
 table = build_table(REE)
 
 print("== fused class lower bounds at q = 27 ==")
-ct = instantiate(table, 27)
+ct = instantiate(table, 1)  # step 1: q = 27
 groups = ct.length_groups
 print(f"{len(groups)} length classes over {sum(mult for _, mult in groups)} nontrivial suborbits")
 for x in (1, 2, 3, 6):
@@ -21,15 +21,15 @@ for x in (1, 2, 3, 6):
 print()
 print("== diameter cutoff gate ==")
 # the cutoff d < (8/3) log2(v) fails from n = 4 on, decided exactly;
-# q and v come from the table instantiated at q
+# q and v come from the table instantiated at step n
 for n in (1, 3, 4, 6):
-    q = REE.param_for_n(n)
-    verdict = bhk_gate(instantiate(table, q), 2 * (2 * n + 1))
+    verdict = bhk_gate(instantiate(table, n), 2 * (2 * n + 1))
     print(f"  n={n}: {gate_text(verdict)}")
 
 print()
 print("== certifying kernel primes ==")
-for q in (27, 243, 2187):
+for n in (1, 2, 3):
+    q = REE.param_for_n(n)
     (minus_value, p_minus), (plus_value, p_plus) = kernel_prime_data(q)
     print(f"  q={q}: q-3m+1 = {minus_value} -> {p_minus},"
           f" q+3m+1 = {plus_value} -> {p_plus}")

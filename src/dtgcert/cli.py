@@ -32,12 +32,18 @@ class Option(NamedTuple):
     required: bool = False
 
 
+def _int(text: str, error: str) -> int:
+    """text as an int if it is spelled -?[0-9]+, else ValueError(error); int() alone takes '1_0' and ' 1'."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(error)
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split("..", 1) if ".." in text else (text, text)
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise ValueError(f"invalid range: {text!r}") from None
+    error = f"invalid range: {text!r}"
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = _int(lo, error), _int(hi, error)
     if lo > hi:
         raise ValueError(f"empty step range {lo}..{hi}")
     return lo, hi
@@ -50,17 +56,11 @@ def _parse_x(tokens: Sequence[str]) -> pipeline.XFilter:
     for token in tokens:
         if token == "all":
             raise ValueError("'all' cannot be combined with explicit orders")
-        parts = token.split(",")
-        try:
-            order = int(parts[0])
-        except ValueError:
-            raise ValueError(f"invalid outer subgroup token: {token!r}") from None
-        if len(parts) == 1:
-            chosen.append((order, False))
-        elif len(parts) == 2 and parts[1] == "graph":
-            chosen.append((order, True))
-        else:
-            raise ValueError(f"invalid outer subgroup token: {token!r}")
+        error = f"invalid outer subgroup token: {token!r}"
+        order, *flag = token.split(",")
+        if flag not in ([], ["graph"]):
+            raise ValueError(error)
+        chosen.append((_int(order, error), bool(flag)))
     return chosen
 
 
@@ -217,10 +217,7 @@ def _parse(argv: Sequence[str]) -> tuple[str, dict]:
             raise ValueError(f"argument {name}: expected {expected}")
         value = tuple(given) if opt.kind == VALUES else given[0]
         if opt.kind == INT:
-            try:
-                value = int(value)
-            except ValueError:
-                raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+            value = _int(value, f"argument {name}: invalid int value: {value!r}")
         if opt.choices and value not in opt.choices:
             choices = ", ".join(map(repr, opt.choices))
             raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")

@@ -248,9 +248,9 @@ def kernel_prime_data(q: int) -> tuple[tuple[int, tuple[int, ...]], tuple[int, t
 
     Returns ((q - 3m + 1, its primes), (q + 3m + 1, its primes)). The two
     factors multiply to q*q - q + 1. Primes in DEFAULT_STRIP cannot certify
-    (they may divide fused kernel multipliers), so they are removed.
-    """
-    m = REE.table_variable(q)
+    (they may divide fused kernel multipliers), so they are removed. A q
+    that is not an int 3**(2n+1) raises ValueError."""
+    m = REE.table_variable(REE.n_of_param(q))
     minus_value = q - 3 * m + 1
     plus_value = q + 3 * m + 1
     if minus_value * plus_value != q * q - q + 1:

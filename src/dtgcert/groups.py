@@ -30,6 +30,7 @@ class CaseFamily(NamedTuple):
     |G2(q)|. Step n >= min_n has param 3**(a*n + b) for param_exponent (a, b)
     and q = param**q_power. suborbits is N, the trivial suborbit included, in
     param; param_form spells the admissible params in n_of_param's error.
+    Methods take step n, except q_value, suborbit_total and the inverse n_of_param.
     """
 
     kind: str
@@ -42,40 +43,41 @@ class CaseFamily(NamedTuple):
     suborbits: Poly
     param_form: str
 
+    def _step(self, n: int) -> int:
+        """n itself if it is an int step of the family; param_for_n's error otherwise."""
+        if type(n) is not int or n < self.min_n:
+            raise ValueError(f"{self.kind} family requires n >= {self.min_n}")
+        return n
+
     def param_for_n(self, n: int) -> int:
         """Public parameter for step n: subfield r = 3**n, ree q = 3**(2n+1)."""
-        if n < self.min_n:
-            raise ValueError(f"{self.kind} family requires n >= {self.min_n}")
         a, b = self.param_exponent
-        return 3 ** (a * n + b)
+        return 3 ** (a * self._step(n) + b)
 
     def suborbit_total(self, param: int) -> int:
         """Number of suborbits at param, the trivial one included: r*r + 2r + 6 for subfield, q + 6 for ree."""
         return self.suborbits.eval_int(param)
 
     def n_of_param(self, param: int) -> int:
-        """Inverse of param_for_n; validates admissibility."""
+        """Inverse of param_for_n; validates admissibility, and an admissible param is an int."""
         a, b = self.param_exponent
-        e = is_power_of(param, 3) if param >= 1 else None
+        e = is_power_of(param, 3) if type(param) is int and param >= 1 else None
         if e is None or e < a * self.min_n + b or (e - b) % a:
             raise ValueError(f"{self.kind} parameter must be {self.param_form}: {param}")
         return (e - b) // a
 
-    def table_variable(self, param: int) -> int:
-        """Evaluation point 3**n for the family's polynomials: r itself for subfield, m for ree."""
-        return 3 ** self.n_of_param(param)
+    def table_variable(self, n: int) -> int:
+        """Evaluation point 3**n for the family's polynomials at step n: r for subfield, m for ree."""
+        return 3 ** self._step(n)
 
     def q_value(self, param: int) -> int:
-        """The host group parameter q of G2(q), for a param that param_for_n made.
-
-        Plain arithmetic: param is not validated again here.
-        """
+        """The host group parameter q of G2(q) for a param that param_for_n made; not validated again."""
         return param**self.q_power
 
-    def field_exponent(self, param: int) -> int:
-        """f with q = 3**f; the field automorphism has order f."""
+    def field_exponent(self, n: int) -> int:
+        """f with q = 3**f at step n; the field automorphism has order f."""
         a, b = self.param_exponent
-        return self.q_power * (a * self.n_of_param(param) + b)
+        return self.q_power * (a * self._step(n) + b)
 
 
 def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:
@@ -207,8 +209,8 @@ class OuterOption(NamedTuple):
     contains_graph_auto: bool
 
 
-def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption, ...]:
-    """All (order, contains_graph_auto) descriptors of subgroups of Out.
+def outer_subgroup_options(family: CaseFamily, n: int) -> tuple[OuterOption, ...]:
+    """All (order, contains_graph_auto) descriptors of subgroups of Out at step n.
 
     Out is cyclic of order 2f generated by a graph automorphism tau whose
     square is the field automorphism (order f, q = 3**f). The unique subgroup
@@ -219,7 +221,7 @@ def outer_subgroup_options(family: CaseFamily, param: int) -> tuple[OuterOption,
     every d when f is odd (every ree step). When f is even (every subfield
     step) they differ at d = 2, and no odd power of tau is an involution.
     """
-    two_f = 2 * family.field_exponent(param)
+    two_f = 2 * family.field_exponent(n)
     small, large = [], []
     for d in range(1, isqrt(two_f) + 1):
         if two_f % d == 0:

@@ -139,8 +139,8 @@ def conclude(verdicts: Sequence[gates.GateVerdict], strict: bool = False) -> str
     return UNDETERMINED
 
 
-def _select_options(family: CaseFamily, param: int, x_filter: XFilter) -> tuple[OuterOption, ...]:
-    options = outer_subgroup_options(family, param)
+def _select_options(family: CaseFamily, n: int, x_filter: XFilter) -> tuple[OuterOption, ...]:
+    options = outer_subgroup_options(family, n)
     if x_filter is None:
         return options
     chosen = []
@@ -191,14 +191,13 @@ def _certificates(
     subfield = case == "subfield"
     certificates = []
     for n in steps:
-        param = family.param_for_n(n)
-        q = family.q_value(param)
-        ct = tables.instantiate(table, param)
+        ct = tables.instantiate(table, n)
+        q = family.q_value(ct.param)
         step_verdicts = None
-        for option in _select_options(family, param, x_filter):
+        for option in _select_options(family, n, x_filter):
             if subfield:
                 verdicts = (gates.multiplicity_free_gate(ct, option),)
-            elif param == 3:
+            elif ct.param == 3:
                 verdicts = (gates.bcn_small_case_gate(ct, option.order),)
             else:
                 verdicts = (gates.bhk_gate(ct, option.order),)
@@ -223,9 +222,10 @@ def verify_tables(
 ) -> TableCheckReport:
     """Mass, divisibility, integrality, and count checks per parameter.
 
-    Each parameter's table is instantiated once, with its integrality
-    checks, and tables.measure takes its mass, suborbit total, whether every
-    length divides |H| and the proper-divisor premise in one pass.
+    Each parameter is inverted to its step once, an inadmissible one giving
+    an error row, and instantiated there once, with its integrality checks;
+    tables.measure takes its mass, suborbit total, whether every length
+    divides |H| and the proper-divisor premise in one pass.
 
     The optional table override exists for fault-injection tests; by default
     the canonical table of the named family is checked. An override from
@@ -242,7 +242,7 @@ def verify_tables(
     checks = []
     for param in params:
         try:
-            ct = tables.instantiate(tab, param)
+            ct = tables.instantiate(tab, family.n_of_param(param))
         except ValueError as exc:
             checks.append(ParamCheck(param, error=str(exc)))
             continue

@@ -7,7 +7,7 @@ order as a tag; it feeds the commuting-involution gate.
 
 Each family's rows are transcribed in groups, beside its |H| and coset
 index, and built once at import. This module holds the row and table types,
-instantiation at a parameter and the exactness checks; it names no family.
+instantiation at a step n and the exactness checks; it names no family.
 
 Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
@@ -93,8 +93,8 @@ def build_table(family: "CaseFamily") -> SuborbitTable:
     return SuborbitTable(family, family.rows)
 
 
-def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
-    """Evaluate every row at an admissible parameter, dropping zero counts.
+def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
+    """Evaluate every row at step n, whose parameter param_for_n gives, dropping zero counts.
 
     Counts must evaluate to nonnegative integers, lengths of surviving rows
     to positive integers, and the coset index and |H| to integers; anything
@@ -102,7 +102,8 @@ def instantiate(table: SuborbitTable, param: int) -> ConcreteTable:
     its count is positive, so a zero-count row's length is never evaluated.
     """
     family = table.family
-    var = family.table_variable(param)
+    param = family.param_for_n(n)
+    var = family.table_variable(n)
     rows = []
     trivial_counts = []
     for (label, z_order), length_poly, count_poly in table.rows:

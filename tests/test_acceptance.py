@@ -71,8 +71,7 @@ def test_criterion_4_diameter_cutoff():
     t0 = time.perf_counter()
     table = build_table(REE)
     for n in range(1, 9):
-        q = REE.param_for_n(n)
-        verdict = bhk_gate(instantiate(table, q), 2 * (2 * n + 1))
+        verdict = bhk_gate(instantiate(table, n), 2 * (2 * n + 1))
         assert verdict.gate_name == gates.GATE_BHK
         want = "inconclusive" if n <= 3 else "excludes"
         assert verdict.outcome == want, (n, verdict.outcome)
@@ -85,11 +84,11 @@ def test_criterion_6_order4_witnesses():
     table = build_table(SUBFIELD)
     for n in range(1, 11):
         r = 3**n
-        base, exponent, base_order = order4_witness(instantiate(table, r))
+        base, exponent, base_order = order4_witness(instantiate(table, n))
         assert cyclic_order(base_order, exponent) == 4
         expected_base = "gamma" if (r - 1) % 4 == 0 else "eta"
         assert base == expected_base, r
-    assert order4_witness(instantiate(table, 3)) == ("eta", 1, 4)
+    assert order4_witness(instantiate(table, 1)) == ("eta", 1, 4)
     print("criterion 6 (order-4 torus witnesses n=1..10): PASS")
 
 

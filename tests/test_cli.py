@@ -246,6 +246,16 @@ def test_accepted_forms_read_as_their_plain_spelling(argv, plain, capsysbinary):
         (["verify-tables", "--case", "ree", "--n", "1", "--symbolic"], "unrecognized arguments: --symbolic"),
         (["verify-tables", "--case", "ree", "--n", "3,27"], "invalid range: '3,27'"),
         (["verify-tables", "--case", "subfield", "--n", "0"], "subfield family requires n >= 1"),
+        # integers are spelled -?[0-9]+: int() alone would also take '1_0', ' 1' and other digits
+        (["analyze", "--case", "ree", "--n", "1_0", "--max-n", "20"], "invalid range: '1_0'"),
+        (["analyze", "--case", "ree", "--n", "0..1_0", "--max-n", "20"], "invalid range: '0..1_0'"),
+        (["verify-tables", "--case", "ree", "--n", " 1"], "invalid range: ' 1'"),
+        (["verify-tables", "--case", "ree", "--n", "\u0661"], "invalid range: '\u0661'"),
+        (["analyze", "--case", "ree", "--n", "1", "--max-n", "1_0"], "argument --max-n: invalid int value: '1_0'"),
+        (["analyze", "--case", "ree", "--n", "1", "--max-n", "+5"], "argument --max-n: invalid int value: '+5'"),
+        (["analyze", "--case", "ree", "--n", "1", "--x", "1_0"], "invalid outer subgroup token: '1_0'"),
+        (["analyze", "--case", "ree", "--n", "1", "--x", "\uff12,graph"], "invalid outer subgroup token: '\uff12,graph'"),
+        (["analyze", "--case", "ree", "--n", "1", "--x", "2,"], "invalid outer subgroup token: '2,'"),
     ],
 )
 def test_rejected_forms(argv, error, capsys):

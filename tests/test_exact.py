@@ -533,7 +533,7 @@ for bad in (lambda: Poly((1.5,)), lambda: t(0.5), lambda: t.eval_int(0.5), lambd
         raise AssertionError("a float was accepted")
 # the certificate path runs on integers alone
 for family in (REE, SUBFIELD):
-    instantiate(build_table(family), family.param_for_n(2))
+    instantiate(build_table(family), 2)
 pipeline.analyze("ree", 0, 2)
 pipeline.analyze("subfield", 1, 2)
 pipeline.verify_tables("ree", [3, 27], symbolic=True)

@@ -29,8 +29,8 @@ def exhaustive_min_fused_classes(groups: tuple[tuple[int, int], ...], x: int) ->
 
 
 def test_fusion_constraint_validation():
-    ree3 = instantiate(build_table(REE), 3)
-    ree27 = instantiate(build_table(REE), 27)
+    ree3 = instantiate(build_table(REE), 0)
+    ree27 = instantiate(build_table(REE), 1)
     # |X| = 1 is the trivial outer subgroup and is accepted everywhere
     assert min_fused_classes(ree27.length_groups, 1) == 32
     assert bhk_gate(ree27, 1).witnesses["d0"] == "33/1"
@@ -48,7 +48,7 @@ def test_fusion_constraint_validation():
 
 
 def test_length_groups_ree_q27():
-    ct = instantiate(build_table(REE), 27)
+    ct = instantiate(build_table(REE), 1)
     groups = ct.length_groups
     assert sum(mult for _, mult in groups) == 32
     assert [length for length, _ in groups] == sorted(length for length, _ in groups)
@@ -60,7 +60,7 @@ def test_length_groups_ree_q27():
 
 
 def test_min_fused_classes_frozen_q27():
-    ct = instantiate(build_table(REE), 27)
+    ct = instantiate(build_table(REE), 1)
     groups = ct.length_groups
     expect = {1: 32, 2: 18, 3: 14, 6: 10}
     for x, classes in expect.items():
@@ -96,12 +96,12 @@ SUBFIELD_CANDIDATES = ("x_{2a+b}(1)", "x_{3a+2b}(1)", "x_{2a+b}(1)x_{3a+2b}(1)")
 
 
 @pytest.mark.parametrize(
-    "family, param, labels",
-    [pytest.param(REE, q, ("R2", "R6"), id=f"ree-{q}") for q in (3, 27, 243, 2187)]
-    + [pytest.param(SUBFIELD, r, SUBFIELD_CANDIDATES, id=f"subfield-{r}") for r in (3, 9, 27, 81)],
+    "family, n, labels",
+    [pytest.param(REE, n, ("R2", "R6"), id=f"ree-{REE.param_for_n(n)}") for n in range(4)]
+    + [pytest.param(SUBFIELD, n, SUBFIELD_CANDIDATES, id=f"subfield-{SUBFIELD.param_for_n(n)}") for n in range(1, 5)],
 )
-def test_smallest_fused_candidates_are_table_rows(family, param, labels):
-    ct = instantiate(build_table(family), param)
+def test_smallest_fused_candidates_are_table_rows(family, n, labels):
+    ct = instantiate(build_table(family), n)
     rows = smallest_fused_candidates(ct)
     # the table's own rows, not copies or labels
     assert all(any(row is r for r in ct.rows) for row in rows)
@@ -111,5 +111,5 @@ def test_smallest_fused_candidates_are_table_rows(family, param, labels):
     two_smallest = [length for length, _ in ct.length_groups[:2]]
     assert sorted({row.length for row in rows}) == two_smallest
     if family is REE:
-        q = param
+        q = ct.param
         assert [row.length for row in rows] == [(q**3 + 1) * (q - 1), q**2 * (q**2 - q + 1)]

@@ -39,12 +39,14 @@ from dtgcert.tables import (
 )
 
 
-def _sub_table(r):
-    return instantiate(build_table(SUBFIELD), r)
+def _sub_table(n):
+    """The subfield table at step n, r = 3**n."""
+    return instantiate(build_table(SUBFIELD), n)
 
 
-def _ree_table(q):
-    return instantiate(build_table(REE), q)
+def _ree_table(n):
+    """The ree table at step n, q = 3**(2n+1)."""
+    return instantiate(build_table(REE), n)
 
 
 def test_gate_verdict_requires_witnesses_for_exclusion():
@@ -62,19 +64,19 @@ def test_gate_verdict_requires_witnesses_for_exclusion():
 def test_multiplicity_free_gate():
     graph = OuterOption(4, True)
     plain = OuterOption(2, False)
-    v = multiplicity_free_gate(_sub_table(3), graph)
+    v = multiplicity_free_gate(_sub_table(1), graph)
     assert v.gate_name == GATE_MULTIPLICITY_FREE
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses == {"q": 9, "x_order": 4, "contains_graph_auto": "true"}
-    v = multiplicity_free_gate(_sub_table(9), plain)
+    v = multiplicity_free_gate(_sub_table(2), plain)
     assert v.outcome == EXCLUDES
     assert v.witnesses == {"q": 81, "x_order": 2, "contains_graph_auto": "false"}
     with pytest.raises(ValueError):
-        multiplicity_free_gate(_ree_table(27), graph)
+        multiplicity_free_gate(_ree_table(1), graph)
 
 
 def test_sigma_in_x_gate(monkeypatch):
-    v = sigma_in_x_gate(_sub_table(3))
+    v = sigma_in_x_gate(_sub_table(1))
     assert v.gate_name == GATE_SIGMA_IN_X
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["distinct_nontrivial_lengths"] == 12
@@ -87,20 +89,20 @@ def test_sigma_in_x_gate(monkeypatch):
     v = sigma_in_x_gate(flat)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses == {"distinct_nontrivial_lengths": 1}
-    monkeypatch.setattr(tables, "instantiate", lambda table, param: flat)
+    monkeypatch.setattr(tables, "instantiate", lambda table, n: flat)
     (cert,) = analyze("subfield", 1, 1, x_filter=((4, True),)).certificates
     assert [g.gate_name for g in cert.gates] == [GATE_MULTIPLICITY_FREE, GATE_SIGMA_IN_X, GATE_INVOLUTION]
     assert cert.gates[2].witnesses["failed_step"] == "diameter_at_least_3"
     assert cert.conclusion == UNDETERMINED
     # like every other gate, it refuses a table of the other family
     with pytest.raises(ValueError, match="subfield family only"):
-        sigma_in_x_gate(_ree_table(27))
+        sigma_in_x_gate(_ree_table(1))
 
 
 def test_order4_witness_values():
-    assert order4_witness(_sub_table(3)) == ("eta", 1, 4)
-    assert order4_witness(_sub_table(9)) == ("gamma", 2, 8)
-    base, _, base_order = order4_witness(_sub_table(27))
+    assert order4_witness(_sub_table(1)) == ("eta", 1, 4)
+    assert order4_witness(_sub_table(2)) == ("gamma", 2, 8)
+    base, _, base_order = order4_witness(_sub_table(3))
     assert (base, base_order) == ("eta", 28)
 
 
@@ -112,14 +114,14 @@ def test_order4_witness_validation(monkeypatch):
     # computed torus orders other than r - 1 and r + 1 are refused, and the gate names the step
     monkeypatch.setattr(gates, "cyclic_order", lambda n, i: n)
     with pytest.raises(ArithmeticError, match="torus orders"):
-        order4_witness(_sub_table(3))
-    v = involution_gate(_sub_table(3))
+        order4_witness(_sub_table(1))
+    v = involution_gate(_sub_table(1))
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "order4_witness"
 
 
 def test_order4_witness_requires_surviving_rows():
-    rows = tuple(r for r in _sub_table(9).rows if not r.z_order.startswith("torus:gamma"))
+    rows = tuple(r for r in _sub_table(2).rows if not r.z_order.startswith("torus:gamma"))
     stripped = ConcreteTable(SUBFIELD, 9, 1, 1, rows)
     with pytest.raises(ArithmeticError):
         order4_witness(stripped)
@@ -127,14 +129,14 @@ def test_order4_witness_requires_surviving_rows():
 
 def test_subfield_gates_reject_ree_tables():
     with pytest.raises(ValueError):
-        order4_witness(_ree_table(27))
+        order4_witness(_ree_table(1))
     with pytest.raises(ValueError):
-        involution_gate(_ree_table(27))
+        involution_gate(_ree_table(1))
 
 
 def test_involution_gate_excludes():
-    for r, base in ((3, "eta"), (9, "gamma"), (27, "eta")):
-        v = involution_gate(_sub_table(r))
+    for n, base in ((1, "eta"), (2, "gamma"), (3, "eta")):
+        v = involution_gate(_sub_table(n))
         assert v.gate_name == GATE_INVOLUTION
         assert v.outcome == EXCLUDES
         assert v.witnesses["commuting_pair_row"] == "h(-1,-1,1)"
@@ -144,7 +146,7 @@ def test_involution_gate_excludes():
 
 
 def test_involution_gate_fail_steps():
-    real = _sub_table(3)
+    real = _sub_table(1)
     no_pair = ConcreteTable(
         SUBFIELD, 3, real.index, real.h_order,
         tuple(r for r in real.rows if r.z_order != Z_TWO),
@@ -177,8 +179,8 @@ def test_involution_gate_fail_steps():
         ),
     )
     assert involution_gate(two_lengths).witnesses["failed_step"] == "diameter_at_least_3"
-    for r in (3, 9, 27):
-        assert involution_gate(_sub_table(r)).outcome == EXCLUDES, r
+    for n in (1, 2, 3):
+        assert involution_gate(_sub_table(n)).outcome == EXCLUDES, n
 
     bad_candidate = ConcreteTable(
         SUBFIELD, 3, real.index, real.h_order,
@@ -268,13 +270,13 @@ def test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound():
 def test_bhk_gate_edges():
     # at q = 3, which the chain routes to the table lookup, the cutoff
     # cannot exclude for either X
-    assert bhk_gate(_ree_table(3), 1).outcome == INCONCLUSIVE
-    assert bhk_gate(_ree_table(3), 2).outcome == INCONCLUSIVE
+    assert bhk_gate(_ree_table(0), 1).outcome == INCONCLUSIVE
+    assert bhk_gate(_ree_table(0), 2).outcome == INCONCLUSIVE
     with pytest.raises(ValueError):
-        bhk_gate(_sub_table(9), 2)
-    # 9 is no ree parameter, so there is no table to run the gate on
-    with pytest.raises(ValueError):
-        _ree_table(9)
+        bhk_gate(_sub_table(2), 2)
+    # the ree family has no step below 0, so there is no table to run the gate on
+    with pytest.raises(ValueError, match=r"^ree family requires n >= 0$"):
+        _ree_table(-1)
 
 
 def test_kernel_prime_data_frozen():
@@ -290,16 +292,21 @@ def test_kernel_prime_data_frozen():
         assert got_minus_value == minus_value
         assert got_plus_value == plus_value
         assert got_minus_value * got_plus_value == q * q - q + 1
+    # the q it is handed is validated: an int 3**(2n+1), not 9 and not 27.0
+    for bad in (9, 27.0):
+        with pytest.raises(ValueError, match=rf"^ree parameter must be 3\*\*\(2n\+1\): {bad}$"):
+            kernel_prime_data(bad)
 
 
 def test_kernel_chain_gate_excludes():
+    # step n: q = 27, 243, 2187
     expect = {
-        27: ("19, 37", "19683, 19656"),
-        243: ("31, 271", "14348907, 14348664"),
-        2187: ("43, 2269", "10460353203, 10460351016"),
+        1: ("19, 37", "19683, 19656"),
+        2: ("31, 271", "14348907, 14348664"),
+        3: ("43, 2269", "10460353203, 10460351016"),
     }
-    for q, (primes, stabs) in expect.items():
-        ct = _ree_table(q)
+    for n, (primes, stabs) in expect.items():
+        ct = _ree_table(n)
         v = kernel_chain_gate(ct)
         assert v.gate_name == GATE_KERNEL_CHAIN
         assert v.outcome == EXCLUDES
@@ -309,18 +316,18 @@ def test_kernel_chain_gate_excludes():
 
 
 def test_kernel_chain_gate_stops_at_the_premise_at_q3():
-    v = kernel_chain_gate(_ree_table(3))
+    v = kernel_chain_gate(_ree_table(0))
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses == {"failed_step": "proper_divisor_premise"}
 
 
 def test_kernel_chain_gate_rejects_subfield():
     with pytest.raises(ValueError):
-        kernel_chain_gate(_sub_table(3))
+        kernel_chain_gate(_sub_table(1))
 
 
 def test_kernel_chain_gate_premise_failure():
-    real = _ree_table(27)
+    real = _ree_table(1)
     rows = real.rows + (ConcreteRow("X", Z_UNKNOWN, real.h_order, 1),)
     broken = ConcreteTable(REE, 27, real.index, real.h_order, rows)
     v = kernel_chain_gate(broken)
@@ -332,13 +339,13 @@ def test_kernel_chain_gate_no_certifying_primes(monkeypatch):
     # the chain needs a certifying prime of each factor of q*q - q + 1
     for minus, plus in (((), ()), ((19,), ()), ((), (37,))):
         monkeypatch.setattr(gates, "kernel_prime_data", lambda q: ((19, minus), (37, plus)))
-        v = kernel_chain_gate(_ree_table(27))
+        v = kernel_chain_gate(_ree_table(1))
         assert v.outcome == INCONCLUSIVE, (minus, plus)
         assert v.witnesses["failed_step"] == "no_certifying_primes", (minus, plus)
 
 
 def test_kernel_chain_gate_candidate_shape_failure():
-    real = _ree_table(27)
+    real = _ree_table(1)
     # shrink one candidate length so the first sphere no longer matches
     rows = tuple(
         ConcreteRow(r.label, r.z_order, 54, r.count) if r.label == "R2" else r
@@ -350,7 +357,7 @@ def test_kernel_chain_gate_candidate_shape_failure():
 
 
 def test_kernel_chain_gate_divisible_candidate_failure():
-    real = _ree_table(27)
+    real = _ree_table(1)
     # the lengths stay; scaling |H| by a certifying prime makes the first
     # candidate's stabilizer divisible by it
     for prime in (19, 37):
@@ -360,7 +367,7 @@ def test_kernel_chain_gate_divisible_candidate_failure():
 
 
 def test_kernel_chain_gate_both_factors_failure():
-    real = _ree_table(27)
+    real = _ree_table(1)
     h = real.h_order
     assert h % (19 * 37) == 0
     rows = real.rows + (ConcreteRow("X", Z_UNKNOWN, h // (19 * 37), 1),)
@@ -372,17 +379,17 @@ def test_kernel_chain_gate_both_factors_failure():
 
 
 def test_bcn_small_case_gate():
-    v = bcn_small_case_gate(_ree_table(3), 2)
+    v = bcn_small_case_gate(_ree_table(0), 2)
     assert v.gate_name == GATE_BCN
     assert v.outcome == ASSUMED_EXTERNAL
     assert v.witnesses["vertices"] == 2808
     assert v.witnesses["diameter_lower_bound"] == 6
     assert v.witnesses["x_order"] == 2
-    v1 = bcn_small_case_gate(_ree_table(3), 1)
+    v1 = bcn_small_case_gate(_ree_table(0), 1)
     assert v1.witnesses["diameter_lower_bound"] == 8
     # a verdict at any other table would cite the q = 3 tables for it
-    for q in (27, 243):
+    for n in (1, 2):
         with pytest.raises(ValueError, match="q = 3 only"):
-            bcn_small_case_gate(_ree_table(q), 2)
+            bcn_small_case_gate(_ree_table(n), 2)
     with pytest.raises(ValueError):
-        bcn_small_case_gate(_sub_table(3), 2)
+        bcn_small_case_gate(_sub_table(1), 2)

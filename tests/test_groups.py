@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,8 @@ def test_order_product_identity_symbolic():
 #: Each family's step map in closed form: n -> (param, q, f, table variable,
 #: N with the trivial suborbit), the n of an admissible param 3**e (None when
 #: 3**e is not admissible), and n_of_param's error for an inadmissible param.
+#: Every entry that takes n refuses a step below min_n, or one that is not an
+#: int, with param_for_n's error.
 CLOSED_FORMS = {
     "subfield": (
         lambda n: (3**n, 3 ** (2 * n), 2 * n, 3**n, 3 ** (2 * n) + 2 * 3**n + 6),
@@ -61,20 +64,36 @@ def test_step_map_matches_closed_forms(kind):
         facts = (
             param,
             family.q_value(param),
-            family.field_exponent(param),
-            family.table_variable(param),
+            family.field_exponent(n),
+            family.table_variable(n),
             family.suborbit_total(param),
         )
         assert facts == step(n), n
     expected = {3**e: n_of_exponent(e) for e in range(802)}
     expected.update((bad, None) for bad in [0, -3, 2, 5, 12] + [2 * 3**k for k in range(20)])
-    for param, n in expected.items():
+    first = family.param_for_n(family.min_n)
+    # a param that is not an int is refused even where it equals an admissible one
+    not_ints = [(float(first), None), (str(first), None), (Fraction(first), None)]
+    for param, n in [*expected.items(), *not_ints]:
         if n is not None:
             assert family.n_of_param(param) == n, param
             continue
         with pytest.raises(ValueError) as err:
             family.n_of_param(param)
         assert str(err.value) == message.format(param)
+    table = build_table(family)
+    entries = {
+        "param_for_n": family.param_for_n,
+        "table_variable": family.table_variable,
+        "field_exponent": family.field_exponent,
+        "outer_subgroup_options": lambda n: outer_subgroup_options(family, n),
+        "instantiate": lambda n: instantiate(table, n),
+    }
+    for bad in (family.min_n - 1, -1, float(family.min_n + 1), str(family.min_n), True):
+        for name, entry in entries.items():
+            with pytest.raises(ValueError) as err:
+                entry(bad)
+            assert str(err.value) == f"{kind} family requires n >= {family.min_n}", (name, bad)
 
 
 def test_case_family_methods_name_no_family():
@@ -94,24 +113,42 @@ def test_case_family_methods_name_no_family():
     assert not hasattr(groups, "_v2")
 
 
+def test_only_the_two_entries_handed_a_parameter_invert_one():
+    # the library's coordinate is step n: n_of_param runs only where a caller
+    # hands in a parameter, in verify_tables and kernel_prime_data
+    callers = set()
+    for path in Path(groups.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in defs:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("n_of_param"):
+                        callers.add(f"{path.stem}.{node.name}")
+    assert callers == {"pipeline.verify_tables", "gates.kernel_prime_data"}
+
+
 def test_outer_subgroup_options_ree():
-    opts = outer_subgroup_options(REE, 27)
+    opts = outer_subgroup_options(REE, 1)
     assert [(o.order, o.contains_graph_auto) for o in opts] == [
         (1, False),
         (2, True),
         (3, False),
         (6, True),
     ]
-    opts3 = outer_subgroup_options(REE, 3)
+    opts3 = outer_subgroup_options(REE, 0)
     assert [(o.order, o.contains_graph_auto) for o in opts3] == [(1, False), (2, True)]
 
 
 def test_outer_subgroup_options_subfield():
     # orders with the graph involution: the 2-adic valuation must match 2f
-    expect = {3: {4}, 9: {8}, 27: {4, 12}}
-    for r, graph_orders in expect.items():
-        opts = outer_subgroup_options(SUBFIELD, r)
-        two_f = 2 * SUBFIELD.field_exponent(r)
+    # step n: r = 3, 9, 27
+    expect = {1: {4}, 2: {8}, 3: {4, 12}}
+    for n, graph_orders in expect.items():
+        opts = outer_subgroup_options(SUBFIELD, n)
+        two_f = 2 * SUBFIELD.field_exponent(n)
         assert [o.order for o in opts] == sorted(d for d in range(1, two_f + 1) if two_f % d == 0)
         assert {o.order for o in opts if o.contains_graph_auto} == graph_orders
 
@@ -156,7 +193,7 @@ def test_torus_order_relations():
         assert orders["eta"] * orders["gamma"] == q - 1
         assert orders["sigma"] * orders["tau"] == q * q + q + 1
         # the library computes only the witness's base order, and it agrees
-        base, exponent, base_order = order4_witness(instantiate(table, r))
+        base, exponent, base_order = order4_witness(instantiate(table, n))
         assert base_order == orders[base] and exponent == base_order // 4, r
 
 
@@ -166,13 +203,13 @@ def test_outer_subgroup_options_match_brute_force_divisors(family):
         return len(bin(k)) - len(bin(k).rstrip("0"))
 
     # every field exponent f in 1..60 that the family has: subfield f = 2n, ree f = 2n + 1
-    params = [family.param_for_n(n) for n in range(family.min_n, family.min_n + 30)]
-    assert [family.field_exponent(p) for p in params] == [f for f in range(1, 61) if f % 2 == (family is REE)]
-    for param in params:
-        two_f = 2 * family.field_exponent(param)
+    steps = range(family.min_n, family.min_n + 30)
+    assert [family.field_exponent(n) for n in steps] == [f for f in range(1, 61) if f % 2 == (family is REE)]
+    for n in steps:
+        two_f = 2 * family.field_exponent(n)
         divisors = [d for d in range(1, two_f + 1) if two_f % d == 0]
         want = [(d, v2(d) == v2(two_f)) for d in divisors]
-        assert [(o.order, o.contains_graph_auto) for o in outer_subgroup_options(family, param)] == want, param
+        assert [(o.order, o.contains_graph_auto) for o in outer_subgroup_options(family, n)] == want, n
 
 
 def test_graph_flag_marks_subgroups_that_meet_the_graph_coset():
@@ -181,7 +218,7 @@ def test_graph_flag_marks_subgroups_that_meet_the_graph_coset():
     for f in range(1, 61):
         family = REE if f % 2 else SUBFIELD
         two_f = 2 * f
-        options = outer_subgroup_options(family, family.param_for_n(f // 2))
+        options = outer_subgroup_options(family, f // 2)
         assert sorted(o.order for o in options) == [d for d in range(1, two_f + 1) if two_f % d == 0]
         differ = []
         for option in options:

@@ -220,7 +220,7 @@ def test_param_checks_store_what_was_measured_and_derive_their_verdicts():
     error, good = verify_tables("ree", [9, 27]).checks
     bad = verify_tables("ree", [27], table=mutant).checks[0]
     assert (error.table, error.ok) == (None, False)
-    assert good.table == tables.instantiate(base, 27) and good.error == ""
+    assert good.table == tables.instantiate(base, 1) and good.error == ""
     assert (good.mass_total, good.suborbit_total) == (good.table.index, 33)
     assert (good.mass_ok, good.lengths_divide, good.suborbit_ok, good.ok) == (True, True, True, True)
     # R2's length + 1 adds 1 to the mass and breaks divisibility, not the count
@@ -235,13 +235,16 @@ def test_a_check_that_holds_only_an_error_fails_each_verdict():
 
 
 def test_verify_tables_reports_each_bad_parameter():
-    # a power of 3 off the family's form, a parameter below 1, or subfield's 1
-    # gets the family's own message in an error row
+    # a power of 3 off the family's form, a parameter below 1, subfield's 1,
+    # or a float equal to an admissible parameter gets the family's own
+    # message in an error row, and the report still emits
     for case, bad, form in (
         ("ree", 9, "3**(2n+1)"),
         ("ree", 0, "3**(2n+1)"),
         ("ree", -3, "3**(2n+1)"),
+        ("ree", 27.0, "3**(2n+1)"),
         ("subfield", 1, "3**n, n >= 1"),
+        ("subfield", 9.0, "3**n, n >= 1"),
     ):
         report = verify_tables(case, [bad])
         assert not report.ok
@@ -337,7 +340,7 @@ def test_analyze_checks_the_symbolic_mass_identity_before_any_certificate(monkey
     mutant = r2_length_plus_one(tables.build_table(REE))
     # R2's length + 1 stays integral, so instantiate alone accepts the mutant
     for n in range(3):
-        tables.instantiate(mutant, REE.param_for_n(n))
+        tables.instantiate(mutant, n)
     monkeypatch.setattr(tables, "build_table", lambda family: mutant)
     with pytest.raises(tables.TranscriptionError):
         analyze("ree", 0, 2)
@@ -439,10 +442,10 @@ def test_instantiate_evaluates_each_count_each_surviving_length_and_both_orders_
         return original(self, point)
 
     monkeypatch.setattr(Poly, "eval_int", counted)
-    for family, param in ((REE, 3), (REE, 27), (SUBFIELD, 3)):
+    for family, n in ((REE, 0), (REE, 1), (SUBFIELD, 1)):
         table = tables.build_table(family)
         evaluated.clear()
-        ct = tables.instantiate(table, param)
+        ct = tables.instantiate(table, n)
         # a count, then the length only where the count is positive
         surviving = {row.label for row in ct.rows}
         expected = []
@@ -453,7 +456,7 @@ def test_instantiate_evaluates_each_count_each_surviving_length_and_both_orders_
         expected += [family.index, family.h_order]
         assert [id(p) for p in evaluated] == [id(p) for p in expected]
         evaluated.clear()
-        verify_tables(family.kind, [param, param], symbolic=True, table=table)
+        verify_tables(family.kind, [ct.param, ct.param], symbolic=True, table=table)
         assert len(evaluated) == 2 * (len(table.rows) + len(ct.rows) + 2)
 
 
@@ -493,19 +496,29 @@ def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):
 
 
 def test_sweeps_check_each_parameter_power_of_three_once_per_use(monkeypatch):
-    # q_value takes the parameter param_for_n made and does not check it
-    # again, and no gate re-checks the q of the table it reads; the table
-    # variable, the field exponent and the kernel chain still validate
-    # theirs. The kernel chain runs once per step that reaches it (n = 1..3),
-    # not once per X. Every package module that binds is_power_of is counted.
+    # A sweep hands the library steps, so it inverts no parameter it made.
+    # The only inversions left are those of kernel_prime_data, which
+    # validates the q it is handed, once per step that reaches the kernel
+    # chain (n = 1..3), not once per X. verify_tables inverts each parameter
+    # it is handed exactly once. Every package module that binds is_power_of
+    # is counted.
     modules = [m for name, m in sys.modules.items() if name.startswith("dtgcert") and hasattr(m, "is_power_of")]
     counters = [_count_calls(monkeypatch, module, ("is_power_of",)) for module in modules]
+    inversions = _count_calls(monkeypatch, type(REE), ("n_of_param",))
+
+    def counts():
+        total = sum(counters, Counter()) + inversions
+        for counter in (*counters, inversions):
+            counter.clear()
+        return total
+
     analyze("ree", 0, 100)
-    assert sum(counters, Counter()) == {"is_power_of": 205}
-    for counter in counters:
-        counter.clear()
+    assert counts() == {"is_power_of": 3, "n_of_param": 3}
     analyze("subfield", 1, 12)
-    assert sum(counters, Counter()) == {"is_power_of": 24}
+    assert counts() == Counter()
+    for case, params in (("ree", [3, 27, 9, 2187]), ("subfield", [3, 9, 1, 81])):
+        verify_tables(case, params, symbolic=True)
+        assert counts() == {"is_power_of": 4, "n_of_param": 4}, case
 
 
 def test_sweeps_instantiate_once_per_parameter_even_when_filtered(monkeypatch):

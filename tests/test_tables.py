@@ -127,7 +127,7 @@ def test_family_orders_pinned_in_normal_form(family):
 
 
 def test_ree_q3_concrete_rows():
-    ct = instantiate(build_table(REE), 3)
+    ct = instantiate(build_table(REE), 0)
     q, m = 3, 1
     expected = {
         "R1": (1, 1),
@@ -147,7 +147,7 @@ def test_ree_q3_concrete_rows():
 
 
 def test_ree_q27_counts():
-    ct = instantiate(build_table(REE), 27)
+    ct = instantiate(build_table(REE), 1)
     counts = {r.label: r.count for r in ct.rows}
     assert counts == {
         "R1": 1, "R2": 1, "R3": 1, "R4": 1, "R5": 1, "R6": 1, "R7": 1, "R8": 1,
@@ -173,7 +173,7 @@ def test_suborbit_total_is_the_sum_of_the_count_polynomials(family, total, param
 
 
 def test_subfield_r3_survivors():
-    ct = instantiate(build_table(SUBFIELD), 3)
+    ct = instantiate(build_table(SUBFIELD), 1)
     assert len(ct.rows) == 20
     assert len(ct.nontrivial_rows) == 19
     assert tuple(length for length, _ in ct.length_groups) == (
@@ -183,10 +183,13 @@ def test_subfield_r3_survivors():
 
 
 def test_instantiate_rejects_inadmissible_param():
-    with pytest.raises(ValueError):
-        instantiate(build_table(REE), 9)
-    with pytest.raises(ValueError):
-        instantiate(build_table(SUBFIELD), 10)
+    # instantiate takes a step, so no parameter reaches it: 3 is ree step 3,
+    # q = 2187, not q = 3, and a step below the family's first is refused
+    assert instantiate(build_table(REE), 3).param == 2187
+    with pytest.raises(ValueError, match=r"^ree family requires n >= 0$"):
+        instantiate(build_table(REE), -1)
+    with pytest.raises(ValueError, match=r"^subfield family requires n >= 1$"):
+        instantiate(build_table(SUBFIELD), 0)
 
 
 def test_instantiate_rejects_fractional_count():
@@ -196,7 +199,7 @@ def test_instantiate_rejects_fractional_count():
         SuborbitRow(build_table(REE).rows[1].z, Poly.const(2), (t - 4) / 2),
     )
     with pytest.raises(TranscriptionError):
-        instantiate(SuborbitTable(REE, rows), 3)
+        instantiate(SuborbitTable(REE, rows), 0)
 
 
 def test_instantiate_rejects_negative_count():
@@ -206,7 +209,7 @@ def test_instantiate_rejects_negative_count():
         SuborbitRow(build_table(REE).rows[1].z, Poly.const(2), t - 5),
     )
     with pytest.raises(TranscriptionError) as exc:
-        instantiate(SuborbitTable(REE, rows), 3)
+        instantiate(SuborbitTable(REE, rows), 0)
     assert str(exc.value) == "count of row 'R2' is -4 at parameter 3"
 
 
@@ -216,7 +219,7 @@ def _trivial_and_r2(length, count):
     return SuborbitTable(REE, (rows[0], SuborbitRow(rows[1].z, length, count)))
 
 
-# the ree table variable is m = 3 at q = 27
+# the ree table variable is m = 3 at step 1, q = 27
 @pytest.mark.parametrize(
     "length, count, message",
     [
@@ -231,23 +234,23 @@ def _trivial_and_r2(length, count):
 )
 def test_instantiate_names_each_faulty_row_value(length, count, message):
     with pytest.raises(TranscriptionError) as exc:
-        instantiate(_trivial_and_r2(length, count), 27)
+        instantiate(_trivial_and_r2(length, count), 1)
     assert str(exc.value) == message
 
 
 def test_instantiate_never_evaluates_the_length_of_a_zero_count_row():
     # the length is 3/2 at m = 3, where the count is 0: the row is dropped, not rejected
     t = Poly.var()
-    ct = instantiate(_trivial_and_r2(t / 2, t - 3), 27)
+    ct = instantiate(_trivial_and_r2(t / 2, t - 3), 1)
     assert [row.label for row in ct.rows] == ["R1"]
     with pytest.raises(TranscriptionError, match="length of row 'R2' at parameter 243"):
-        instantiate(_trivial_and_r2(t / 2, t - 3), 243)
+        instantiate(_trivial_and_r2(t / 2, t - 3), 2)
 
 
 def test_instantiate_rejects_fractional_count_with_message():
     base = build_table(REE)
     with pytest.raises(TranscriptionError) as exc:
-        instantiate(replace_row(base, 10, "count", base.rows[10].count / 2), 27)
+        instantiate(replace_row(base, 10, "count", base.rows[10].count / 2), 1)
     assert str(exc.value) == "count of row 'R11' at parameter 27: polynomial is not integer-valued at 3: 3/2"
 
 
@@ -257,7 +260,7 @@ def test_instantiate_rejects_fractional_orders(field, name):
     family = REE._replace(**{field: getattr(REE, field) + Poly.const(Fraction(1, 2))})
     table = SuborbitTable(family, build_table(REE).rows)
     with pytest.raises(TranscriptionError) as exc:
-        instantiate(table, 27)
+        instantiate(table, 1)
     value = 2 * getattr(REE, field).eval_int(3) + 1
     assert str(exc.value) == f"{name} at parameter 27: polynomial is not integer-valued at 3: {value}/2"
 
@@ -265,10 +268,10 @@ def test_instantiate_rejects_fractional_orders(field, name):
 def test_instantiate_requires_unique_trivial_row():
     base = build_table(REE)
     with pytest.raises(TranscriptionError):
-        instantiate(SuborbitTable(REE, base.rows[1:]), 3)
+        instantiate(SuborbitTable(REE, base.rows[1:]), 0)
     doubled = (base.rows[0],) + base.rows
     with pytest.raises(TranscriptionError):
-        instantiate(SuborbitTable(REE, doubled), 3)
+        instantiate(SuborbitTable(REE, doubled), 0)
 
 
 def test_instantiate_requires_the_trivial_row_to_count_once():
@@ -276,29 +279,30 @@ def test_instantiate_requires_the_trivial_row_to_count_once():
     trivial = base.rows[0]
     rows = (SuborbitRow(trivial.z, trivial.length, Poly.const(2)),) + base.rows[1:]
     with pytest.raises(TranscriptionError) as exc:
-        instantiate(SuborbitTable(REE, rows), 3)
+        instantiate(SuborbitTable(REE, rows), 0)
     assert str(exc.value) == "expected exactly one trivial suborbit at parameter 3"
 
 
 def test_stabilizer_orders_ree_q27():
-    ct = instantiate(build_table(REE), 27)
+    ct = instantiate(build_table(REE), 1)
     stabs = sorted({stabilizer_order(ct, r) for r in ct.nontrivial_rows})
     assert stabs == [19, 26, 27, 28, 37, 54, 1458, 19656, 19683]
 
 
 def test_stabilizer_orders_ree_large():
+    # step n: q = 243, 2187
     expect = {
-        243: [217, 242, 243, 244, 271, 486, 118098, 14348664, 14348907],
-        2187: [2107, 2186, 2187, 2188, 2269, 4374, 9565938, 10460351016, 10460353203],
+        2: [217, 242, 243, 244, 271, 486, 118098, 14348664, 14348907],
+        3: [2107, 2186, 2187, 2188, 2269, 4374, 9565938, 10460351016, 10460353203],
     }
     table = build_table(REE)
-    for q, stabs in expect.items():
-        ct = instantiate(table, q)
+    for n, stabs in expect.items():
+        ct = instantiate(table, n)
         assert sorted({stabilizer_order(ct, r) for r in ct.nontrivial_rows}) == stabs
 
 
 def test_stabilizer_order_of_a_row_and_error():
-    ct = instantiate(build_table(SUBFIELD), 3)
+    ct = instantiate(build_table(SUBFIELD), 1)
     (row,) = [r for r in ct.rows if r.label == "x_{3a+2b}(1)"]
     assert stabilizer_order(ct, row) == 5832
     bad = ConcreteRow("bad", Z_THREE, 5, 1)
@@ -314,26 +318,26 @@ def test_proper_divisor_premise():
         return proper_divisors
 
     ree = build_table(REE)
-    assert not premise(instantiate(ree, 3))
-    assert premise(instantiate(ree, 27))
-    assert premise(instantiate(ree, 243))
+    assert not premise(instantiate(ree, 0))
+    assert premise(instantiate(ree, 1))
+    assert premise(instantiate(ree, 2))
     sub = build_table(SUBFIELD)
-    assert premise(instantiate(sub, 3))
-    assert premise(instantiate(sub, 9))
+    assert premise(instantiate(sub, 1))
+    assert premise(instantiate(sub, 2))
     # a nontrivial length that does not divide |H| also breaks the premise
-    ct = instantiate(ree, 27)
+    ct = instantiate(ree, 1)
     (row,) = [r for r in ct.rows if r.label == "R2"]
     assert not premise(ct._replace(rows=ct.rows + (row._replace(label="bad", length=row.length + 1),)))
     # measure gives the row-by-row definitions on every table of the sweeps
     for family, steps in ((REE, range(0, 13)), (SUBFIELD, range(1, 13))):
         table = build_table(family)
         for n in steps:
-            ct = instantiate(table, family.param_for_n(n))
+            ct = instantiate(table, n)
             assert measure(ct) == measured_row_by_row(ct)
 
 
 def test_dump_format():
-    ct = instantiate(build_table(REE), 3)
+    ct = instantiate(build_table(REE), 0)
     text = dump(ct)
     lines = text.splitlines()
     assert lines[0] == "param=3\tindex=2808"
