@@ -269,8 +269,11 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     q + 3m + 1. Stabilizer orders upper-bound kernel orders, so it is enough
     that no first-sphere candidate stabilizer is divisible by any certifying
     prime and no row stabilizer is divisible by certifying primes from both
-    factors. An exclusion rests on ASSUMPTION_KERNEL. At q = 3 the chain
-    stops at its proper_divisor_premise step.
+    factors. An exclusion rests on ASSUMPTION_KERNEL, whose proper-divisor
+    premise the gate checks first: every nontrivial suborbit length divides
+    |H| and is below it, which no length is under an |H| <= 0. At q = 3 one
+    length equals |H|, and the chain stops at its proper_divisor_premise
+    step.
     """
     narrative = "kernel divisibility chain on suborbit stabilizers"
     if ct.family.kind != "ree":
@@ -278,8 +281,8 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     q = ct.param
     fail = partial(_fail, GATE_KERNEL_CHAIN, narrative)
 
-    *_, proper_divisors = tables.measure(ct)
-    if not proper_divisors:
+    h_order = ct.h_order
+    if any(h_order % row.length or row.length >= h_order for row in ct.nontrivial_rows):
         return fail("proper_divisor_premise")
 
     (minus_value, p_minus), (plus_value, p_plus) = kernel_prime_data(q)

@@ -43,8 +43,8 @@ class CaseFamily(NamedTuple):
     suborbits: Poly
     param_form: str
 
-    def _step(self, n: int) -> int:
-        """n itself if it is an int step of the family; param_for_n's error otherwise."""
+    def check_step(self, n: int) -> int:
+        """n itself if it is an int step of the family; ValueError otherwise."""
         if type(n) is not int or n < self.min_n:
             raise ValueError(f"{self.kind} family requires n >= {self.min_n}")
         return n
@@ -52,7 +52,7 @@ class CaseFamily(NamedTuple):
     def param_for_n(self, n: int) -> int:
         """Public parameter for step n: subfield r = 3**n, ree q = 3**(2n+1)."""
         a, b = self.param_exponent
-        return 3 ** (a * self._step(n) + b)
+        return 3 ** (a * self.check_step(n) + b)
 
     def suborbit_total(self, param: int) -> int:
         """Number of suborbits at param, the trivial one included: r*r + 2r + 6 for subfield, q + 6 for ree."""
@@ -68,7 +68,7 @@ class CaseFamily(NamedTuple):
 
     def table_variable(self, n: int) -> int:
         """Evaluation point 3**n for the family's polynomials at step n: r for subfield, m for ree."""
-        return 3 ** self._step(n)
+        return 3 ** self.check_step(n)
 
     def q_value(self, param: int) -> int:
         """The host group parameter q of G2(q) for a param that param_for_n made; not validated again."""
@@ -77,7 +77,7 @@ class CaseFamily(NamedTuple):
     def field_exponent(self, n: int) -> int:
         """f with q = 3**f at step n; the field automorphism has order f."""
         a, b = self.param_exponent
-        return self.q_power * (a * self._step(n) + b)
+        return self.q_power * (a * self.check_step(n) + b)
 
 
 def _row(label: str, z_order: str, length: Poly, count: Poly) -> SuborbitRow:

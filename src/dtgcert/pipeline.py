@@ -87,7 +87,6 @@ class ParamCheck(NamedTuple):
     mass_total: int = 0
     suborbit_total: int = 0
     lengths_divide: bool = False
-    proper_divisors: bool = False
 
     @property
     def mass_ok(self) -> bool:
@@ -157,11 +156,13 @@ def analyze(
 ) -> RunReport:
     """Run the family's gate chain for every n in range and every selected X.
 
-    The table is built once, and its symbolic mass identity, which holds at
-    every n if it holds at all, is checked once; a table that fails it
-    raises TranscriptionError before any certificate is made. Each n
-    instantiates the table exactly once, with its integrality checks, and
-    every gate of every X there reads that one table.
+    Each end must be an int step of the family, and n_min <= n_max;
+    otherwise ValueError is raised before the table is built. The table is
+    built once, and its symbolic mass identity, which holds at every n if
+    it holds at all, is checked once; a table that fails it raises
+    TranscriptionError before any certificate is made. Each n instantiates
+    the table exactly once, with its integrality checks, and every gate of
+    every X there reads that one table.
 
     The step gates read the table alone, not X. So they run lazily, once
     per n, the first time an X is inconclusive, and every later X of that n
@@ -173,7 +174,7 @@ def analyze(
     afterwards.
     """
     family = get_family(case)
-    if n_min > n_max:
+    if family.check_step(n_min) > family.check_step(n_max):
         raise ValueError(f"empty step range {n_min}..{n_max}")
     table = tables.build_table(family)
     if not tables.verify_mass_symbolic(table):
@@ -224,8 +225,8 @@ def verify_tables(
 
     Each parameter is inverted to its step once, an inadmissible one giving
     an error row, and instantiated there once, with its integrality checks;
-    tables.measure takes its mass, suborbit total, whether every length
-    divides |H| and the proper-divisor premise in one pass.
+    tables.measure takes its mass, suborbit total and whether every length
+    divides |H| in one pass.
 
     The optional table override exists for fault-injection tests; by default
     the canonical table of the named family is checked. An override from
@@ -387,7 +388,6 @@ def _table_report_text(report: TableCheckReport) -> str:
         residual = check.mass_total - check.table.index
         lines.append(f"mass: {'ok' if check.mass_ok else 'FAIL'} total={check.mass_total} residual={residual}")
         lines.append(f"divisibility: {'ok' if check.lengths_divide else 'FAIL'}")
-        lines.append(f"proper_divisors: {_bool_text(check.proper_divisors)}")
         lines.append(
             f"suborbits: {'ok' if check.suborbit_ok else 'FAIL'} total={check.suborbit_total} expected={check.suborbit_expected}"
         )

@@ -156,27 +156,17 @@ def stabilizer_order(ct: ConcreteTable, row: ConcreteRow) -> int:
     return ct.h_order // row.length
 
 
-def measure(ct: ConcreteTable) -> tuple[int, int, bool, bool]:
-    """The mass total, suborbit total, whether every length divides |H|, and the premise.
-
-    One pass over the rows measures all four. The proper-divisor premise,
-    of the kernel-chain argument, is that every nontrivial length divides
-    |H| and is less than it. It holds for the ree family from q = 27 on; at
-    q = 3 one suborbit has length exactly |H|.
-    """
+def measure(ct: ConcreteTable) -> tuple[int, int, bool]:
+    """The mass total, the suborbit total and whether every length divides |H|, in one pass."""
     h_order = ct.h_order
     mass_total = suborbit_total = 0
-    lengths_divide = proper_divisors = True
+    lengths_divide = True
     for _, _, length, count in ct.rows:
         mass_total += length * count
         suborbit_total += count
         if h_order % length:
-            lengths_divide = proper_divisors = False
-        elif length >= h_order and length > 1:
-            # a nontrivial divisor not below |H|: equal to it, or any
-            # divisor at all of an |H| <= 0
-            proper_divisors = False
-    return mass_total, suborbit_total, lengths_divide, proper_divisors
+            lengths_divide = False
+    return mass_total, suborbit_total, lengths_divide
 
 
 def dump(ct: ConcreteTable) -> str:

@@ -47,13 +47,11 @@ def single_coefficient_mutants(table, offset):
 
 
 def measured_row_by_row(ct):
-    """tables.measure's four values by their plain definitions, one pass each:
-    mass total, suborbit total (the trivial one included), whether every
-    length divides |H|, and whether every nontrivial length is a proper
-    divisor of |H|."""
+    """tables.measure's three values by their plain definitions, one pass each:
+    mass total, suborbit total (the trivial one included), and whether every
+    length divides |H|."""
     return (
         sum(r.length * r.count for r in ct.rows),
         sum(r.count for r in ct.rows),
         all(ct.h_order % r.length == 0 for r in ct.rows),
-        all(ct.h_order % r.length == 0 and r.length < ct.h_order for r in ct.nontrivial_rows),
     )

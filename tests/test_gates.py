@@ -327,12 +327,35 @@ def test_kernel_chain_gate_rejects_subfield():
 
 
 def test_kernel_chain_gate_premise_failure():
+    # the premise: every nontrivial length divides |H| and is below it
     real = _ree_table(1)
-    rows = real.rows + (ConcreteRow("X", Z_UNKNOWN, real.h_order, 1),)
-    broken = ConcreteTable(REE, 27, real.index, real.h_order, rows)
-    v = kernel_chain_gate(broken)
-    assert v.outcome == INCONCLUSIVE
-    assert v.witnesses["failed_step"] == "proper_divisor_premise"
+    h = real.h_order
+    (r2,) = [r for r in real.rows if r.label == "R2"]
+    assert h % (r2.length + 1)
+
+    def with_row(length):
+        return real._replace(rows=real.rows + (ConcreteRow("X", Z_UNKNOWN, length, 1),))
+
+    cases = [
+        # a length equal to |H| divides it and is no proper divisor
+        (with_row(h), False),
+        # a length above |H| divides it not
+        (with_row(2 * h), False),
+        # a length below |H| that divides it not
+        (with_row(r2.length + 1), False),
+        # under an |H| below 0 every length divides it and none is below it
+        (real._replace(h_order=-h), False),
+        # the trivial row alone is never a premise fault, even under |H| = 1
+        (real._replace(h_order=1, rows=real.rows[:1]), True),
+        (real, True),
+    ]
+    for i, (table, holds) in enumerate(cases):
+        v = kernel_chain_gate(table)
+        stopped = v.witnesses.get("failed_step") == "proper_divisor_premise"
+        assert stopped != holds, i
+        if stopped:
+            assert v.outcome == INCONCLUSIVE
+            assert v.witnesses == {"failed_step": "proper_divisor_premise"}
 
 
 def test_kernel_chain_gate_no_certifying_primes(monkeypatch):

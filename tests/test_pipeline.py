@@ -187,6 +187,10 @@ def test_analyze_range_validation():
         (("ree", 5, 2), "empty step range 5..2"),
         (("subfield", 3, 2), "empty step range 3..2"),
         (("nonesuch", 1, 2), "unknown case family: 'nonesuch'"),
+        # each end is checked as a step of the family, its type included
+        (("ree", 0, 2.0), "ree family requires n >= 0"),
+        (("ree", True, 1), "ree family requires n >= 0"),
+        (("ree", 0, True), "ree family requires n >= 0"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             analyze(*args)
@@ -213,7 +217,7 @@ def test_verify_tables_ok():
 
 def test_param_checks_store_what_was_measured_and_derive_their_verdicts():
     assert pipeline.ParamCheck._fields == (
-        "param", "table", "error", "mass_total", "suborbit_total", "lengths_divide", "proper_divisors"
+        "param", "table", "error", "mass_total", "suborbit_total", "lengths_divide"
     )
     base = tables.build_table(REE)
     mutant = r2_length_plus_one(base)
@@ -391,8 +395,7 @@ def test_verify_tables_measures_what_the_row_by_row_definitions_give():
     params = {"ree": (3, 27, 243), "subfield": (9, 27)}
     rng = random.Random(20)
     offset = partial(rng.choice, (-3, -2, -1, 1, 2, 3))
-    flags = set()
-    proper_only_fails = set()
+    divides = set()
     for case, family in (("ree", REE), ("subfield", SUBFIELD)):
         table = tables.build_table(family)
         for tab in [table, *single_coefficient_mutants(table, offset)]:
@@ -400,13 +403,8 @@ def test_verify_tables_measures_what_the_row_by_row_definitions_give():
                 if check.table is None:
                     continue
                 assert check[3:] == measured_row_by_row(check.table)
-                flags.add((check.lengths_divide, check.proper_divisors))
-                if (check.lengths_divide, check.proper_divisors) == (True, False):
-                    proper_only_fails.add((case, check.param))
-    assert flags == {(True, True), (False, False), (True, False)}
-    # a length equal to |H| divides it but is no proper divisor: only ree
-    # q = 3 has one, in the canonical table and in the mutants that keep it
-    assert proper_only_fails == {("ree", 3)}
+                divides.add(check.lengths_divide)
+    assert divides == {True, False}
 
 
 def test_verify_tables_flags_agree_with_the_tables_definitions_on_hand_built_tables():
@@ -417,19 +415,19 @@ def test_verify_tables_flags_agree_with_the_tables_definitions_on_hand_built_tab
         return tables.SuborbitTable(family, base.rows + (tables.SuborbitRow(r2.z, length, Poly.const(1)),))
 
     cases = [
-        # a length equal to |H| divides it and is no proper divisor
-        (with_extra_row(REE.h_order), (True, False)),
+        # a length equal to |H| divides it
+        (with_extra_row(REE.h_order), True),
         # a length above |H| divides it not
-        (with_extra_row(2 * REE.h_order), (False, False)),
-        # under an |H| below 0 every length divides it and none is below it
-        (tables.SuborbitTable(REE._replace(h_order=-REE.h_order), base.rows), (True, False)),
-        # the trivial row alone is never a proper-divisor fault, even under |H| = 1
-        (tables.SuborbitTable(REE._replace(h_order=Poly.const(1)), base.rows[:1]), (True, True)),
-        (base, (True, True)),
+        (with_extra_row(2 * REE.h_order), False),
+        # under an |H| below 0 every length divides it
+        (tables.SuborbitTable(REE._replace(h_order=-REE.h_order), base.rows), True),
+        # the trivial row divides every |H|, even |H| = 1
+        (tables.SuborbitTable(REE._replace(h_order=Poly.const(1)), base.rows[:1]), True),
+        (base, True),
     ]
-    for table, flags in cases:
+    for table, divides in cases:
         (check,) = verify_tables("ree", [27], table=table).checks
-        assert (check.lengths_divide, check.proper_divisors) == flags
+        assert check.lengths_divide is divides
         assert check[3:] == measured_row_by_row(check.table)
 
 
