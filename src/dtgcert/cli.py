@@ -10,7 +10,8 @@ including a run that covers nothing: a reversed --n range, or an --x
 filter that matches no outer subgroup.
 """
 import sys
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import pipeline, tables
 from .groups import FAMILIES
@@ -22,14 +23,9 @@ VALUE, VALUES, INT, FLAG = "value", "values", "int", "flag"
 _HELP = ("-h", "--help")
 
 
-class Option(NamedTuple):
-    """One row of a command's option table; a flag's default is False."""
-
-    kind: str
-    help: str
-    default: object = None
-    choices: tuple[str, ...] = ()
-    required: bool = False
+Option = namedtuple("Option", "kind help default choices required", defaults=(None, (), False))
+Option.__doc__ = """One row of a command's option table: its kind and help strs, its default
+(a flag's is False), the strs choices and the bool required."""
 
 
 def _int(text: str, error: str) -> int:
@@ -64,7 +60,7 @@ def _parse_x(tokens: Sequence[str]) -> pipeline.XFilter:
     return chosen
 
 
-def _write(payload: bytes, out: Optional[str]) -> None:
+def _write(payload: bytes, out: str | None) -> None:
     """Write the report bytes to the file at out, or unchanged to the binary buffer of stdout."""
     if out is not None:
         with open(out, "wb") as fh:
@@ -142,7 +138,7 @@ def _help_rows(rows: Sequence[tuple[str, str]]) -> list[str]:
     return [f"  {left:<22}{text}" if len(left) <= 20 else f"  {left}\n{'':24}{text}" for left, text in rows]
 
 
-def _help_text(command: Optional[str] = None) -> str:
+def _help_text(command: str | None = None) -> str:
     """The -h text of one command, or of the program when command is None."""
     help_row = ("-h, --help", "show this help message and exit")
     if command is None:
@@ -228,7 +224,7 @@ def _parse(argv: Sequence[str]) -> tuple[str, dict]:
     return command, args
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         command, args = _parse(sys.argv[1:] if argv is None else argv)
         return COMMANDS[command][1](args)

@@ -18,8 +18,8 @@ ints. A Fraction appears in two places alone, as a constructor coefficient and i
 `.coeffs`, so `fractions` (which brings `decimal` and `numbers`) is imported
 only by `.coeffs`.
 """
+from collections.abc import Iterable, Sequence
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 
 def _split(value) -> tuple[int, int]:
@@ -123,7 +123,7 @@ class Poly:
         return hash((self._num, self._den))
 
     @staticmethod
-    def _coerce(other: object) -> "Optional[Poly]":
+    def _coerce(other: object) -> "Poly | None":
         if isinstance(other, Poly):
             return other
         if isinstance(other, int):
@@ -327,7 +327,7 @@ def cyclic_order(n: int, i: int) -> int:
     return n // gcd(n, i)
 
 
-def is_power_of(n: int, p: int) -> Optional[int]:
+def is_power_of(n: int, p: int) -> int | None:
     """The exponent e with p**e == n, or None if n is not a power of p.
 
     Divides out p, p**2, p**4, ... in turn while each divides n. What is

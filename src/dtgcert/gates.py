@@ -17,9 +17,9 @@ counts take |X| as a plain int. A verdict lists the ASSUMPTION_* texts it
 relies on, and a certificate's assumptions are the union of its verdicts'
 lists.
 """
+from collections import namedtuple
 from functools import partial
 from math import gcd
-from typing import NamedTuple, Union
 
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize
@@ -52,22 +52,20 @@ ASSUMPTION_KERNEL = (
 #: Small primes discarded when selecting certifying kernel primes.
 DEFAULT_STRIP = frozenset({2, 3, 5, 7})
 
-Witness = Union[int, str]
+Witness = int | str
 
 #: What the namedtuple's own __new__ calls; GateVerdict.__new__ calls it directly.
 _tuple_new = tuple.__new__
 
 
-class _GateVerdictFields(NamedTuple):
-    gate_name: str
-    outcome: str
-    witnesses: dict[str, Witness]
-    narrative: str = ""
-    assumptions: tuple[str, ...] = ()
+class GateVerdict(
+    namedtuple("GateVerdict", "gate_name outcome witnesses narrative assumptions", defaults=("", ()))
+):
+    """One gate's outcome with its witnesses; each verdict owns its witness dict.
 
-
-class GateVerdict(_GateVerdictFields):
-    """One gate's outcome with its witnesses; each verdict owns its witness dict."""
+    gate_name, outcome and narrative are strs, witnesses maps str keys to
+    Witness values, and assumptions is a tuple of ASSUMPTION_* texts.
+    """
 
     __slots__ = ()
 

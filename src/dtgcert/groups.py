@@ -15,33 +15,29 @@ descriptors rather than by explicit maps.
 Each family is one CaseFamily, built at import: h_order, index, rows, min_n,
 param_exponent, q_power, suborbits and param_form, with kind only its name.
 """
+from collections import namedtuple
 from math import isqrt
-from typing import NamedTuple
 
 from .exact import Poly, is_power_of
 from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_TWO, Z_UNKNOWN, SuborbitRow
 
 
-class CaseFamily(NamedTuple):
+class CaseFamily(
+    namedtuple("CaseFamily", "kind h_order index rows min_n param_exponent q_power suborbits param_form")
+):
     """One coset-action family: its order polynomials, suborbit table and step map.
 
-    h_order, index and rows (the parametrized suborbit table) are in the
-    family's table variable (r for subfield, m for ree); h_order * index is
-    |G2(q)|. Step n >= min_n has param 3**(a*n + b) for param_exponent (a, b)
-    and q = param**q_power. suborbits is N, the trivial suborbit included, in
-    param; param_form spells the admissible params in n_of_param's error.
-    Methods take step n, except q_value, suborbit_total and the inverse n_of_param.
+    kind is its name. The Polys h_order and index and the SuborbitRows rows
+    (the parametrized suborbit table) are in the family's table variable (r
+    for subfield, m for ree); h_order * index is |G2(q)|. Step n >= min_n
+    has param 3**(a*n + b) for the int pair param_exponent (a, b) and
+    q = param**q_power. The Poly suborbits is N, the trivial suborbit
+    included, in param; the str param_form spells the admissible params in
+    n_of_param's error. Methods take step n, except q_value, suborbit_total
+    and the inverse n_of_param.
     """
 
-    kind: str
-    h_order: Poly
-    index: Poly
-    rows: tuple[SuborbitRow, ...]
-    min_n: int
-    param_exponent: tuple[int, int]
-    q_power: int
-    suborbits: Poly
-    param_form: str
+    __slots__ = ()
 
     def check_step(self, n: int) -> int:
         """n itself if it is an int step of the family; ValueError otherwise."""
@@ -201,12 +197,9 @@ def get_family(kind: str) -> CaseFamily:
         raise ValueError(f"unknown case family: {kind!r}") from None
 
 
-class OuterOption(NamedTuple):
-    """Subgroup descriptor for X <= Out: its order, and whether it holds an
-    odd power of the graph automorphism (meets the graph coset)."""
-
-    order: int
-    contains_graph_auto: bool
+OuterOption = namedtuple("OuterOption", "order contains_graph_auto")
+OuterOption.__doc__ = """Subgroup descriptor for X <= Out: its int order, and the bool whether it
+holds an odd power of the graph automorphism (meets the graph coset)."""
 
 
 def outer_subgroup_options(family: CaseFamily, n: int) -> tuple[OuterOption, ...]:

@@ -12,7 +12,8 @@ as text.
 """
 import sys
 import time
-from typing import NamedTuple, Optional, Sequence, Union
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import gates, tables
 from .groups import CaseFamily, OuterOption, get_family, outer_subgroup_options
@@ -38,17 +39,14 @@ _VERDICT_TEXT = {
     gates.ASSUMED_EXTERNAL: "AssumedExternal",
 }
 
-XFilter = Optional[Sequence[tuple[int, bool]]]
+XFilter = Sequence[tuple[int, bool]] | None
 
 
-class Certificate(NamedTuple):
-    case: str
-    n: int
-    q: int
-    x_order: int
-    x_graph: bool
-    gates: tuple[gates.GateVerdict, ...]
-    conclusion: str
+class Certificate(namedtuple("Certificate", "case n q x_order x_graph gates conclusion")):
+    """One (family, n, X) triple: case and conclusion are strs, n, q and
+    x_order ints, x_graph a bool, and gates the GateVerdicts in order."""
+
+    __slots__ = ()
 
     @property
     def assumptions(self) -> tuple[str, ...]:
@@ -60,13 +58,11 @@ class Certificate(NamedTuple):
         return tuple(seen)
 
 
-class RunReport(NamedTuple):
-    tool_version: str
-    case: str
-    n_min: int
-    n_max: int
-    strict: bool
-    certificates: tuple[Certificate, ...]
+class RunReport(namedtuple("RunReport", "tool_version case n_min n_max strict certificates")):
+    """A sweep: tool_version and case are strs, n_min and n_max ints,
+    strict a bool, and certificates the Certificates in order."""
+
+    __slots__ = ()
 
     @property
     def summary(self) -> dict[str, int]:
@@ -78,15 +74,20 @@ class RunReport(NamedTuple):
         }
 
 
-class ParamCheck(NamedTuple):
-    """What verify_tables measured at one parameter; a check without a table holds only its error."""
+class ParamCheck(
+    namedtuple(
+        "ParamCheck",
+        "param table error mass_total suborbit_total lengths_divide",
+        defaults=(None, "", 0, 0, False),
+    )
+):
+    """What verify_tables measured at one parameter; a check without a table holds only its error.
 
-    param: int
-    table: Optional[tables.ConcreteTable] = None
-    error: str = ""
-    mass_total: int = 0
-    suborbit_total: int = 0
-    lengths_divide: bool = False
+    param, mass_total and suborbit_total are ints, table the
+    tables.ConcreteTable or None, error a str and lengths_divide a bool.
+    """
+
+    __slots__ = ()
 
     @property
     def mass_ok(self) -> bool:
@@ -107,10 +108,11 @@ class ParamCheck(NamedTuple):
         return self.mass_ok and self.lengths_divide and self.suborbit_ok
 
 
-class TableCheckReport(NamedTuple):
-    case: str
-    checks: tuple[ParamCheck, ...]
-    symbolic_ok: Optional[bool]
+class TableCheckReport(namedtuple("TableCheckReport", "case checks symbolic_ok")):
+    """A table check: the str case, the ParamChecks in order, and symbolic_ok,
+    a bool, or None when the symbolic identity was not checked."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -219,7 +221,7 @@ def verify_tables(
     case: str,
     params: Sequence[int],
     symbolic: bool = False,
-    table: Optional[tables.SuborbitTable] = None,
+    table: tables.SuborbitTable | None = None,
 ) -> TableCheckReport:
     """Mass, divisibility, integrality, and count checks per parameter.
 
@@ -282,7 +284,7 @@ def certificate_text(cert: Certificate) -> str:
 class _JsonStrings(dict):
     """JSON string literals of the strs and ints of one report, each encoded once."""
 
-    def __missing__(self, value: Union[str, int]) -> str:
+    def __missing__(self, value: str | int) -> str:
         code = self[value] = encode_basestring_ascii(str(value))
         return code
 
@@ -413,7 +415,7 @@ def _without_digit_cap(fn, *args):
         sys.set_int_max_str_digits(cap)
 
 
-def emit(report: Union[RunReport, TableCheckReport], format: str = "json") -> bytes:
+def emit(report: RunReport | TableCheckReport, format: str = "json") -> bytes:
     """Deterministic serialization (modulo the generated_at timestamp).
 
     Integers of any size are written in full: the writers run through

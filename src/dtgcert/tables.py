@@ -13,13 +13,10 @@ Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
 them as distinct suborbits of equal length.
 """
+from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import Poly
-
-if TYPE_CHECKING:
-    from .groups import CaseFamily
 
 Z_ONE = "one"
 Z_TWO = "two"
@@ -36,43 +33,27 @@ class TranscriptionError(ValueError):
     """A table failed an exactness check that only a transcription bug causes."""
 
 
-class SuborbitRow(NamedTuple):
-    """One row of a parametrized table; z is the pair (class label, order tag of z)."""
+SuborbitRow = namedtuple("SuborbitRow", "z length count")
+SuborbitRow.__doc__ = """One row of a parametrized table: z, the pair (class label, order tag of z),
+and the length and count Polys."""
 
-    z: tuple[str, str]
-    length: Poly
-    count: Poly
+SuborbitTable = namedtuple("SuborbitTable", "family rows")
+SuborbitTable.__doc__ = """A family's parametrized table: the groups.CaseFamily and its SuborbitRows."""
 
-
-class SuborbitTable(NamedTuple):
-    family: "CaseFamily"
-    rows: tuple[SuborbitRow, ...]
-
-
-class ConcreteRow(NamedTuple):
-    label: str
-    z_order: str
-    length: int
-    count: int
-
+ConcreteRow = namedtuple("ConcreteRow", "label z_order length count")
+ConcreteRow.__doc__ = """One row of a concrete table: label and z_order strs, length and count ints."""
 
 _tuple_new = tuple.__new__
 
 
-class _ConcreteTableFields(NamedTuple):
-    family: "CaseFamily"
-    param: int
-    index: int
-    h_order: int
-    rows: tuple[ConcreteRow, ...]
-
-
-class ConcreteTable(_ConcreteTableFields):
+class ConcreteTable(namedtuple("ConcreteTable", "family param index h_order rows")):
     """A table instantiated at one parameter, zero-count rows dropped.
 
-    The nontrivial rows and their grouping by length are computed on first
-    use and kept with the table, so every gate and every X share them. The
-    class declares no __slots__: the cached values live in its __dict__.
+    family is the groups.CaseFamily, param, index and h_order (|H|) are
+    ints, and rows the ConcreteRows. The nontrivial rows and their grouping
+    by length are computed on first use and kept with the table, so every
+    gate and every X share them. The class declares no __slots__: the
+    cached values live in its __dict__.
     """
 
     @cached_property
@@ -88,8 +69,8 @@ class ConcreteTable(_ConcreteTableFields):
         return tuple(sorted(groups.items()))
 
 
-def build_table(family: "CaseFamily") -> SuborbitTable:
-    """The full parametrized suborbit table for a family: the rows it was built with."""
+def build_table(family) -> SuborbitTable:
+    """The full parametrized suborbit table for a groups.CaseFamily: the rows it was built with."""
     return SuborbitTable(family, family.rows)
 
 
