@@ -10,12 +10,12 @@ including a run that covers nothing: a reversed --n range, or an --x
 filter that matches no outer subgroup.
 """
 import sys
-from collections import namedtuple
 from collections.abc import Sequence
 
 from . import pipeline, tables
 from .groups import FAMILIES
 from .pipeline import FORMATS, VERSION
+from .tables import _record
 
 #: Option kinds: one value, one or more values, one int, or a flag that takes none.
 VALUE, VALUES, INT, FLAG = "value", "values", "int", "flag"
@@ -23,7 +23,7 @@ VALUE, VALUES, INT, FLAG = "value", "values", "int", "flag"
 _HELP = ("-h", "--help")
 
 
-Option = namedtuple("Option", "kind help default choices required", defaults=(None, (), False))
+Option = _record("Option", "kind help default choices required", defaults=(None, (), False))
 Option.__doc__ = """One row of a command's option table: its kind and help strs, its default
 (a flag's is False), the strs choices and the bool required."""
 

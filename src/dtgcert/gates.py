@@ -17,13 +17,13 @@ counts take |X| as a plain int. A verdict lists the ASSUMPTION_* texts it
 relies on, and a certificate's assumptions are the union of its verdicts'
 lists.
 """
-from collections import namedtuple
 from functools import partial
 from math import gcd
 
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize
 from .groups import REE, OuterOption
+from .tables import _record, _tuple_new
 
 EXCLUDES = "excludes"
 INCONCLUSIVE = "inconclusive"
@@ -54,13 +54,8 @@ DEFAULT_STRIP = frozenset({2, 3, 5, 7})
 
 Witness = int | str
 
-#: What the namedtuple's own __new__ calls; GateVerdict.__new__ calls it directly.
-_tuple_new = tuple.__new__
 
-
-class GateVerdict(
-    namedtuple("GateVerdict", "gate_name outcome witnesses narrative assumptions", defaults=("", ()))
-):
+class GateVerdict(_record("GateVerdict", "gate_name outcome witnesses narrative assumptions", defaults=("", ()))):
     """One gate's outcome with its witnesses; each verdict owns its witness dict.
 
     gate_name, outcome and narrative are strs, witnesses maps str keys to

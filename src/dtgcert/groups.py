@@ -15,16 +15,13 @@ descriptors rather than by explicit maps.
 Each family is one CaseFamily, built at import: h_order, index, rows, min_n,
 param_exponent, q_power, suborbits and param_form, with kind only its name.
 """
-from collections import namedtuple
 from math import isqrt
 
 from .exact import Poly, is_power_of
-from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_TWO, Z_UNKNOWN, SuborbitRow
+from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_TWO, Z_UNKNOWN, SuborbitRow, _record
 
 
-class CaseFamily(
-    namedtuple("CaseFamily", "kind h_order index rows min_n param_exponent q_power suborbits param_form")
-):
+class CaseFamily(_record("CaseFamily", "kind h_order index rows min_n param_exponent q_power suborbits param_form")):
     """One coset-action family: its order polynomials, suborbit table and step map.
 
     kind is its name. The Polys h_order and index and the SuborbitRows rows
@@ -197,7 +194,7 @@ def get_family(kind: str) -> CaseFamily:
         raise ValueError(f"unknown case family: {kind!r}") from None
 
 
-OuterOption = namedtuple("OuterOption", "order contains_graph_auto")
+OuterOption = _record("OuterOption", "order contains_graph_auto")
 OuterOption.__doc__ = """Subgroup descriptor for X <= Out: its int order, and the bool whether it
 holds an odd power of the graph automorphism (meets the graph coset)."""
 

@@ -12,11 +12,11 @@ as text.
 """
 import sys
 import time
-from collections import namedtuple
 from collections.abc import Sequence
 
 from . import gates, tables
 from .groups import CaseFamily, OuterOption, get_family, outer_subgroup_options
+from .tables import _record
 
 try:
     # The C string encoder json.dumps uses; taken from _json directly, as
@@ -42,7 +42,7 @@ _VERDICT_TEXT = {
 XFilter = Sequence[tuple[int, bool]] | None
 
 
-class Certificate(namedtuple("Certificate", "case n q x_order x_graph gates conclusion")):
+class Certificate(_record("Certificate", "case n q x_order x_graph gates conclusion")):
     """One (family, n, X) triple: case and conclusion are strs, n, q and
     x_order ints, x_graph a bool, and gates the GateVerdicts in order."""
 
@@ -58,7 +58,7 @@ class Certificate(namedtuple("Certificate", "case n q x_order x_graph gates conc
         return tuple(seen)
 
 
-class RunReport(namedtuple("RunReport", "tool_version case n_min n_max strict certificates")):
+class RunReport(_record("RunReport", "tool_version case n_min n_max strict certificates")):
     """A sweep: tool_version and case are strs, n_min and n_max ints,
     strict a bool, and certificates the Certificates in order."""
 
@@ -75,7 +75,7 @@ class RunReport(namedtuple("RunReport", "tool_version case n_min n_max strict ce
 
 
 class ParamCheck(
-    namedtuple(
+    _record(
         "ParamCheck",
         "param table error mass_total suborbit_total lengths_divide",
         defaults=(None, "", 0, 0, False),
@@ -108,7 +108,7 @@ class ParamCheck(
         return self.mass_ok and self.lengths_divide and self.suborbit_ok
 
 
-class TableCheckReport(namedtuple("TableCheckReport", "case checks symbolic_ok")):
+class TableCheckReport(_record("TableCheckReport", "case checks symbolic_ok")):
     """A table check: the str case, the ParamChecks in order, and symbolic_ok,
     a bool, or None when the symbolic identity was not checked."""
 

@@ -1,22 +1,32 @@
 """The record types of the package under test, and what importing it loads.
 
-The records are collections.namedtuple types: fields are read-only, no
-record but a concrete table has a __dict__, each verdict owns its witness
-dict, and a concrete table computes its length groups once. The package
-under test, imported in a fresh interpreter, imports none of the modules a
-record library or a timestamp would pull in (typing brings re with it,
-dataclasses inspect, ast and dis), nor fractions (which brings decimal and
-numbers), the json package, or __future__, so a cold process pays only for
-what a certificate needs.
+Every record is a tuple type made by the one shared builder in tables, and
+behaves as the standard library's named tuple of the same name, fields and
+defaults would, error messages included; the reference named tuples are
+built here. Fields are read-only, no record but a concrete table has a
+__dict__, each verdict owns its witness dict, and a concrete table computes
+its length groups once. The package under test, imported in a fresh
+interpreter, imports none of the modules a record library or a timestamp
+would pull in (typing brings re with it, dataclasses inspect, ast and dis),
+nor fractions (which brings decimal and numbers), the json package, or
+__future__, and compiles no code with eval or compile, so a cold process
+pays only for what a certificate needs.
 """
+import _collections
+import copy
+import importlib.util
+import pickle
 import subprocess
 import sys
+import textwrap
+import types
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 import dtgcert
-from dtgcert import cli, pipeline
+from dtgcert import cli, pipeline, tables
 from dtgcert.gates import EXCLUDES, INCONCLUSIVE, GateVerdict
 from dtgcert.groups import REE, SUBFIELD, CaseFamily, OuterOption
 from dtgcert.tables import (
@@ -62,13 +72,105 @@ def test_record_fields_are_read_only(name):
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_only_a_concrete_table_has_a_dict(name):
-    # a record class over its namedtuple declares __slots__ = () unless it
+    # a record class over its built type declares __slots__ = () unless it
     # caches values, as ConcreteTable does; at most one class lies between a
     # record type and tuple
     record = RECORDS[name][0]()
     assert hasattr(record, "__dict__") == (name == "ConcreteTable")
     mro = type(record).__mro__
     assert mro[-2:] == (tuple, object) and len(mro) <= 4
+
+
+def _outcome(call, *args, **kwargs):
+    """What call(*args, **kwargs) gives: its value, or the type and message of what it raises."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _round_trip(copier, value, *args):
+    """The fields of copier(value, *args) if it is of value's type, else what the call gave."""
+    copied = _outcome(copier, value, *args)
+    return tuple(copied) if type(copied) is type(value) else copied
+
+
+def _pickled(value, protocol=None):
+    return pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.fixture
+def reference_module(monkeypatch):
+    """A module to hold the reference named tuples, where pickle can find them."""
+    module = types.ModuleType("reference_records")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    return module
+
+
+def assert_matches_namedtuple(record, module):
+    """record's type behaves as the collections.namedtuple of its name, fields and defaults."""
+    cls = type(record)
+    built = cls.__mro__[-3]  # what the builder made, below any class declared over it
+    assert getattr(sys.modules[built.__module__], cls.__name__) is cls
+    defaults = tuple(cls._field_defaults.values())
+    reference = namedtuple(cls.__name__, cls._fields, defaults=defaults, module=module.__name__)
+    setattr(module, cls.__name__, reference)
+    twin = reference(*record)
+    for name in ("_fields", "_field_defaults", "__match_args__"):
+        assert getattr(cls, name) == getattr(reference, name)
+    assert [getattr(record, name) for name in cls._fields] == list(twin)
+    assert repr(record) == repr(twin)
+    assert record._asdict() == twin._asdict()
+    assert type(cls._make(iter(record))) is cls
+    assert _outcome(cls._make, record[1:]) == _outcome(reference._make, record[1:])
+    replace = {cls._fields[0]: "replaced"}
+    assert type(record._replace(**replace)) is cls
+    assert record._replace(**replace) == twin._replace(**replace)
+    assert _outcome(record._replace, bogus=0) == _outcome(twin._replace, bogus=0)
+    # equal to, and hashed as, the plain tuple of its fields
+    plain = tuple(record)
+    assert record == plain == twin
+    assert _outcome(hash, record) == _outcome(hash, plain) == _outcome(hash, twin)
+    assert _round_trip(copy.deepcopy, record) == _round_trip(copy.deepcopy, twin) == plain
+    assert _round_trip(_pickled, record) == plain
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert _round_trip(_pickled, record, protocol) == _round_trip(_pickled, twin, protocol)
+    # each call, and the TypeError of each bad one, word for word
+    values = list(record)
+    required = len(values) - len(defaults)
+    calls = [
+        (values, {}),
+        ([], record._asdict()),
+        (values[:required], {}),
+        (values[: required - 1], {}),  # one argument missing
+        ([], {}),  # every required argument missing
+        (values + [0], {}),  # one argument too many
+        (values, {"bogus": 0}),
+        (values[:1], {cls._fields[0]: values[0]}),  # an argument given twice
+    ]
+    for args, kwargs in calls:
+        assert _outcome(built, *args, **kwargs) == _outcome(reference, *args, **kwargs)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_behaves_as_its_namedtuple(name, reference_module):
+    assert_matches_namedtuple(RECORDS[name][0](), reference_module)
+
+
+def test_without_the_c_getter_the_fields_are_item_properties(monkeypatch, reference_module):
+    # a tables module run where _collections has no _tuplegetter, as on an
+    # interpreter without it, builds its records through the fallback getter
+    monkeypatch.delattr(_collections, "_tuplegetter")
+    name = "dtgcert._tables_without_tuplegetter"
+    spec = importlib.util.spec_from_file_location(name, tables.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    assert type(vars(module.ConcreteRow)["length"]) is property
+    row = module.ConcreteRow("A", "one", 7, 2)
+    with pytest.raises(AttributeError):
+        row.length = 8
+    assert_matches_namedtuple(row, reference_module)
 
 
 def test_replace_keeps_the_record_type_and_its_methods():
@@ -124,19 +226,41 @@ def test_spawned_interpreters_import_the_package_under_test(package_env, tmp_pat
 
 def test_import_loads_no_record_library_or_argument_parser(package_env):
     # -S skips the site hook: a .pth file in site-packages may import typing
-    # or re before any user code, which would hide the package importing them
-    code = (
-        "import sys; before = set(sys.modules); import dtgcert; "
-        "print(' '.join(sorted(set(sys.modules) - before))); "
-        "before = set(sys.modules); import dtgcert.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+    # or re before any user code, which would hide the package importing them.
+    # eval and compile calls count when the innermost module running them is
+    # dtgcert's, so the namedtuple that functools builds at its own import
+    # does not.
+    code = textwrap.dedent(
+        """
+        import builtins, sys
+        calls = []
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                frame = sys._getframe(1)
+                while frame and not frame.f_code.co_filename.startswith("<frozen importlib"):
+                    if frame.f_globals.get("__name__", "").partition(".")[0] == "dtgcert":
+                        calls.append(function.__name__)
+                        break
+                    frame = frame.f_back
+                return function(*args, **kwargs)
+            return wrapper
+
+        builtins.eval, builtins.compile = counted(eval), counted(compile)
+        for name in ("dtgcert", "dtgcert.cli"):
+            before = set(sys.modules)
+            calls.clear()
+            __import__(name)
+            print(len(calls), *sorted(set(sys.modules) - before))
+        """
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=package_env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    package_line, cli_line = proc.stdout.splitlines()
-    loaded = set(package_line.split())
+    (package_calls, *package_loaded), (cli_calls, *cli_loaded) = map(str.split, proc.stdout.splitlines())
+    assert (package_calls, cli_calls) == ("0", "0")
+    loaded = set(package_loaded)
     assert "dtgcert.pipeline" in loaded
     # _json, the C string encoder alone, is allowed; the json package is not
     unwanted = {
@@ -146,6 +270,6 @@ def test_import_loads_no_record_library_or_argument_parser(package_env):
     assert not unwanted & loaded
     # the command line is read by the option tables in cli, not by argparse
     # and the gettext and locale lookups it makes
-    cli_loaded = set(cli_line.split())
+    cli_loaded = set(cli_loaded)
     assert "dtgcert.cli" in cli_loaded
     assert not (unwanted | {"gettext", "locale"}) & cli_loaded
