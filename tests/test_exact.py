@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from dtgcert.exact import (
+    _KEPT_VALUES,
     Poly,
     cyclic_order,
     exp_compare,
     factorize,
     is_power_of,
 )
-from dtgcert.groups import REE
+from dtgcert.groups import REE, SUBFIELD
 from dtgcert.pipeline import analyze, verify_tables
 from dtgcert.tables import build_table
 from helpers import single_coefficient_mutants
@@ -584,7 +585,13 @@ def _family_polys(family):
     return [family.h_order, family.index, family.suborbits] + [p for row in family.rows for p in (row.length, row.count)]
 
 
-#: Run in a fresh interpreter: importing the package builds no evaluation plan.
+def _kept(p):
+    """The values p's plan keeps, by point; none before the plan exists."""
+    return {} if p._plan is None else p._plan[4]
+
+
+#: Run in a fresh interpreter: importing the package builds no evaluation
+#: plan, so it holds no value either, since a value is kept in a plan alone.
 _NO_PLAN_AT_IMPORT_SCRIPT = """
 import gc
 import dtgcert
@@ -594,6 +601,9 @@ polys = [o for o in gc.get_objects() if type(o) is Poly]
 family = [p for f in (dtgcert.REE, dtgcert.SUBFIELD) for p in (f.h_order, f.index, *(q for r in f.rows for q in (r.length, r.count)))]
 assert all(any(p is o for o in polys) for p in family), "gc missed a family polynomial"
 assert all(p._plan is None for p in polys), "import built a plan"
+index = dtgcert.REE.index
+value = index.eval_int(3)
+assert index._plan[4] == {3: value}, "eval_int kept its value outside the plan"
 print("ok")
 """
 
@@ -627,9 +637,64 @@ def test_plans_are_built_once_per_polynomial(monkeypatch):
 def test_a_mutant_fails_after_the_canonical_plans_exist():
     table = build_table(REE)
     assert verify_tables("ree", [3, 27], symbolic=True).ok
-    assert all(p._plan is not None for row in table.rows for p in (row.length, row.count))
+    polys = [p for row in table.rows for p in (row.length, row.count)]
+    assert all(p._plan is not None for p in polys)
+    # the canonical values at q = 3 and q = 27 are kept before any mutant runs
+    points = [REE.table_variable(REE.n_of_param(param)) for param in (3, 27)]
+    for point in points:
+        assert all(point in _kept(p) for p in (REE.index, REE.h_order))
+        for row in table.rows:
+            assert _kept(row.count)[point] == 0 or point in _kept(row.length)
+    canonical = {id(p) for p in polys}
     mutants = 0
     for mutant in single_coefficient_mutants(table, lambda: -1):
+        changed = [p for row in mutant.rows for p in (row.length, row.count) if id(p) not in canonical]
+        assert len(changed) == 1 and not _kept(changed[0])
         assert not verify_tables("ree", [3, 27], symbolic=True, table=mutant).ok
         mutants += 1
     assert mutants == 152
+
+
+def _reading(p, point):
+    """p's value at point, or the text of the ValueError it raises there."""
+    try:
+        return p.eval_int(point)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_kept_values_equal_a_fresh_reading():
+    points = [3**k for k in range(13)]
+    for p in _family_polys(REE) + _family_polys(SUBFIELD):
+        # the second pass reads kept values and values that the bound emptied
+        for _ in range(2):
+            for point in points:
+                assert _reading(p, point) == _reading(Poly(p.coeffs), point), (p, point)
+                assert len(_kept(p)) <= _KEPT_VALUES
+            assert set(_kept(p)) < set(points)
+
+
+def test_a_point_that_is_not_an_int_is_refused_where_its_int_value_is_kept():
+    p = REE.index
+    for point, bad in ((1, 1.0), (27, Fraction(27))):
+        value = p.eval_int(point)
+        assert _kept(p)[point] == value
+        with pytest.raises(TypeError, match="polynomials are evaluated at integers only"):
+            p.eval_int(bad)
+        assert p.eval_int(point) == value
+
+
+def test_a_value_that_is_not_an_integer_raises_on_every_call():
+    half = Poly.var() / 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="polynomial is not integer-valued at 3: 3/2"):
+            half.eval_int(3)
+    assert 3 not in _kept(half)
+    assert half.eval_int(4) == 2 and _kept(half) == {4: 2}
+
+
+def test_no_family_polynomial_keeps_more_values_than_the_bound():
+    analyze("ree", 0, 100)
+    analyze("subfield", 1, 40)
+    kept = [len(_kept(p)) for family in (REE, SUBFIELD) for p in _family_polys(family)]
+    assert 0 < max(kept) <= _KEPT_VALUES
