@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from . import pipeline, tables
 from .groups import FAMILIES
 from .pipeline import FORMATS, VERSION
-from .tables import _record
+from .tables import Record
 
 #: Option kinds: one value, one or more values, one int, or a flag that takes none.
 VALUE, VALUES, INT, FLAG = "value", "values", "int", "flag"
@@ -23,9 +23,11 @@ VALUE, VALUES, INT, FLAG = "value", "values", "int", "flag"
 _HELP = ("-h", "--help")
 
 
-Option = _record("Option", "kind help default choices required", defaults=(None, (), False))
-Option.__doc__ = """One row of a command's option table: its kind and help strs, its default
-(a flag's is False), the strs choices and the bool required."""
+class Option(Record, fields="kind help default choices required", defaults=(None, (), False)):
+    """One row of a command's option table: its kind and help strs, its default
+    (a flag's is False), the strs choices and the bool required."""
+
+    __slots__ = ()
 
 
 def _int(text: str, error: str) -> int:

@@ -23,7 +23,7 @@ from math import gcd
 from . import fusion, tables
 from .exact import cyclic_order, exp_compare, factorize
 from .groups import REE, OuterOption
-from .tables import _record, _tuple_new
+from .tables import Record, _tuple_new
 
 EXCLUDES = "excludes"
 INCONCLUSIVE = "inconclusive"
@@ -55,7 +55,7 @@ DEFAULT_STRIP = frozenset({2, 3, 5, 7})
 Witness = int | str
 
 
-class GateVerdict(_record("GateVerdict", "gate_name outcome witnesses narrative assumptions", defaults=("", ()))):
+class GateVerdict(Record, fields="gate_name outcome witnesses narrative assumptions"):
     """One gate's outcome with its witnesses; each verdict owns its witness dict.
 
     gate_name, outcome and narrative are strs, witnesses maps str keys to
@@ -199,9 +199,15 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     """Exact form of the diameter cutoff d < (8/3) log2(v) for the ree family.
 
     v is the table's coset index and N its suborbit count, the trivial one
-    included, from CaseFamily.suborbit_total. The fused table has at least
-    d0 = N / |X| classes. With d0 = a/b in lowest terms the cutoff fails
-    exactly when 2**(3a) >= v**(8b), decided by exact integer comparison.
+    included, from CaseFamily.suborbit_total. The gate takes d0 = N / |X|
+    fused classes. That overstates the bound: a sphere is a fused class of
+    the N - 1 nontrivial suborbits, so d >= ceil((N - 1)/|X|), which is below
+    d0 exactly when |X| divides q + 5 (202 of the 688 verdicts of ree
+    0..100). Every verdict still stands under the nontrivial bound, as
+    test_gates::test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound
+    pins; the witness fix, which changes report bytes, is ROADMAP item 1.
+    With d0 = a/b in lowest terms the cutoff fails exactly when
+    2**(3a) >= v**(8b), decided by exact integer comparison.
     The sharper class-count bound from the same table is reported as an
     extra witness but does not feed the verdict; at q = 3 it is inconclusive
     for both X. An x_order below 1 raises ValueError. d0 is written as text,

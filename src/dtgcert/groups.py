@@ -18,10 +18,10 @@ param_exponent, q_power, suborbits and param_form, with kind only its name.
 from math import isqrt
 
 from .exact import Poly, is_power_of
-from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_TWO, Z_UNKNOWN, SuborbitRow, _record
+from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_TWO, Z_UNKNOWN, Record, SuborbitRow
 
 
-class CaseFamily(_record("CaseFamily", "kind h_order index rows min_n param_exponent q_power suborbits param_form")):
+class CaseFamily(Record, fields="kind h_order index rows min_n param_exponent q_power suborbits param_form"):
     """One coset-action family: its order polynomials, suborbit table and step map.
 
     kind is its name. The Polys h_order and index and the SuborbitRows rows
@@ -194,9 +194,11 @@ def get_family(kind: str) -> CaseFamily:
         raise ValueError(f"unknown case family: {kind!r}") from None
 
 
-OuterOption = _record("OuterOption", "order contains_graph_auto")
-OuterOption.__doc__ = """Subgroup descriptor for X <= Out: its int order, and the bool whether it
-holds an odd power of the graph automorphism (meets the graph coset)."""
+class OuterOption(Record, fields="order contains_graph_auto"):
+    """Subgroup descriptor for X <= Out: its int order, and the bool whether it
+    holds an odd power of the graph automorphism (meets the graph coset)."""
+
+    __slots__ = ()
 
 
 def outer_subgroup_options(family: CaseFamily, n: int) -> tuple[OuterOption, ...]:

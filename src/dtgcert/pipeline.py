@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from . import gates, tables
 from .groups import CaseFamily, OuterOption, get_family, outer_subgroup_options
-from .tables import _record
+from .tables import Record
 
 try:
     # The C string encoder json.dumps uses; taken from _json directly, as
@@ -42,7 +42,7 @@ _VERDICT_TEXT = {
 XFilter = Sequence[tuple[int, bool]] | None
 
 
-class Certificate(_record("Certificate", "case n q x_order x_graph gates conclusion")):
+class Certificate(Record, fields="case n q x_order x_graph gates conclusion"):
     """One (family, n, X) triple: case and conclusion are strs, n, q and
     x_order ints, x_graph a bool, and gates the GateVerdicts in order."""
 
@@ -58,7 +58,7 @@ class Certificate(_record("Certificate", "case n q x_order x_graph gates conclus
         return tuple(seen)
 
 
-class RunReport(_record("RunReport", "tool_version case n_min n_max strict certificates")):
+class RunReport(Record, fields="tool_version case n_min n_max strict certificates"):
     """A sweep: tool_version and case are strs, n_min and n_max ints,
     strict a bool, and certificates the Certificates in order."""
 
@@ -74,13 +74,7 @@ class RunReport(_record("RunReport", "tool_version case n_min n_max strict certi
         }
 
 
-class ParamCheck(
-    _record(
-        "ParamCheck",
-        "param table error mass_total suborbit_total lengths_divide",
-        defaults=(None, "", 0, 0, False),
-    )
-):
+class ParamCheck(Record, fields="param table error mass_total suborbit_total lengths_divide", defaults=(None, "", 0, 0, False)):
     """What verify_tables measured at one parameter; a check without a table holds only its error.
 
     param, mass_total and suborbit_total are ints, table the
@@ -108,7 +102,7 @@ class ParamCheck(
         return self.mass_ok and self.lengths_divide and self.suborbit_ok
 
 
-class TableCheckReport(_record("TableCheckReport", "case checks symbolic_ok")):
+class TableCheckReport(Record, fields="case checks symbolic_ok"):
     """A table check: the str case, the ParamChecks in order, and symbolic_ok,
     a bool, or None when the symbolic identity was not checked."""
 

@@ -7,14 +7,13 @@ order as a tag; it feeds the commuting-involution gate.
 
 Each family's rows are transcribed in groups, beside its |H| and coset
 index, and built once at import. This module holds the row and table types,
-the builder that makes every record type of the package, instantiation at
-a step n and the exactness checks; it names no family.
+Record, the base class of every record type of the package, instantiation
+at a step n and the exactness checks; it names no family.
 
 Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
 them as distinct suborbits of equal length.
 """
-import sys
 from functools import cached_property
 
 from .exact import Poly
@@ -46,105 +45,72 @@ except ImportError:  # as collections does without its C helper
         return property(itemgetter(index), doc=doc)
 
 
-#: What namedtuple's _replace raises for an unknown field: TypeError from Python 3.13 on.
-_REPLACE_ERROR = TypeError if sys.version_info >= (3, 13) else ValueError
+class Record(tuple):
+    """A tuple with named, read-only fields: the base of every record type of the package.
+
+    A record type names its fields in its class line, with defaults for the
+    last few: class Option(Record, fields="kind help default", defaults=(None,)).
+    A record is built from its fields by position or keyword; a missing,
+    extra, unknown or repeated field raises TypeError. Equality and hash are
+    the plain tuple's. A record type declares __slots__ = () unless it keeps
+    cached values in a __dict__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: str, defaults: tuple = ()):
+        super().__init_subclass__()
+        cls._fields = tuple(fields.split())
+        cls._defaults = dict(zip(cls._fields[len(cls._fields) - len(defaults) :], defaults))
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if len(args) == len(fields) and not kwargs:
+            return _tuple_new(cls, args)
+        # a keyword must name a field that no positional argument filled
+        if len(args) > len(fields) or not set(kwargs) <= set(fields[len(args) :]):
+            got = f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)} once each, got {got}")
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing the field(s) {', '.join(missing)}")
+        return _tuple_new(cls, map(values.__getitem__, fields))
+
+    def _replace(self, /, **changes):
+        """A copy with the named fields changed, built by the record type's own __new__."""
+        values = [changes.pop(name, value) for name, value in zip(self._fields, self)]
+        return type(self)(*values, **changes)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
 
 
-def _record_new(cls, *args, **kwargs):
-    """The __new__ of every record: the fields by position or keyword, trailing defaults,
-    and the TypeErrors, word for word, of the __new__ that namedtuple compiles."""
-    fields = cls._fields
-    if len(args) == len(fields) and not kwargs:
-        return _tuple_new(cls, args)
-    call = f"{cls.__name__}.__new__()"
-    for name in kwargs:
-        if name not in fields:
-            raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
-        if fields.index(name) < len(args):
-            raise TypeError(f"{call} got multiple values for argument {name!r}")
-    defaults = cls._field_defaults
-    if len(args) > len(fields):
-        takes = f"from {len(fields) - len(defaults) + 1} to " if defaults else ""
-        raise TypeError(f"{call} takes {takes}{len(fields) + 1} positional arguments but {len(args) + 1} were given")
-    values, missing = list(args), []
-    for name in fields[len(args) :]:
-        if name in kwargs:
-            values.append(kwargs[name])
-        elif name in defaults:
-            values.append(defaults[name])
-        else:
-            missing.append(repr(name))
-    if missing:
-        *head, last = missing
-        listed = f"{', '.join(head)}{',' * (len(head) > 1)} and {last}" if head else last
-        plural = "s" * (len(missing) > 1)
-        raise TypeError(f"{call} missing {len(missing)} required positional argument{plural}: {listed}")
-    return _tuple_new(cls, values)
+class SuborbitRow(Record, fields="z length count"):
+    """One row of a parametrized table: z, the pair (class label, order tag of z),
+    and the length and count Polys."""
+
+    __slots__ = ()
 
 
-@classmethod
-def _record_make(cls, iterable):
-    result = _tuple_new(cls, iterable)
-    if len(result) != len(cls._fields):
-        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
-    return result
+class SuborbitTable(Record, fields="family rows"):
+    """A family's parametrized table: the groups.CaseFamily and its SuborbitRows."""
+
+    __slots__ = ()
 
 
-def _record_replace(self, /, **kwargs):
-    result = self._make(map(kwargs.pop, self._fields, self))
-    if kwargs:
-        raise _REPLACE_ERROR(f"Got unexpected field names: {list(kwargs)!r}")
-    return result
+class ConcreteRow(Record, fields="label z_order length count"):
+    """One row of a concrete table: label and z_order strs, length and count ints."""
+
+    __slots__ = ()
 
 
-def _record_asdict(self):
-    return dict(zip(self._fields, self))
-
-
-def _record_getnewargs(self):
-    return tuple(self)
-
-
-def _record_repr(self):
-    return f"{self.__class__.__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
-
-
-def _record(typename: str, field_names: str, defaults: tuple = ()) -> type:
-    """The tuple type collections.namedtuple(typename, field_names, defaults=defaults)
-    makes, from code shared by every record instead of a __new__ compiled per type."""
-    fields = tuple(field_names.split())
-    namespace = {
-        "__doc__": f"{typename}({', '.join(fields)})",
-        "__slots__": (),
-        "__module__": sys._getframe(1).f_globals["__name__"],
-        "_fields": fields,
-        "_field_defaults": dict(zip(fields[len(fields) - len(defaults) :], defaults)),
-        "__match_args__": fields,
-        "__new__": _record_new,
-        "_make": _record_make,
-        "_replace": _record_replace,
-        "__replace__": _record_replace,
-        "__repr__": _record_repr,
-        "_asdict": _record_asdict,
-        "__getnewargs__": _record_getnewargs,
-    }
-    for index, name in enumerate(fields):
-        namespace[name] = _tuplegetter(index, f"Alias for field number {index}")
-    return type(typename, (tuple,), namespace)
-
-
-SuborbitRow = _record("SuborbitRow", "z length count")
-SuborbitRow.__doc__ = """One row of a parametrized table: z, the pair (class label, order tag of z),
-and the length and count Polys."""
-
-SuborbitTable = _record("SuborbitTable", "family rows")
-SuborbitTable.__doc__ = """A family's parametrized table: the groups.CaseFamily and its SuborbitRows."""
-
-ConcreteRow = _record("ConcreteRow", "label z_order length count")
-ConcreteRow.__doc__ = """One row of a concrete table: label and z_order strs, length and count ints."""
-
-
-class ConcreteTable(_record("ConcreteTable", "family param index h_order rows")):
+class ConcreteTable(Record, fields="family param index h_order rows"):
     """A table instantiated at one parameter, zero-count rows dropped.
 
     family is the groups.CaseFamily, param, index and h_order (|H|) are

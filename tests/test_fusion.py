@@ -67,6 +67,28 @@ def test_min_fused_classes_frozen_q27():
         assert min_fused_classes(groups, x) == classes
 
 
+#: Distance-transitive graphs: vertex count v, diameter d and the nontrivial
+#: (length, multiplicity) groups of the vertex stabilizer's suborbits.
+DISTANCE_TRANSITIVE = {
+    "petersen": (10, 2, ((3, 1), (6, 1))),
+    "hoffman-singleton": (50, 2, ((7, 1), (42, 1))),
+    "split-cayley-hexagon-GH(3,3)": (364, 3, ((12, 1), (108, 1), (243, 1))),
+    "srg(351,126,45,45)": (351, 2, ((126, 1), (224, 1))),
+}
+
+
+@pytest.mark.parametrize("name", DISTANCE_TRANSITIVE)
+def test_fused_class_bound_never_exceeds_a_real_graph_diameter(name):
+    # each sphere of a distance-transitive graph is one fused class of the
+    # nontrivial suborbits, so the bound is at most d, and exactly d with no
+    # fusion; a bound that counts the trivial suborbit reads d + 1 at |X| = 1
+    v, d, groups = DISTANCE_TRANSITIVE[name]
+    assert 1 + sum(length * mult for length, mult in groups) == v
+    assert min_fused_classes(groups, 1) == d
+    for x in range(1, 5):
+        assert min_fused_classes(groups, x) <= d
+
+
 def test_exhaustive_cross_check_random():
     rng = random.Random(99)
     for _ in range(200):

@@ -1,16 +1,19 @@
 """The record types of the package under test, and what importing it loads.
 
-Every record is a tuple type made by the one shared builder in tables, and
-behaves as the standard library's named tuple of the same name, fields and
-defaults would, error messages included; the reference named tuples are
-built here. Fields are read-only, no record but a concrete table has a
-__dict__, each verdict owns its witness dict, and a concrete table computes
-its length groups once. The package under test, imported in a fresh
-interpreter, imports none of the modules a record library or a timestamp
-would pull in (typing brings re with it, dataclasses inspect, ast and dis),
-nor fractions (which brings decimal and numbers), the json package, or
-__future__, and compiles no code with eval or compile, so a cold process
-pays only for what a certificate needs.
+Every record is a class over the one base class tables.Record and keeps its
+contract: each field reads its tuple position, keyword and default
+construction equal positional construction, a missing, extra, unknown or
+repeated field raises a TypeError that names the type, _replace keeps the
+type and goes through its __new__, repr is Name(field=value, ...), equality
+and hash are the plain tuple's, and copy, deepcopy and pickle give what they
+give for the plain tuple of its fields. Fields are read-only, no record but
+a concrete table has a __dict__, each verdict owns its witness dict, and a
+concrete table computes its length groups once. The package under test,
+imported in a fresh interpreter, imports none of the modules a record
+library or a timestamp would pull in (typing brings re with it, dataclasses
+inspect, ast and dis), nor fractions (which brings decimal and numbers), the
+json package, or __future__, and compiles no code with eval or compile, so a
+cold process pays only for what a certificate needs.
 """
 import _collections
 import copy
@@ -19,8 +22,6 @@ import pickle
 import subprocess
 import sys
 import textwrap
-import types
-from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -72,13 +73,20 @@ def test_record_fields_are_read_only(name):
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_only_a_concrete_table_has_a_dict(name):
-    # a record class over its built type declares __slots__ = () unless it
-    # caches values, as ConcreteTable does; at most one class lies between a
-    # record type and tuple
+    # every record type is one class over Record, which declares
+    # __slots__ = () unless it caches values, as ConcreteTable does
     record = RECORDS[name][0]()
     assert hasattr(record, "__dict__") == (name == "ConcreteTable")
     mro = type(record).__mro__
-    assert mro[-2:] == (tuple, object) and len(mro) <= 4
+    assert mro[1] is tables.Record and mro[2:] == (tuple, object)
+
+
+#: The trailing fields each record type may leave out, with the values they then take.
+DEFAULTS = {
+    "GateVerdict": ("", ()),
+    "ParamCheck": (None, "", 0, 0, False),
+    "Option": (None, (), False),
+}
 
 
 def _outcome(call, *args, **kwargs):
@@ -99,65 +107,54 @@ def _pickled(value, protocol=None):
     return pickle.loads(pickle.dumps(value, protocol))
 
 
-@pytest.fixture
-def reference_module(monkeypatch):
-    """A module to hold the reference named tuples, where pickle can find them."""
-    module = types.ModuleType("reference_records")
-    monkeypatch.setitem(sys.modules, module.__name__, module)
-    return module
-
-
-def assert_matches_namedtuple(record, module):
-    """record's type behaves as the collections.namedtuple of its name, fields and defaults."""
-    cls = type(record)
-    built = cls.__mro__[-3]  # what the builder made, below any class declared over it
-    assert getattr(sys.modules[built.__module__], cls.__name__) is cls
-    defaults = tuple(cls._field_defaults.values())
-    reference = namedtuple(cls.__name__, cls._fields, defaults=defaults, module=module.__name__)
-    setattr(module, cls.__name__, reference)
-    twin = reference(*record)
-    for name in ("_fields", "_field_defaults", "__match_args__"):
-        assert getattr(cls, name) == getattr(reference, name)
-    assert [getattr(record, name) for name in cls._fields] == list(twin)
-    assert repr(record) == repr(twin)
-    assert record._asdict() == twin._asdict()
-    assert type(cls._make(iter(record))) is cls
-    assert _outcome(cls._make, record[1:]) == _outcome(reference._make, record[1:])
-    replace = {cls._fields[0]: "replaced"}
-    assert type(record._replace(**replace)) is cls
-    assert record._replace(**replace) == twin._replace(**replace)
-    assert _outcome(record._replace, bogus=0) == _outcome(twin._replace, bogus=0)
-    # equal to, and hashed as, the plain tuple of its fields
-    plain = tuple(record)
-    assert record == plain == twin
-    assert _outcome(hash, record) == _outcome(hash, plain) == _outcome(hash, twin)
-    assert _round_trip(copy.deepcopy, record) == _round_trip(copy.deepcopy, twin) == plain
-    assert _round_trip(_pickled, record) == plain
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert _round_trip(_pickled, record, protocol) == _round_trip(_pickled, twin, protocol)
-    # each call, and the TypeError of each bad one, word for word
-    values = list(record)
-    required = len(values) - len(defaults)
-    calls = [
-        (values, {}),
-        ([], record._asdict()),
-        (values[:required], {}),
-        (values[: required - 1], {}),  # one argument missing
-        ([], {}),  # every required argument missing
-        (values + [0], {}),  # one argument too many
-        (values, {"bogus": 0}),
-        (values[:1], {cls._fields[0]: values[0]}),  # an argument given twice
+def assert_record_contract(record, defaults=()):
+    """record's type keeps the record contract; defaults are its trailing default values."""
+    cls, name = type(record), type(record).__name__
+    fields, values = cls._fields, list(record)
+    assert len(fields) == len(values)
+    assert [getattr(record, field) for field in fields] == values
+    # keyword and default construction equal positional construction
+    assert type(cls(*values)) is cls and cls(*values) == record
+    keyword = cls(**dict(zip(fields, values)))
+    assert type(keyword) is cls and keyword == record
+    required = len(fields) - len(defaults)
+    for given in range(required, len(fields) + 1):
+        assert cls(*values[:given]) == (*values[:given], *defaults[given - required :])
+    # every bad call raises a TypeError that names the type
+    bad_calls = [
+        ([], dict(zip(fields[1:], values[1:]))),  # the first field missing
+        (values + [0], {}),  # a field too many
+        (values, {"bogus": 0}),  # an unknown field
+        (values[:1], {fields[0]: values[0]}),  # a field given twice
     ]
-    for args, kwargs in calls:
-        assert _outcome(built, *args, **kwargs) == _outcome(reference, *args, **kwargs)
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            cls(*args, **kwargs)
+    replaced = record._replace(**{fields[0]: "replaced"})
+    assert type(replaced) is cls and replaced == ("replaced", *values[1:])
+    assert record._replace() == record
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        record._replace(bogus=0)
+    assert repr(record) == f"{name}({', '.join(f'{field}={value!r}' for field, value in zip(fields, values))})"
+    # equal to, and hashed, copied and pickled as, the plain tuple of its fields
+    plain = tuple(record)
+    assert record == plain and _outcome(hash, record) == _outcome(hash, plain)
+    for copier in (copy.copy, copy.deepcopy):
+        assert _round_trip(copier, record) == _round_trip(copier, plain)
+    # a record that holds a Poly, whose non-empty __slots__ protocols 0 and 1
+    # cannot pickle, fails there as its plain tuple does
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert _round_trip(_pickled, record, protocol) == _round_trip(_pickled, plain, protocol)
 
 
 @pytest.mark.parametrize("name", RECORDS)
-def test_record_behaves_as_its_namedtuple(name, reference_module):
-    assert_matches_namedtuple(RECORDS[name][0](), reference_module)
+def test_record_behaves_as_its_namedtuple(name):
+    # the part of a named tuple's behaviour that a record keeps: the record
+    # contract, with no _make, _asdict or __match_args__
+    assert_record_contract(RECORDS[name][0](), DEFAULTS.get(name, ()))
 
 
-def test_without_the_c_getter_the_fields_are_item_properties(monkeypatch, reference_module):
+def test_without_the_c_getter_the_fields_are_item_properties(monkeypatch):
     # a tables module run where _collections has no _tuplegetter, as on an
     # interpreter without it, builds its records through the fallback getter
     monkeypatch.delattr(_collections, "_tuplegetter")
@@ -170,7 +167,7 @@ def test_without_the_c_getter_the_fields_are_item_properties(monkeypatch, refere
     row = module.ConcreteRow("A", "one", 7, 2)
     with pytest.raises(AttributeError):
         row.length = 8
-    assert_matches_namedtuple(row, reference_module)
+    assert_record_contract(row)
 
 
 def test_replace_keeps_the_record_type_and_its_methods():
@@ -183,6 +180,15 @@ def test_replace_keeps_the_record_type_and_its_methods():
     # the replaced verdict's type still guards construction
     with pytest.raises(ValueError, match="requires witnesses"):
         type(verdict)("g", EXCLUDES)
+
+
+def test_replace_cannot_build_an_excluding_verdict_without_witnesses():
+    # _replace goes through GateVerdict.__new__, and no _make skips it
+    with pytest.raises(ValueError, match="requires witnesses"):
+        GateVerdict("g", INCONCLUSIVE)._replace(outcome=EXCLUDES)
+    with pytest.raises(ValueError, match="requires witnesses"):
+        GateVerdict("g", EXCLUDES, {"k": 1})._replace(witnesses={})
+    assert not hasattr(GateVerdict, "_make")
 
 
 def test_verdicts_own_their_witnesses():
