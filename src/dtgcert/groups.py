@@ -15,6 +15,7 @@ descriptors rather than by explicit maps.
 Each family is one CaseFamily, built at import: h_order, index, rows, min_n,
 param_exponent, q_power, suborbits and param_form, with kind only its name.
 """
+from functools import cached_property
 from math import isqrt
 
 from .exact import Poly, is_power_of
@@ -31,10 +32,15 @@ class CaseFamily(Record, fields="kind h_order index rows min_n param_exponent q_
     q = param**q_power. The Poly suborbits is N, the trivial suborbit
     included, in param; the str param_form spells the admissible params in
     n_of_param's error. Methods take step n, except q_value, suborbit_total
-    and the inverse n_of_param.
+    and the inverse n_of_param. The class declares no __slots__: own_mass,
+    the sum of its rows' length * count, is computed on first use and kept
+    in its __dict__.
     """
 
-    __slots__ = ()
+    @cached_property
+    def own_mass(self) -> Poly:
+        """The sum of length * count over the family's own rows; tables.verify_mass_symbolic starts from it."""
+        return Poly.sum_of_products((r.length, r.count) for r in self.rows)
 
     def check_step(self, n: int) -> int:
         """n itself if it is an int step of the family; ValueError otherwise."""

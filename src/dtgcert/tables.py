@@ -8,13 +8,16 @@ order as a tag; it feeds the commuting-involution gate.
 Each family's rows are transcribed in groups, beside its |H| and coset
 index, and built once at import. This module holds the row and table types,
 Record, the base class of every record type of the package, instantiation
-at a step n and the exactness checks; it names no family.
+at a step n and the exactness checks; it names no family. The symbolic mass
+check reads the family's own mass (the sum of its rows' products, computed
+on first use) and multiplies out only the rows a table changed.
 
 Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
 them as distinct suborbits of equal length.
 """
 from functools import cached_property
+from itertools import zip_longest
 
 from .exact import Poly
 
@@ -53,7 +56,8 @@ class Record(tuple):
     A record is built from its fields by position or keyword; a missing,
     extra, unknown or repeated field raises TypeError. Equality and hash are
     the plain tuple's. A record type declares __slots__ = () unless it keeps
-    cached values in a __dict__.
+    cached values in a __dict__. Pickle and copy rebuild a record from its
+    fields through its type's own __new__, so they keep none of those values.
     """
 
     __slots__ = ()
@@ -84,8 +88,10 @@ class Record(tuple):
         values = [changes.pop(name, value) for name, value in zip(self._fields, self)]
         return type(self)(*values, **changes)
 
-    def __getnewargs__(self):
-        return tuple(self)
+    def __reduce__(self):
+        # every protocol and copy rebuild a record through its type's own
+        # __new__; values cached in a __dict__ are rebuilt on use
+        return type(self), tuple(self)
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
@@ -183,15 +189,32 @@ def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
     return ConcreteTable(family, param, index, h_order, tuple(rows))
 
 
+#: The unit polynomial, the second factor of a lone sum in verify_mass_symbolic.
+ONE = Poly.const(1)
+
+
 def verify_mass_symbolic(table: SuborbitTable) -> bool:
     """Check the mass identity at the polynomial level, coefficient by coefficient.
 
-    The products length * count of all rows are summed in one integer
-    accumulator over their common denominator and compared once with the
-    coset index polynomial.
+    The identity is that the products length * count of the table's rows sum
+    to the coset index polynomial. The family keeps the sum over its own
+    rows (CaseFamily.own_mass), so only the rows of the table that are not
+    the family's own row at the same position, by identity, are multiplied
+    out: the check is own_mass + the table's changed products == index +
+    the family's replaced products, each side summed in one integer
+    accumulator over its common denominator. That is exact for any table:
+    a row that is equal but not identical counts as changed, and appended
+    or dropped rows fall on one side only.
     """
-    total = Poly.sum_of_products((row.length, row.count) for row in table.rows)
-    return total == table.family.index
+    family = table.family
+    new, old = [], []
+    for row, own in zip_longest(table.rows, family.rows):
+        if row is not own:
+            if row is not None:
+                new.append((row.length, row.count))
+            if own is not None:
+                old.append((own.length, own.count))
+    return Poly.sum_of_products([(family.own_mass, ONE), *new]) == Poly.sum_of_products([(family.index, ONE), *old])
 
 
 def stabilizer_order(ct: ConcreteTable, row: ConcreteRow) -> int:

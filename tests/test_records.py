@@ -6,14 +6,17 @@ construction equal positional construction, a missing, extra, unknown or
 repeated field raises a TypeError that names the type, _replace keeps the
 type and goes through its __new__, repr is Name(field=value, ...), equality
 and hash are the plain tuple's, and copy, deepcopy and pickle give what they
-give for the plain tuple of its fields. Fields are read-only, no record but
-a concrete table has a __dict__, each verdict owns its witness dict, and a
-concrete table computes its length groups once. The package under test,
-imported in a fresh interpreter, imports none of the modules a record
-library or a timestamp would pull in (typing brings re with it, dataclasses
-inspect, ast and dis), nor fractions (which brings decimal and numbers), the
-json package, or __future__, and compiles no code with eval or compile, so a
-cold process pays only for what a certificate needs.
+give for the plain tuple of its fields. Pickle and copy rebuild a record
+through its type's own __new__, so a forged verdict cannot be loaded.
+Fields are read-only, no record but a concrete table and a family has a
+__dict__, each verdict owns its witness dict, a concrete table computes its
+length groups once, and a family's mass is not computed at import. The
+package under test, imported in a fresh interpreter, imports none of the
+modules a record library or a timestamp would pull in (typing brings re
+with it, dataclasses inspect, ast and dis), nor fractions (which brings
+decimal and numbers), the json package, or __future__, and compiles no code
+with eval or compile, so a cold process pays only for what a certificate
+needs.
 """
 import _collections
 import copy
@@ -74,9 +77,10 @@ def test_record_fields_are_read_only(name):
 @pytest.mark.parametrize("name", RECORDS)
 def test_only_a_concrete_table_has_a_dict(name):
     # every record type is one class over Record, which declares
-    # __slots__ = () unless it caches values, as ConcreteTable does
+    # __slots__ = () unless it caches values, as ConcreteTable (its length
+    # groups) and CaseFamily (its own_mass) do
     record = RECORDS[name][0]()
-    assert hasattr(record, "__dict__") == (name == "ConcreteTable")
+    assert hasattr(record, "__dict__") == (name in ("ConcreteTable", "CaseFamily"))
     mro = type(record).__mro__
     assert mro[1] is tables.Record and mro[2:] == (tuple, object)
 
@@ -191,6 +195,24 @@ def test_replace_cannot_build_an_excluding_verdict_without_witnesses():
     assert not hasattr(GateVerdict, "_make")
 
 
+def test_pickle_and_copy_rebuild_a_record_through_its_own_new():
+    # a verdict forged past GateVerdict.__new__ cannot come back out of a
+    # pickle, at any protocol, or out of a copy
+    forged = tuple.__new__(GateVerdict, ("g", EXCLUDES, {}, "", ()))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        payload = pickle.dumps(forged, protocol)
+        with pytest.raises(ValueError, match="requires witnesses"):
+            pickle.loads(payload)
+    with pytest.raises(ValueError, match="requires witnesses"):
+        copy.copy(forged)
+    # cached values are not pickled; the copy computes them again on use
+    assert REE.own_mass == REE.index
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        family = _pickled(REE, protocol)
+        assert family == REE and "own_mass" not in vars(family)
+        assert family.own_mass == REE.own_mass
+
+
 def test_verdicts_own_their_witnesses():
     first, second = GateVerdict("g", INCONCLUSIVE), GateVerdict("g", INCONCLUSIVE)
     assert first.witnesses == {} and second.witnesses == {}
@@ -218,6 +240,23 @@ def test_records_are_tuples_of_their_fields():
     rebuilt = SuborbitRow(("R1", "one"), original.length, original.count)
     assert rebuilt == original
     assert SuborbitTable(REE, (rebuilt,)).rows == (original,)
+
+
+def test_import_computes_no_family_mass(package_env):
+    # own_mass is a product sum over every row: computed on first use, never
+    # at import, so a cold process that checks no table does not pay for it
+    code = textwrap.dedent(
+        """
+        import dtgcert
+        from dtgcert.groups import REE, SUBFIELD
+        print("own_mass" in vars(REE), "own_mass" in vars(SUBFIELD))
+        dtgcert.analyze("ree", 0, 0)
+        print("own_mass" in vars(REE), "own_mass" in vars(SUBFIELD))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False False", "True False"]
 
 
 def test_spawned_interpreters_import_the_package_under_test(package_env, tmp_path):

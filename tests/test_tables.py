@@ -1,5 +1,7 @@
 import ast
+import random
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from dtgcert.tables import (
     stabilizer_order,
     verify_mass_symbolic,
 )
-from helpers import measured_row_by_row, replace_row
+from helpers import measured_row_by_row, replace_row, single_coefficient_mutants
 
 
 def test_row_counts():
@@ -33,6 +35,128 @@ def test_symbolic_mass_detects_mutation():
     table = build_table(REE)
     bumped = Poly(tuple(table.rows[5].length.coeffs) + (1,))
     assert not verify_mass_symbolic(replace_row(table, 5, "length", bumped))
+
+
+def _mass_identity_row_by_row(table):
+    """The mass identity by its plain definition, the oracle of verify_mass_symbolic:
+    every row's length * count multiplied out and summed, compared with the index."""
+    return Poly.sum_of_products((row.length, row.count) for row in table.rows) == table.family.index
+
+
+def _agrees_with_the_oracle(table):
+    """verify_mass_symbolic's answer on table, which must be the oracle's, as a bool."""
+    want = _mass_identity_row_by_row(table)
+    assert tables.verify_mass_symbolic(table) is want
+    return want
+
+
+def _with_rows(table, rows):
+    return SuborbitTable(table.family, tuple(rows))
+
+
+def test_symbolic_mass_of_every_single_coefficient_mutant():
+    rng = random.Random(11)
+    for family, count in ((REE, 152), (SUBFIELD, 336)):
+        table = build_table(family)
+        assert _agrees_with_the_oracle(table)
+        mutants = list(single_coefficient_mutants(table, lambda: rng.choice((-3, -2, -1, 1, 2, 3))))
+        assert len(mutants) == count
+        assert not any(_agrees_with_the_oracle(mutant) for mutant in mutants)
+
+
+def test_symbolic_mass_of_two_changes_that_cancel():
+    # R3 and R4 are the two halves of one cell, count 1: moving length
+    # between them keeps the sum of the products
+    table = build_table(REE)
+    shift = Poly.var() ** 3 + 5
+    moved = replace_row(table, 2, "length", table.rows[2].length + shift)
+    moved = replace_row(moved, 3, "length", table.rows[3].length - shift)
+    assert _agrees_with_the_oracle(moved)
+    assert not _agrees_with_the_oracle(replace_row(moved, 3, "length", table.rows[3].length))
+
+
+def test_symbolic_mass_of_rows_appended_dropped_and_permuted():
+    for family in (REE, SUBFIELD):
+        table = build_table(family)
+        rows = table.rows
+        zero = SuborbitRow(rows[1].z, rows[1].length, Poly())
+        # a row of zero product appended keeps the sum; any other does not
+        assert _agrees_with_the_oracle(_with_rows(table, rows + (zero,)))
+        assert not _agrees_with_the_oracle(_with_rows(table, rows + (rows[1],)))
+        assert not _agrees_with_the_oracle(_with_rows(table, rows + (zero, rows[0])))
+        # a row dropped, at the end or inside
+        assert not _agrees_with_the_oracle(_with_rows(table, rows[:-1]))
+        assert not _agrees_with_the_oracle(_with_rows(table, rows[:1] + rows[2:]))
+        # permuted rows keep the sum, though every moved row counts as changed
+        assert _agrees_with_the_oracle(_with_rows(table, rows[::-1]))
+        assert _agrees_with_the_oracle(_with_rows(table, rows[1:] + rows[:1]))
+
+
+def test_symbolic_mass_of_equal_but_not_identical_rows():
+    for family in (REE, SUBFIELD):
+        table = build_table(family)
+        copies = [SuborbitRow(r.z, Poly(r.length.coeffs), Poly(r.count.coeffs)) for r in table.rows]
+        assert copies == list(table.rows) and not set(map(id, copies)) & set(map(id, table.rows))
+        assert _agrees_with_the_oracle(_with_rows(table, copies))
+
+
+def test_symbolic_mass_of_a_family_whose_own_rows_fail():
+    for family in (REE, SUBFIELD):
+        broken = next(single_coefficient_mutants(build_table(family), lambda: 1)).rows
+        broken_family = family._replace(rows=broken)
+        assert not _agrees_with_the_oracle(build_table(broken_family))
+        assert _agrees_with_the_oracle(SuborbitTable(broken_family, family.rows))
+
+
+#: The agreement tests above; each faulty delta check below fails one of them.
+DELTA_CHECK_TESTS = (
+    test_symbolic_mass_of_every_single_coefficient_mutant,
+    test_symbolic_mass_of_two_changes_that_cancel,
+    test_symbolic_mass_of_rows_appended_dropped_and_permuted,
+    test_symbolic_mass_of_equal_but_not_identical_rows,
+    test_symbolic_mass_of_a_family_whose_own_rows_fail,
+)
+
+
+def _faulty_delta_check(pairs=zip_longest, keep_old=True, trust_unchanged=False):
+    """verify_mass_symbolic rebuilt with one fault: rows paired by pairs, the
+    family's replaced products dropped, or a table with no changed row passed."""
+
+    def check(table):
+        family = table.family
+        new, old = [], []
+        for row, own in pairs(table.rows, family.rows):
+            if row is not own:
+                if row is not None:
+                    new.append((row.length, row.count))
+                if own is not None and keep_old:
+                    old.append((own.length, own.count))
+        if trust_unchanged and not new and not old:
+            return True
+        one = tables.ONE
+        return Poly.sum_of_products([(family.own_mass, one), *new]) == Poly.sum_of_products([(family.index, one), *old])
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "faulty",
+    [_faulty_delta_check(keep_old=False), _faulty_delta_check(pairs=zip), _faulty_delta_check(trust_unchanged=True)],
+    ids=["ignores-old", "zip", "trusts-unchanged"],
+)
+def test_each_faulty_delta_check_fails_an_agreement_test(monkeypatch, faulty):
+    # the faithful rebuild passes them all, so what fails is the fault
+    monkeypatch.setattr(tables, "verify_mass_symbolic", _faulty_delta_check())
+    for agreement_test in DELTA_CHECK_TESTS:
+        agreement_test()
+    monkeypatch.setattr(tables, "verify_mass_symbolic", faulty)
+    failed = []
+    for agreement_test in DELTA_CHECK_TESTS:
+        try:
+            agreement_test()
+        except AssertionError:
+            failed.append(agreement_test.__name__)
+    assert failed
 
 
 def _reference_rows(family):
