@@ -16,8 +16,9 @@ def min_fused_classes(groups: tuple[tuple[int, int], ...], x_order: int) -> int:
     groups holds (length, multiplicity) pairs, as in ConcreteTable.length_groups.
     Each length group of multiplicity k splits into at least ceil(k / |X|)
     orbits because an orbit absorbs at most |X| equal-length suborbits.
+    An x_order that is not an int >= 1 (a bool, a float) raises ValueError.
     """
-    if x_order < 1:
+    if type(x_order) is not int or x_order < 1:
         raise ValueError("x_order must be >= 1")
     total = 0
     for _, mult in groups:

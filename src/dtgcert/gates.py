@@ -199,10 +199,11 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     """Exact form of the diameter cutoff d < (8/3) log2(v) for the ree family.
 
     v is the table's coset index and N its suborbit count, the trivial one
-    included, from CaseFamily.suborbit_total. The gate takes d0 = N / |X|
-    fused classes. That overstates the bound: a sphere is a fused class of
-    the N - 1 nontrivial suborbits, so d >= ceil((N - 1)/|X|), which is below
-    d0 exactly when |X| divides q + 5 (202 of the 688 verdicts of ree
+    included: the verdict reads the table's v, N and length groups, and
+    |X|, nothing else. The gate takes d0 = N / |X| fused classes. That
+    overstates the bound: a sphere is a fused class of the N - 1
+    nontrivial suborbits, so d >= ceil((N - 1)/|X|), which is below d0
+    exactly when |X| divides q + 5 (202 of the 688 verdicts of ree
     0..100). Every verdict still stands under the nontrivial bound, as
     test_gates::test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound
     pins; the witness fix, which changes report bytes, is ROADMAP item 1.
@@ -210,15 +211,16 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     2**(3a) >= v**(8b), decided by exact integer comparison.
     The sharper class-count bound from the same table is reported as an
     extra witness but does not feed the verdict; at q = 3 it is inconclusive
-    for both X. An x_order below 1 raises ValueError. d0 is written as text,
-    so past Python's int-to-str digit cap (q of more than 4300 digits) the
-    gate needs the cap lifted, as pipeline.analyze does for its sweep.
+    for both X. An x_order that is not an int >= 1 raises ValueError before
+    any comparison. d0 is written as text, so past Python's int-to-str
+    digit cap (q of more than 4300 digits) the gate needs the cap lifted,
+    as pipeline.analyze does for its sweep.
     """
     if ct.family.kind != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
     refined = fusion.min_fused_classes(ct.length_groups, x_order)
     narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
-    suborbits = ct.family.suborbit_total(ct.param)
+    suborbits = ct.suborbits
     v = ct.index
     d0 = f"{suborbits}/{x_order}"
     g = gcd(suborbits, x_order)
@@ -328,8 +330,8 @@ def bcn_small_case_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
 
     The published intersection-array tables contain no feasible array with
     this vertex count and diameter; the absence is cited, not recomputed.
-    Any table other than the ree table at q = 3, or an x_order below 1,
-    raises ValueError: the verdict would cite the wrong table.
+    Any table other than the ree table at q = 3, or an x_order that is not
+    an int >= 1, raises ValueError: the verdict would cite the wrong table.
     """
     if ct.family.kind != "ree" or ct.param != 3:
         raise ValueError("the small-case lookup applies to the ree table at q = 3 only")

@@ -25,16 +25,16 @@ from .tables import Z_ETA, Z_GAMMA, Z_ONE, Z_SIGMA, Z_TAU, Z_THETA, Z_THREE, Z_T
 class CaseFamily(Record, fields="kind h_order index rows min_n param_exponent q_power suborbits param_form"):
     """One coset-action family: its order polynomials, suborbit table and step map.
 
-    kind is its name. The Polys h_order and index and the SuborbitRows rows
-    (the parametrized suborbit table) are in the family's table variable (r
-    for subfield, m for ree); h_order * index is |G2(q)|. Step n >= min_n
-    has param 3**(a*n + b) for the int pair param_exponent (a, b) and
-    q = param**q_power. The Poly suborbits is N, the trivial suborbit
-    included, in param; the str param_form spells the admissible params in
-    n_of_param's error. Methods take step n, except q_value, suborbit_total
-    and the inverse n_of_param. The class declares no __slots__: own_mass,
-    the sum of its rows' length * count, is computed on first use and kept
-    in its __dict__.
+    kind is its name. The Polys h_order, index and suborbits (N, the
+    trivial suborbit included) and the SuborbitRows rows (the parametrized
+    suborbit table) are all in the family's table variable (r for subfield,
+    m for ree); h_order * index is |G2(q)|, and N is the sum of the rows'
+    counts. Step n >= min_n has param 3**(a*n + b) for the int pair
+    param_exponent (a, b) and q = param**q_power; the str param_form spells
+    the admissible params in n_of_param's error. Methods take step n,
+    except q_value and the inverse n_of_param. The class declares no
+    __slots__: own_mass, the sum of its rows' length * count, is computed
+    on first use and kept in its __dict__.
     """
 
     @cached_property
@@ -52,10 +52,6 @@ class CaseFamily(Record, fields="kind h_order index rows min_n param_exponent q_
         """Public parameter for step n: subfield r = 3**n, ree q = 3**(2n+1)."""
         a, b = self.param_exponent
         return 3 ** (a * self.check_step(n) + b)
-
-    def suborbit_total(self, param: int) -> int:
-        """Number of suborbits at param, the trivial one included: r*r + 2r + 6 for subfield, q + 6 for ree."""
-        return self.suborbits.eval_int(param)
 
     def n_of_param(self, param: int) -> int:
         """Inverse of param_for_n; validates admissibility, and an admissible param is an int."""
@@ -182,7 +178,7 @@ def _ree_family() -> CaseFamily:
     )
     return CaseFamily(
         "ree", h, index, rows, min_n=0,
-        param_exponent=(2, 1), q_power=1, suborbits=Poly((6, 1)), param_form="3**(2n+1)",
+        param_exponent=(2, 1), q_power=1, suborbits=q + 6, param_form="3**(2n+1)",
     )
 
 

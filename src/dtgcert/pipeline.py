@@ -15,6 +15,7 @@ import time
 from collections.abc import Sequence
 
 from . import gates, tables
+from .exact import Poly
 from .groups import CaseFamily, OuterOption, get_family, outer_subgroup_options
 from .tables import Record
 
@@ -88,13 +89,8 @@ class ParamCheck(Record, fields="param table error mass_total suborbit_total len
         return self.table is not None and self.mass_total == self.table.index
 
     @property
-    def suborbit_expected(self) -> int:
-        """The family's suborbit total at this parameter; only a check with a table has one."""
-        return self.table.family.suborbit_total(self.param)
-
-    @property
     def suborbit_ok(self) -> bool:
-        return self.table is not None and self.suborbit_total == self.suborbit_expected
+        return self.table is not None and self.suborbit_total == self.table.suborbits
 
     @property
     def ok(self) -> bool:
@@ -154,11 +150,13 @@ def analyze(
 
     Each end must be an int step of the family, and n_min <= n_max;
     otherwise ValueError is raised before the table is built. The table is
-    built once, and its symbolic mass identity, which holds at every n if
-    it holds at all, is checked once; a table that fails it raises
-    TranscriptionError before any certificate is made. Each n instantiates
-    the table exactly once, with its integrality checks, and every gate of
-    every X there reads that one table.
+    built once, and two polynomial identities, which hold at every n if
+    they hold at all, are checked once: the symbolic mass identity, and
+    that the count polynomials sum to the family's suborbit count N. A
+    table that fails either raises TranscriptionError before any
+    certificate is made. Each n instantiates the table exactly once, with
+    its integrality checks, and every gate of every X there reads that one
+    table.
 
     The step gates read the table alone, not X. So they run lazily, once
     per n, the first time an X is inconclusive, and every later X of that n
@@ -175,6 +173,8 @@ def analyze(
     table = tables.build_table(family)
     if not tables.verify_mass_symbolic(table):
         raise tables.TranscriptionError(f"symbolic mass identity failed for the {family.kind} table")
+    if Poly.sum_of_products((row.count, tables.ONE) for row in table.rows) != family.suborbits:
+        raise tables.TranscriptionError(f"the counts of the {family.kind} table do not sum to its suborbit count")
     steps = range(n_min, n_max + 1)
     certificates = _without_digit_cap(_certificates, family, table, steps, x_filter, strict)
     return RunReport(VERSION, case, n_min, n_max, strict, certificates)
@@ -385,7 +385,7 @@ def _table_report_text(report: TableCheckReport) -> str:
         lines.append(f"mass: {'ok' if check.mass_ok else 'FAIL'} total={check.mass_total} residual={residual}")
         lines.append(f"divisibility: {'ok' if check.lengths_divide else 'FAIL'}")
         lines.append(
-            f"suborbits: {'ok' if check.suborbit_ok else 'FAIL'} total={check.suborbit_total} expected={check.suborbit_expected}"
+            f"suborbits: {'ok' if check.suborbit_ok else 'FAIL'} total={check.suborbit_total} expected={check.table.suborbits}"
         )
     if report.symbolic_ok is not None:
         lines.append("")

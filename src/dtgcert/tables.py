@@ -116,11 +116,12 @@ class ConcreteRow(Record, fields="label z_order length count"):
     __slots__ = ()
 
 
-class ConcreteTable(Record, fields="family param index h_order rows"):
+class ConcreteTable(Record, fields="family param index h_order suborbits rows"):
     """A table instantiated at one parameter, zero-count rows dropped.
 
-    family is the groups.CaseFamily, param, index and h_order (|H|) are
-    ints, and rows the ConcreteRows. The nontrivial rows and their grouping
+    family is the groups.CaseFamily; param, index (v), h_order (|H|) and
+    suborbits (N, the trivial suborbit included) are ints at the table's
+    step, and rows the ConcreteRows. The nontrivial rows and their grouping
     by length are computed on first use and kept with the table, so every
     gate and every X share them. The class declares no __slots__: the
     cached values live in its __dict__.
@@ -148,9 +149,10 @@ def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
     """Evaluate every row at step n, whose parameter param_for_n gives, dropping zero counts.
 
     Counts must evaluate to nonnegative integers, lengths of surviving rows
-    to positive integers, and the coset index and |H| to integers; anything
-    else raises TranscriptionError. A row's length is evaluated only once
-    its count is positive, so a zero-count row's length is never evaluated.
+    to positive integers, and the coset index, |H| and the suborbit count N
+    to integers; anything else raises TranscriptionError. A row's length is
+    evaluated only once its count is positive, so a zero-count row's length
+    is never evaluated.
     """
     family = table.family
     param = family.param_for_n(n)
@@ -178,18 +180,16 @@ def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
         rows.append(_tuple_new(ConcreteRow, (label, z_order, length, count)))
     if trivial_counts != [1]:
         raise TranscriptionError(f"expected exactly one trivial suborbit at parameter {param}")
-    try:
-        index = family.index.eval_int(var)
-    except ValueError as exc:
-        raise TranscriptionError(f"coset index at parameter {param}: {exc}") from exc
-    try:
-        h_order = family.h_order.eval_int(var)
-    except ValueError as exc:
-        raise TranscriptionError(f"|H| at parameter {param}: {exc}") from exc
-    return ConcreteTable(family, param, index, h_order, tuple(rows))
+    values = []
+    for name, poly in (("coset index", family.index), ("|H|", family.h_order), ("suborbit count", family.suborbits)):
+        try:
+            values.append(poly.eval_int(var))
+        except ValueError as exc:
+            raise TranscriptionError(f"{name} at parameter {param}: {exc}") from exc
+    return ConcreteTable(family, param, *values, tuple(rows))
 
 
-#: The unit polynomial, the second factor of a lone sum in verify_mass_symbolic.
+#: The unit polynomial, the second factor of a lone sum in a sum of products.
 ONE = Poly.const(1)
 
 

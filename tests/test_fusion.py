@@ -47,6 +47,24 @@ def test_fusion_constraint_validation():
             bcn_small_case_gate(ree3, bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "2", 0, -1], ids=repr)
+def test_x_order_must_be_a_positive_int(bad):
+    # |X| enters the cutoff and the q = 3 lookup through min_fused_classes,
+    # which refuses a bool or a non-int as check_step refuses such an n;
+    # True would pass for |X| = 1 and 1.5 reach gcd or a float bound
+    ree3 = instantiate(build_table(REE), 0)
+    ree27 = instantiate(build_table(REE), 1)
+    entries = (
+        lambda: min_fused_classes(ree27.length_groups, bad),
+        lambda: bhk_gate(ree27, bad),
+        lambda: bhk_gate(ree3, bad),
+        lambda: bcn_small_case_gate(ree3, bad),
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match=r"^x_order must be >= 1$"):
+            entry()
+
+
 def test_length_groups_ree_q27():
     ct = instantiate(build_table(REE), 1)
     groups = ct.length_groups

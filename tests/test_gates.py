@@ -81,7 +81,7 @@ def test_sigma_in_x_gate(monkeypatch):
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["distinct_nontrivial_lengths"] == 12
     flat = ConcreteTable(
-        SUBFIELD, 3, 100, 50,
+        SUBFIELD, 3, 100, 50, 3,
         (ConcreteRow("1", "one", 1, 1), ConcreteRow("z", Z_TWO, 7, 1), ConcreteRow("A", Z_UNKNOWN, 7, 1)),
     )
     # too few lengths to force diameter 3: sigma still hands on, and
@@ -108,7 +108,7 @@ def test_order4_witness_values():
 
 def test_order4_witness_validation(monkeypatch):
     # at an even r neither r - 1 nor r + 1 is divisible by 4, so no power has order 4
-    even = ConcreteTable(SUBFIELD, 4, 1, 1, (ConcreteRow("1", "one", 1, 1), ConcreteRow("e", Z_ETA, 5, 1)))
+    even = ConcreteTable(SUBFIELD, 4, 1, 1, 2, (ConcreteRow("1", "one", 1, 1), ConcreteRow("e", Z_ETA, 5, 1)))
     with pytest.raises(ArithmeticError, match="order 4"):
         order4_witness(even)
     # computed torus orders other than r - 1 and r + 1 are refused, and the gate names the step
@@ -122,7 +122,7 @@ def test_order4_witness_validation(monkeypatch):
 
 def test_order4_witness_requires_surviving_rows():
     rows = tuple(r for r in _sub_table(2).rows if not r.z_order.startswith("torus:gamma"))
-    stripped = ConcreteTable(SUBFIELD, 9, 1, 1, rows)
+    stripped = ConcreteTable(SUBFIELD, 9, 1, 1, sum(r.count for r in rows), rows)
     with pytest.raises(ArithmeticError):
         order4_witness(stripped)
 
@@ -147,10 +147,8 @@ def test_involution_gate_excludes():
 
 def test_involution_gate_fail_steps():
     real = _sub_table(1)
-    no_pair = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order,
-        tuple(r for r in real.rows if r.z_order != Z_TWO),
-    )
+    rows = tuple(r for r in real.rows if r.z_order != Z_TWO)
+    no_pair = ConcreteTable(SUBFIELD, 3, real.index, real.h_order, sum(r.count for r in rows), rows)
     v = involution_gate(no_pair)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "commuting_pair"
@@ -158,7 +156,7 @@ def test_involution_gate_fail_steps():
     # The gate reads |G| as index * |H|; the hand-built tables below keep the
     # real r = 3 orders so that 3 divides it, as it does for every r.
     flat = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order,
+        SUBFIELD, 3, real.index, real.h_order, 3,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 7, 1),
@@ -171,7 +169,7 @@ def test_involution_gate_fail_steps():
     # fusion only merges equal lengths, so the step needs three distinct
     # nontrivial lengths: exactly two fail it, and every real table passes it
     two_lengths = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order,
+        SUBFIELD, 3, real.index, real.h_order, 4,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 7, 2),
@@ -183,7 +181,7 @@ def test_involution_gate_fail_steps():
         assert involution_gate(_sub_table(n)).outcome == EXCLUDES, n
 
     bad_candidate = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order,
+        SUBFIELD, 3, real.index, real.h_order, 5,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 5, 1),
@@ -198,7 +196,7 @@ def test_involution_gate_fail_steps():
 
     # a first-sphere candidate of unknown z order fails the step as well
     unknown_candidate = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order,
+        SUBFIELD, 3, real.index, real.h_order, 5,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 13, 1),
@@ -212,7 +210,7 @@ def test_involution_gate_fail_steps():
     assert v.witnesses["offending_rows"] == "B"
 
     no_torus = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order,
+        SUBFIELD, 3, real.index, real.h_order, 5,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 17, 1),
@@ -224,7 +222,7 @@ def test_involution_gate_fail_steps():
     v = involution_gate(no_torus)
     assert v.witnesses["failed_step"] == "order4_witness"
 
-    no_three = ConcreteTable(SUBFIELD, 3, 100, 50, no_torus.rows)
+    no_three = ConcreteTable(SUBFIELD, 3, 100, 50, 5, no_torus.rows)
     v = involution_gate(no_three)
     assert v.witnesses["failed_step"] == "odd_prime_in_group_order"
 
@@ -265,6 +263,58 @@ def test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound():
         (1, 1, False), (1, 2, False), (1, 3, False), (1, 6, False),
         (2, 2, False), (2, 5, False), (2, 10, False), (3, 14, False),
     ]
+
+
+#: Distance-transitive graphs by their vertex count v and sphere sizes, the
+#: trivial sphere first: the diameter cutoff must never exclude one of them.
+DISTANCE_TRANSITIVE_SPHERES = {
+    "petersen": (10, (1, 3, 6)),
+    "O4": (35, (1, 4, 12, 18)),
+    "H(6,3)": (729, (1, 12, 60, 160, 240, 192, 64)),
+    "biggs-smith": (102, (1, 3, 6, 12, 24, 24, 24, 8)),
+    "GH(3,3)": (364, (1, 12, 108, 243)),
+    "srg(351,126,45,45)": (351, (1, 126, 224)),
+}
+
+
+@pytest.mark.parametrize("name", DISTANCE_TRANSITIVE_SPHERES)
+def test_bhk_gate_never_excludes_a_distance_transitive_graph(name):
+    # one count-1 row per sphere, so N = d + 1 as in the gate's d0; the
+    # gate reads only the table's v, N and length groups, and |X|, so a
+    # table with neither a parameter nor an |H| is enough
+    v, spheres = DISTANCE_TRANSITIVE_SPHERES[name]
+    assert sum(spheres) == v
+    rows = tuple(ConcreteRow(f"S{i}", Z_UNKNOWN, size, 1) for i, size in enumerate(spheres))
+    ct = ConcreteTable(REE, None, v, None, len(spheres), rows)
+    for x in range(1, 5):
+        verdict = bhk_gate(ct, x)
+        assert verdict.outcome == INCONCLUSIVE, x
+        assert verdict.witnesses["d0"] == f"{len(spheres)}/{x}"
+
+
+def test_bhk_gate_excludes_exactly_at_the_cutoff():
+    # at v = 8 the cutoff (8/3) log2(v) is 8, so d0 = 8 meets it: 2^24 >= 8^8
+    # with equality. Rows of distinct lengths 2..k+1 under the trivial one
+    # give N = k + 1 and a class bound of k at |X| = 1; the tables are data
+    # for the comparison only, so their lengths need not sum to v
+    def table(k):
+        rows = (ConcreteRow("1", "one", 1, 1),) + tuple(ConcreteRow(f"L{i}", Z_UNKNOWN, i, 1) for i in range(2, k + 2))
+        return ConcreteTable(REE, None, 8, None, k + 1, rows)
+
+    expect = {
+        (6, 1): (INCONCLUSIVE, "2^(3a) < v^(8b)", "false"),
+        (7, 1): (EXCLUDES, "2^(3a) >= v^(8b)", "false"),
+        (8, 1): (EXCLUDES, "2^(3a) >= v^(8b)", "true"),
+        # d0 = 16/2 in lowest terms is 8/1, on the cutoff again; distinct
+        # lengths do not fuse, so the class bound stays k whatever |X| is
+        (15, 2): (EXCLUDES, "2^(3a) >= v^(8b)", "true"),
+        (14, 2): (INCONCLUSIVE, "2^(3a) < v^(8b)", "true"),
+        (6, 2): (INCONCLUSIVE, "2^(3a) < v^(8b)", "false"),
+    }
+    for (k, x), (outcome, comparison, refined) in expect.items():
+        verdict = bhk_gate(table(k), x)
+        got = (verdict.outcome, verdict.witnesses["exact_comparison"], verdict.witnesses["refined_excludes"])
+        assert got == (outcome, comparison, refined), (k, x)
 
 
 def test_bhk_gate_edges():
@@ -374,7 +424,7 @@ def test_kernel_chain_gate_candidate_shape_failure():
         ConcreteRow(r.label, r.z_order, 54, r.count) if r.label == "R2" else r
         for r in real.rows
     )
-    broken = ConcreteTable(REE, 27, real.index, real.h_order, rows)
+    broken = ConcreteTable(REE, 27, real.index, real.h_order, real.suborbits, rows)
     v = kernel_chain_gate(broken)
     assert v.witnesses["failed_step"] == "first_sphere_candidates"
 
@@ -394,7 +444,7 @@ def test_kernel_chain_gate_both_factors_failure():
     h = real.h_order
     assert h % (19 * 37) == 0
     rows = real.rows + (ConcreteRow("X", Z_UNKNOWN, h // (19 * 37), 1),)
-    broken = ConcreteTable(REE, 27, real.index, h, rows)
+    broken = ConcreteTable(REE, 27, real.index, h, real.suborbits + 1, rows)
     v = kernel_chain_gate(broken)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "stabilizer_divisible_by_both"

@@ -66,7 +66,7 @@ def test_step_map_matches_closed_forms(kind):
             family.q_value(param),
             family.field_exponent(n),
             family.table_variable(n),
-            family.suborbit_total(param),
+            family.suborbits.eval_int(family.table_variable(n)),
         )
         assert facts == step(n), n
     expected = {3**e: n_of_exponent(e) for e in range(802)}
@@ -102,7 +102,7 @@ def test_case_family_methods_name_no_family():
     tree = ast.parse(Path(groups.__file__).read_text())
     cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CaseFamily")
     methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
-    assert {"param_for_n", "n_of_param", "suborbit_total", "q_value", "field_exponent"} <= {m.name for m in methods}
+    assert {"param_for_n", "n_of_param", "q_value", "field_exponent"} <= {m.name for m in methods}
     for method in methods:
         for node in ast.walk(method):
             if isinstance(node, ast.Constant):

@@ -208,11 +208,29 @@ def test_verify_tables_ok():
     assert report.symbolic_ok
     for check in report.checks:
         assert check.mass_ok and check.lengths_divide and check.suborbit_ok
-        assert check.suborbit_expected == check.param + 6
+        assert check.table.suborbits == check.param + 6
     report = verify_tables("subfield", [3, 9, 27, 81], symbolic=True)
     assert report.ok
     for check in report.checks:
-        assert check.suborbit_expected == check.param**2 + 2 * check.param + 6
+        assert check.table.suborbits == check.param**2 + 2 * check.param + 6
+
+
+def test_analyze_refuses_a_table_whose_counts_miss_the_suborbit_count(monkeypatch):
+    # R3 and R4 (one suborbit each, of equal length) merged into one row of
+    # twice their length: the mass is kept and N is one short, so only the
+    # count check sees it
+    base = tables.build_table(REE)
+    r3, r4 = base.rows[2:4]
+    assert r3.length == r4.length and r3.count == r4.count == Poly.const(1)
+    merged = tables.SuborbitRow(("R3+R4", r3.z[1]), 2 * r3.length, r3.count)
+    table = tables.SuborbitTable(REE, base.rows[:2] + (merged,) + base.rows[4:])
+    assert tables.verify_mass_symbolic(table)
+    monkeypatch.setattr(tables, "build_table", lambda family: table)
+    message = "the counts of the ree table do not sum to its suborbit count"
+    with pytest.raises(tables.TranscriptionError, match=f"^{message}$"):
+        analyze("ree", 0, 1)
+    (check,) = verify_tables("ree", [27], table=table).checks
+    assert (check.mass_ok, check.suborbit_ok) == (True, False)
 
 
 def test_param_checks_store_what_was_measured_and_derive_their_verdicts():
@@ -451,11 +469,11 @@ def test_instantiate_evaluates_each_count_each_surviving_length_and_both_orders_
             expected.append(row.count)
             if row.z[0] in surviving:
                 expected.append(row.length)
-        expected += [family.index, family.h_order]
+        expected += [family.index, family.h_order, family.suborbits]
         assert [id(p) for p in evaluated] == [id(p) for p in expected]
         evaluated.clear()
         verify_tables(family.kind, [ct.param, ct.param], symbolic=True, table=table)
-        assert len(evaluated) == 2 * (len(table.rows) + len(ct.rows) + 2)
+        assert len(evaluated) == 2 * (len(table.rows) + len(ct.rows) + 3)
 
 
 def test_verify_tables_on_a_given_table_builds_no_polynomial(monkeypatch):
