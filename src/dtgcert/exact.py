@@ -318,18 +318,22 @@ def _add_product(
             acc[i + j] += ca * cb
 
 
+class FactorBoundError(ValueError):
+    """factorize was handed an n of 10**12 or more, past its trial-division bound."""
+
+
 def factorize(n: int) -> dict[int, int]:
     """Complete prime factorization of n >= 1 as an ordered {prime: exponent} map.
 
     Plain trial division up to the square root, so every factor found is
-    proven prime. The kernel chain, the only caller, factors q -+ 3m + 1 for
-    q <= 2187, all below 2300. Inputs of 10**12 or more, which would need
-    over a million trial divisors, raise ValueError instead of running on.
+    proven prime. The kernel chain, the only caller, factors q -+ 3m + 1,
+    below 2300 for q <= 2187. Inputs of 10**12 or more, which would need
+    over a million trial divisors, raise FactorBoundError instead.
     """
     if n <= 0:
         raise ValueError("factorize requires n >= 1")
     if n >= 10**12:
-        raise ValueError(f"factorize handles n < 10**12 only: {n}")
+        raise FactorBoundError(f"factorize handles n < 10**12 only: {n}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:

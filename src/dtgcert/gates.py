@@ -6,8 +6,8 @@ returns a GateVerdict whose outcome is "excludes", "inconclusive" or
 its sub-checks passed; any failed sub-check yields "inconclusive" with the
 failing step named, never a silent exclusion.
 
-Every gate takes the ConcreteTable of its step first and reads its
-parameter (q or r) from it, so the table and the parameter cannot disagree.
+Every gate takes the ConcreteTable of its step first and reads its case,
+parameter and q from it, so the table and the parameter cannot disagree.
 Which gate runs on which table is decided by the chain in pipeline alone; a
 table outside a gate's domain (the other family's, or for the q = 3 lookup
 any other ree table) raises ValueError.
@@ -21,7 +21,7 @@ from functools import partial
 from math import gcd
 
 from . import fusion, tables
-from .exact import cyclic_order, exp_compare, factorize
+from .exact import FactorBoundError, cyclic_order, exp_compare, factorize
 from .groups import REE, OuterOption
 from .tables import Record, _tuple_new
 
@@ -85,19 +85,19 @@ def _fail(gate: str, narrative: str, step: str, **extra: Witness) -> GateVerdict
 
 
 def multiplicity_free_gate(ct: tables.ConcreteTable, x: OuterOption) -> GateVerdict:
-    """Necessary condition on the subfield action at q = r*r: X holds an odd
-    power of the graph automorphism, that is, meets the graph coset; an X
-    inside the field automorphisms already excludes a graph. At q = r*r the
-    field exponent is even, so no element of the graph coset is an
-    involution."""
-    if ct.family.kind != "subfield":
+    """Necessary condition on the subfield action at the table's q = r*r: X
+    holds an odd power of the graph automorphism, that is, meets the graph
+    coset; an X inside the field automorphisms already excludes a graph. At
+    q = r*r the field exponent is even, so no element of the graph coset is
+    an involution. The q witness is the table's own."""
+    if ct.case != "subfield":
         raise ValueError("the multiplicity-free gate applies to the subfield family only")
     narrative = "multiplicity-free classification of the subfield coset action"
     graph = x.contains_graph_auto
     return GateVerdict(
         GATE_MULTIPLICITY_FREE,
         INCONCLUSIVE if graph else EXCLUDES,
-        {"q": ct.family.q_value(ct.param), "x_order": x.order, "contains_graph_auto": "true" if graph else "false"},
+        {"q": ct.q, "x_order": x.order, "contains_graph_auto": "true" if graph else "false"},
         narrative,
         (ASSUMPTION_MULTIPLICITY_FREE, ASSUMPTION_OUTER_EVEN),
     )
@@ -109,7 +109,7 @@ def sigma_in_x_gate(ct: tables.ConcreteTable) -> GateVerdict:
     Always inconclusive; involution_gate's diameter_at_least_3 step tests
     the distinct lengths counted here.
     """
-    if ct.family.kind != "subfield":
+    if ct.case != "subfield":
         raise ValueError("the sigma-in-X gate applies to the subfield family only")
     narrative = "diameter >= 3 forces the centralizing involution into X"
     count = len(ct.length_groups)
@@ -126,10 +126,9 @@ def order4_witness(ct: tables.ConcreteTable) -> tuple[str, int, int]:
     must still have rows in the table and its power must have order 4, or
     ArithmeticError is raised.
     """
-    if ct.family.kind != "subfield":
+    if ct.case != "subfield":
         raise ValueError("order-4 torus witnesses apply to the subfield family only")
-    r = ct.param
-    q = ct.family.q_value(r)
+    r, q = ct.param, ct.q
     kappa = q**3 - 1
     theta_exp = q * q + q + 1
     gamma = cyclic_order(kappa, theta_exp * (r + 1))
@@ -155,7 +154,7 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
     2-group case, neighbors cannot commute (all first-sphere candidates have
     order 3), and an order-4 torus power rules out the remaining case.
     """
-    if ct.family.kind != "subfield":
+    if ct.case != "subfield":
         raise ValueError("the involution gate applies to the subfield family only")
     narrative = "commuting-involution pair forces an odd-prime product order; all four cases fail"
     fail = partial(_fail, GATE_INVOLUTION, narrative)
@@ -216,7 +215,7 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     digit cap (q of more than 4300 digits) the gate needs the cap lifted,
     as pipeline.analyze does for its sweep.
     """
-    if ct.family.kind != "ree":
+    if ct.case != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
     refined = fusion.min_fused_classes(ct.length_groups, x_order)
     narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
@@ -272,21 +271,24 @@ def kernel_chain_gate(ct: tables.ConcreteTable) -> GateVerdict:
     prime and no row stabilizer is divisible by certifying primes from both
     factors. An exclusion rests on ASSUMPTION_KERNEL, whose proper-divisor
     premise the gate checks first: every nontrivial suborbit length divides
-    |H| and is below it, which no length is under an |H| <= 0. At q = 3 one
-    length equals |H|, and the chain stops at its proper_divisor_premise
-    step.
+    |H| and is below it, which no length is under an |H| <= 0. The chain
+    stops at proper_divisor_premise at q = 3, where one length equals |H|,
+    and from q = 3**27 on at factorize_bound, past factorize's bound.
     """
     narrative = "kernel divisibility chain on suborbit stabilizers"
-    if ct.family.kind != "ree":
+    if ct.case != "ree":
         raise ValueError("the kernel chain gate applies to the ree family only")
-    q = ct.param
+    q = ct.q
     fail = partial(_fail, GATE_KERNEL_CHAIN, narrative)
 
     h_order = ct.h_order
     if any(h_order % row.length or row.length >= h_order for row in ct.nontrivial_rows):
         return fail("proper_divisor_premise")
 
-    (minus_value, p_minus), (plus_value, p_plus) = kernel_prime_data(q)
+    try:
+        (minus_value, p_minus), (plus_value, p_plus) = kernel_prime_data(q)
+    except FactorBoundError as exc:
+        return fail("factorize_bound", detail=str(exc))
     if not p_minus or not p_plus:
         return fail("no_certifying_primes", minus_value=minus_value, plus_value=plus_value)
     specials = p_minus + p_plus
@@ -333,7 +335,7 @@ def bcn_small_case_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     Any table other than the ree table at q = 3, or an x_order that is not
     an int >= 1, raises ValueError: the verdict would cite the wrong table.
     """
-    if ct.family.kind != "ree" or ct.param != 3:
+    if ct.case != "ree" or ct.param != 3:
         raise ValueError("the small-case lookup applies to the ree table at q = 3 only")
     narrative = "no feasible intersection array with 2808 vertices at this diameter (external tables)"
     bound = fusion.min_fused_classes(ct.length_groups, x_order)

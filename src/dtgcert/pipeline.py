@@ -184,12 +184,10 @@ def _certificates(
     family: CaseFamily, table: tables.SuborbitTable, steps: range, x_filter: XFilter, strict: bool
 ) -> tuple[Certificate, ...]:
     """analyze's sweep: the certificates of every step and selected X, in order."""
-    case = family.kind
-    subfield = case == "subfield"
+    subfield = family.kind == "subfield"
     certificates = []
     for n in steps:
         ct = tables.instantiate(table, n)
-        q = family.q_value(ct.param)
         step_verdicts = None
         for option in _select_options(family, n, x_filter):
             if subfield:
@@ -206,7 +204,7 @@ def _certificates(
                         step_verdicts = (gates.kernel_chain_gate(ct),)
                 verdicts += step_verdicts
             certificates.append(
-                Certificate(case, n, q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
+                Certificate(ct.case, n, ct.q, option.order, option.contains_graph_auto, verdicts, conclude(verdicts, strict))
             )
     return tuple(certificates)
 

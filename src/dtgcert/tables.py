@@ -16,6 +16,7 @@ Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
 them as distinct suborbits of equal length.
 """
+from collections import _tuplegetter
 from functools import cached_property
 from itertools import zip_longest
 
@@ -38,14 +39,6 @@ class TranscriptionError(ValueError):
 
 #: What every record's __new__ ends in; instantiate and GateVerdict.__new__ call it directly.
 _tuple_new = tuple.__new__
-
-try:
-    from _collections import _tuplegetter
-except ImportError:  # as collections does without its C helper
-    from operator import itemgetter
-
-    def _tuplegetter(index, doc):
-        return property(itemgetter(index), doc=doc)
 
 
 class Record(tuple):
@@ -116,15 +109,15 @@ class ConcreteRow(Record, fields="label z_order length count"):
     __slots__ = ()
 
 
-class ConcreteTable(Record, fields="family param index h_order suborbits rows"):
-    """A table instantiated at one parameter, zero-count rows dropped.
+class ConcreteTable(Record, fields="case param q index h_order suborbits rows"):
+    """A table instantiated at one parameter, zero-count rows dropped: plain step data.
 
-    family is the groups.CaseFamily; param, index (v), h_order (|H|) and
-    suborbits (N, the trivial suborbit included) are ints at the table's
-    step, and rows the ConcreteRows. The nontrivial rows and their grouping
-    by length are computed on first use and kept with the table, so every
-    gate and every X share them. The class declares no __slots__: the
-    cached values live in its __dict__.
+    case is the family's name (its kind), a str; param, q (of G2(q)),
+    index (v), h_order (|H|) and suborbits (N, the trivial suborbit
+    included) are ints at the table's step, and rows the ConcreteRows. The
+    nontrivial rows and their grouping by length are computed on first use
+    and kept with the table, so every gate and every X share them. The
+    class declares no __slots__: the cached values live in its __dict__.
     """
 
     @cached_property
@@ -148,9 +141,11 @@ def build_table(family) -> SuborbitTable:
 def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
     """Evaluate every row at step n, whose parameter param_for_n gives, dropping zero counts.
 
-    Counts must evaluate to nonnegative integers, lengths of surviving rows
-    to positive integers, and the coset index, |H| and the suborbit count N
-    to integers; anything else raises TranscriptionError. A row's length is
+    The table records the family by its name and q at the step, computed
+    here once, so no reader of the table needs the family. Counts must
+    evaluate to nonnegative integers, lengths of surviving rows to positive
+    integers, and the coset index, |H| and the suborbit count N to
+    integers; anything else raises TranscriptionError. A row's length is
     evaluated only once its count is positive, so a zero-count row's length
     is never evaluated.
     """
@@ -186,7 +181,7 @@ def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
             values.append(poly.eval_int(var))
         except ValueError as exc:
             raise TranscriptionError(f"{name} at parameter {param}: {exc}") from exc
-    return ConcreteTable(family, param, *values, tuple(rows))
+    return ConcreteTable(family.kind, param, family.q_value(param), *values, tuple(rows))
 
 
 #: The unit polynomial, the second factor of a lone sum in a sum of products.

@@ -16,7 +16,7 @@ from dtgcert.exact import (
 )
 from dtgcert.groups import REE, SUBFIELD
 from dtgcert.pipeline import analyze, verify_tables
-from dtgcert.tables import build_table
+from dtgcert.tables import ONE, build_table
 from helpers import single_coefficient_mutants
 
 
@@ -616,9 +616,11 @@ def test_import_builds_no_plan(package_env):
 
 
 def test_plans_are_built_once_per_polynomial(monkeypatch):
-    ree_polys = {id(p) for p in _family_polys(REE)}
-    for p in _family_polys(REE):
+    # start as a fresh process does, whatever ran before: no plan on the
+    # family's polynomials or on tables.ONE, and no family mass yet
+    for p in (*_family_polys(REE), ONE):
         monkeypatch.setattr(p, "_plan", None)
+    monkeypatch.delitem(vars(REE), "own_mass", raising=False)
     built = Counter()
     build = Poly._build_plan
 
@@ -628,7 +630,8 @@ def test_plans_are_built_once_per_polynomial(monkeypatch):
 
     monkeypatch.setattr(Poly, "_build_plan", counted)
     first = analyze("ree", 0, 100)
-    assert built and set(built) <= ree_polys and max(built.values()) == 1
+    allowed = {id(p) for p in (*_family_polys(REE), REE.own_mass, ONE)}
+    assert built and set(built) <= allowed and max(built.values()) == 1
     built.clear()
     assert analyze("ree", 0, 100) == first
     assert not built

@@ -1,10 +1,14 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dtgcert.fusion as fusion
 import dtgcert.gates as gates
+import dtgcert.pipeline as pipeline
 import dtgcert.tables as tables
-from dtgcert.exact import exp_compare
+from dtgcert.exact import FactorBoundError, exp_compare
 from dtgcert.gates import (
     ASSUMED_EXTERNAL,
     EXCLUDES,
@@ -81,7 +85,7 @@ def test_sigma_in_x_gate(monkeypatch):
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["distinct_nontrivial_lengths"] == 12
     flat = ConcreteTable(
-        SUBFIELD, 3, 100, 50, 3,
+        "subfield", 3, 9, 100, 50, 3,
         (ConcreteRow("1", "one", 1, 1), ConcreteRow("z", Z_TWO, 7, 1), ConcreteRow("A", Z_UNKNOWN, 7, 1)),
     )
     # too few lengths to force diameter 3: sigma still hands on, and
@@ -108,7 +112,7 @@ def test_order4_witness_values():
 
 def test_order4_witness_validation(monkeypatch):
     # at an even r neither r - 1 nor r + 1 is divisible by 4, so no power has order 4
-    even = ConcreteTable(SUBFIELD, 4, 1, 1, 2, (ConcreteRow("1", "one", 1, 1), ConcreteRow("e", Z_ETA, 5, 1)))
+    even = ConcreteTable("subfield", 4, 16, 1, 1, 2, (ConcreteRow("1", "one", 1, 1), ConcreteRow("e", Z_ETA, 5, 1)))
     with pytest.raises(ArithmeticError, match="order 4"):
         order4_witness(even)
     # computed torus orders other than r - 1 and r + 1 are refused, and the gate names the step
@@ -122,7 +126,7 @@ def test_order4_witness_validation(monkeypatch):
 
 def test_order4_witness_requires_surviving_rows():
     rows = tuple(r for r in _sub_table(2).rows if not r.z_order.startswith("torus:gamma"))
-    stripped = ConcreteTable(SUBFIELD, 9, 1, 1, sum(r.count for r in rows), rows)
+    stripped = ConcreteTable("subfield", 9, 81, 1, 1, sum(r.count for r in rows), rows)
     with pytest.raises(ArithmeticError):
         order4_witness(stripped)
 
@@ -148,7 +152,7 @@ def test_involution_gate_excludes():
 def test_involution_gate_fail_steps():
     real = _sub_table(1)
     rows = tuple(r for r in real.rows if r.z_order != Z_TWO)
-    no_pair = ConcreteTable(SUBFIELD, 3, real.index, real.h_order, sum(r.count for r in rows), rows)
+    no_pair = ConcreteTable("subfield", 3, 9, real.index, real.h_order, sum(r.count for r in rows), rows)
     v = involution_gate(no_pair)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "commuting_pair"
@@ -156,7 +160,7 @@ def test_involution_gate_fail_steps():
     # The gate reads |G| as index * |H|; the hand-built tables below keep the
     # real r = 3 orders so that 3 divides it, as it does for every r.
     flat = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order, 3,
+        "subfield", 3, 9, real.index, real.h_order, 3,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 7, 1),
@@ -169,7 +173,7 @@ def test_involution_gate_fail_steps():
     # fusion only merges equal lengths, so the step needs three distinct
     # nontrivial lengths: exactly two fail it, and every real table passes it
     two_lengths = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order, 4,
+        "subfield", 3, 9, real.index, real.h_order, 4,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 7, 2),
@@ -181,7 +185,7 @@ def test_involution_gate_fail_steps():
         assert involution_gate(_sub_table(n)).outcome == EXCLUDES, n
 
     bad_candidate = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order, 5,
+        "subfield", 3, 9, real.index, real.h_order, 5,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 5, 1),
@@ -196,7 +200,7 @@ def test_involution_gate_fail_steps():
 
     # a first-sphere candidate of unknown z order fails the step as well
     unknown_candidate = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order, 5,
+        "subfield", 3, 9, real.index, real.h_order, 5,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 13, 1),
@@ -210,7 +214,7 @@ def test_involution_gate_fail_steps():
     assert v.witnesses["offending_rows"] == "B"
 
     no_torus = ConcreteTable(
-        SUBFIELD, 3, real.index, real.h_order, 5,
+        "subfield", 3, 9, real.index, real.h_order, 5,
         (
             ConcreteRow("1", "one", 1, 1),
             ConcreteRow("z", Z_TWO, 17, 1),
@@ -222,7 +226,7 @@ def test_involution_gate_fail_steps():
     v = involution_gate(no_torus)
     assert v.witnesses["failed_step"] == "order4_witness"
 
-    no_three = ConcreteTable(SUBFIELD, 3, 100, 50, 5, no_torus.rows)
+    no_three = ConcreteTable("subfield", 3, 9, 100, 50, 5, no_torus.rows)
     v = involution_gate(no_three)
     assert v.witnesses["failed_step"] == "odd_prime_in_group_order"
 
@@ -280,12 +284,12 @@ DISTANCE_TRANSITIVE_SPHERES = {
 @pytest.mark.parametrize("name", DISTANCE_TRANSITIVE_SPHERES)
 def test_bhk_gate_never_excludes_a_distance_transitive_graph(name):
     # one count-1 row per sphere, so N = d + 1 as in the gate's d0; the
-    # gate reads only the table's v, N and length groups, and |X|, so a
-    # table with neither a parameter nor an |H| is enough
+    # gate reads only the table's case, v, N and length groups, and |X|, so
+    # a table with no parameter, q or |H| is enough
     v, spheres = DISTANCE_TRANSITIVE_SPHERES[name]
     assert sum(spheres) == v
     rows = tuple(ConcreteRow(f"S{i}", Z_UNKNOWN, size, 1) for i, size in enumerate(spheres))
-    ct = ConcreteTable(REE, None, v, None, len(spheres), rows)
+    ct = ConcreteTable("ree", None, None, v, None, len(spheres), rows)
     for x in range(1, 5):
         verdict = bhk_gate(ct, x)
         assert verdict.outcome == INCONCLUSIVE, x
@@ -299,7 +303,7 @@ def test_bhk_gate_excludes_exactly_at_the_cutoff():
     # for the comparison only, so their lengths need not sum to v
     def table(k):
         rows = (ConcreteRow("1", "one", 1, 1),) + tuple(ConcreteRow(f"L{i}", Z_UNKNOWN, i, 1) for i in range(2, k + 2))
-        return ConcreteTable(REE, None, 8, None, k + 1, rows)
+        return ConcreteTable("ree", None, None, 8, None, k + 1, rows)
 
     expect = {
         (6, 1): (INCONCLUSIVE, "2^(3a) < v^(8b)", "false"),
@@ -371,6 +375,27 @@ def test_kernel_chain_gate_stops_at_the_premise_at_q3():
     assert v.witnesses == {"failed_step": "proper_divisor_premise"}
 
 
+def test_kernel_chain_gate_stops_at_the_factorize_bound():
+    # at n = 12 both factors of q*q - q + 1 are below factorize's bound of
+    # 10**12; at n = 13, q = 3**27, both are past it, and the gate gives a
+    # verdict naming the bound and the first factor instead of raising
+    assert kernel_chain_gate(_ree_table(12)).outcome == EXCLUDES
+    ct = _ree_table(13)
+    q, m = ct.q, 3**13
+    assert q == 3**27 and q - 3 * m + 1 >= 10**12
+    v = kernel_chain_gate(ct)
+    assert v.outcome == INCONCLUSIVE
+    detail = f"factorize handles n < 10**12 only: {q - 3 * m + 1}"
+    assert v.witnesses == {"failed_step": "factorize_bound", "detail": detail}
+    # kernel_prime_data, handed that q, still raises, and a table whose q is
+    # no ree parameter is still refused, not read as past the bound
+    with pytest.raises(FactorBoundError):
+        kernel_prime_data(q)
+    with pytest.raises(ValueError, match="ree parameter must be") as refused:
+        kernel_chain_gate(ct._replace(q=q + 2))
+    assert type(refused.value) is ValueError
+
+
 def test_kernel_chain_gate_rejects_subfield():
     with pytest.raises(ValueError):
         kernel_chain_gate(_sub_table(1))
@@ -424,7 +449,7 @@ def test_kernel_chain_gate_candidate_shape_failure():
         ConcreteRow(r.label, r.z_order, 54, r.count) if r.label == "R2" else r
         for r in real.rows
     )
-    broken = ConcreteTable(REE, 27, real.index, real.h_order, real.suborbits, rows)
+    broken = ConcreteTable("ree", 27, 27, real.index, real.h_order, real.suborbits, rows)
     v = kernel_chain_gate(broken)
     assert v.witnesses["failed_step"] == "first_sphere_candidates"
 
@@ -444,7 +469,7 @@ def test_kernel_chain_gate_both_factors_failure():
     h = real.h_order
     assert h % (19 * 37) == 0
     rows = real.rows + (ConcreteRow("X", Z_UNKNOWN, h // (19 * 37), 1),)
-    broken = ConcreteTable(REE, 27, real.index, h, real.suborbits + 1, rows)
+    broken = ConcreteTable("ree", 27, 27, real.index, h, real.suborbits + 1, rows)
     v = kernel_chain_gate(broken)
     assert v.outcome == INCONCLUSIVE
     assert v.witnesses["failed_step"] == "stabilizer_divisible_by_both"
@@ -466,3 +491,22 @@ def test_bcn_small_case_gate():
             bcn_small_case_gate(_ree_table(n), 2)
     with pytest.raises(ValueError):
         bcn_small_case_gate(_sub_table(1), 2)
+
+
+def _reads_of(module, attr):
+    """The top-level definitions of a module whose code reads the attribute attr."""
+    reads = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if any(isinstance(sub, ast.Attribute) and sub.attr == attr for sub in ast.walk(node)):
+            reads.add(getattr(node, "name", "<module>"))
+    return reads
+
+
+def test_no_gate_fusion_or_sweep_step_reaches_a_family_through_a_table():
+    # a concrete table names its family by case and carries q, so gates,
+    # fusion and the sweep read no .family and ask no family for q; the one
+    # .family read left is verify_tables', whose table is a SuborbitTable
+    assert _reads_of(gates, "family") == _reads_of(fusion, "family") == set()
+    assert _reads_of(pipeline, "family") == {"verify_tables"}
+    for module in (gates, fusion, pipeline):
+        assert _reads_of(module, "q_value") == set(), module.__name__

@@ -511,6 +511,17 @@ def test_sweeps_build_once_and_instantiate_once_per_parameter(monkeypatch):
     assert calls == {"build_table": 1, "instantiate": 12}
 
 
+def test_sweeps_compute_q_once_per_step_in_instantiate(monkeypatch):
+    # instantiate computes each step's q, and no gate or certificate asks
+    # the family for it again, however many X a step has
+    calls = _count_calls(monkeypatch, type(REE), ("q_value",))
+    for case, n_min, n_max in (("ree", 0, 12), ("subfield", 1, 12)):
+        report = analyze(case, n_min, n_max)
+        assert calls == {"q_value": n_max - n_min + 1}, case
+        assert len(report.certificates) > n_max - n_min + 1
+        calls.clear()
+
+
 def test_sweeps_check_each_parameter_power_of_three_once_per_use(monkeypatch):
     # A sweep hands the library steps, so it inverts no parameter it made.
     # The only inversions left are those of kernel_prime_data, which

@@ -18,13 +18,14 @@ decimal and numbers), the json package, or __future__, and compiles no code
 with eval or compile, so a cold process pays only for what a certificate
 needs.
 """
-import _collections
+import collections
 import copy
 import importlib.util
 import pickle
 import subprocess
 import sys
 import textwrap
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -159,9 +160,10 @@ def test_record_behaves_as_its_namedtuple(name):
 
 
 def test_without_the_c_getter_the_fields_are_item_properties(monkeypatch):
-    # a tables module run where _collections has no _tuplegetter, as on an
-    # interpreter without it, builds its records through the fallback getter
-    monkeypatch.delattr(_collections, "_tuplegetter")
+    # a tables module run where collections has no C _tuplegetter, as on an
+    # interpreter without it, builds its records through the property getter
+    # that collections falls back to there
+    monkeypatch.setattr(collections, "_tuplegetter", lambda index, doc: property(itemgetter(index), doc=doc))
     name = "dtgcert._tables_without_tuplegetter"
     spec = importlib.util.spec_from_file_location(name, tables.__file__)
     module = importlib.util.module_from_spec(spec)

@@ -422,12 +422,25 @@ def test_stabilizer_orders_ree_large():
         assert sorted({stabilizer_order(ct, r) for r in ct.nontrivial_rows}) == stabs
 
 
+@pytest.mark.parametrize("family", (SUBFIELD, REE), ids=lambda family: family.kind)
+def test_a_concrete_table_is_plain_step_data(family):
+    # a table names its family by case and carries q, computed once by
+    # instantiate, so it holds only ints, strs and its rows
+    assert ConcreteTable._fields == ("case", "param", "q", "index", "h_order", "suborbits", "rows")
+    for n in range(family.min_n, 13):
+        ct = instantiate(build_table(family), n)
+        for name, value in zip(ct._fields, ct):
+            rows = type(value) is tuple and all(type(row) is ConcreteRow for row in value)
+            assert type(value) in (int, str) or rows, (n, name)
+        assert ct.case == family.kind and ct.q == family.q_value(ct.param), n
+
+
 def test_stabilizer_order_of_a_row_and_error():
     ct = instantiate(build_table(SUBFIELD), 1)
     (row,) = [r for r in ct.rows if r.label == "x_{3a+2b}(1)"]
     assert stabilizer_order(ct, row) == 5832
     bad = ConcreteRow("bad", Z_THREE, 5, 1)
-    broken = ConcreteTable(SUBFIELD, 3, ct.index, ct.h_order, 1, (bad,))
+    broken = ConcreteTable("subfield", 3, 9, ct.index, ct.h_order, 1, (bad,))
     with pytest.raises(TranscriptionError, match="'bad' does not divide"):
         stabilizer_order(broken, bad)
 
