@@ -10,9 +10,9 @@ A polynomial keeps an evaluation plan, built from its numerators on first
 use and kept for its life: evaluation runs Horner's rule along its nonzero
 stride only, and a sum of products (`Poly.sum_of_products`) convolves
 nonzero terms only, in one integer accumulator over a common denominator,
-with no intermediate Poly. The plan also keeps the last few integer values
-the polynomial was read at (at most _KEPT_VALUES), so a table that shares
-a row's polynomials with a table already read does not evaluate them again.
+with no intermediate Poly. A plan holds no values: a table that shares
+rows with its family's own has those rows read from the family's kept
+concrete table (tables.instantiate), not evaluated again.
 
 Polynomials store integers only and meet only ints and other polynomials:
 arithmetic and comparison take ints or Polys, division and evaluation take
@@ -22,14 +22,6 @@ only by `.coeffs`.
 """
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm
-
-#: Most values a polynomial's plan keeps; a full plan forgets them all
-#: before it keeps the next. The fault loop re-reads each unchanged row's
-#: polynomials at the same two points for every mutant table, but a sweep
-#: reads each point once, so an unbounded store only grows there: it raised
-#: the peak RSS of analyze("ree", 0, 1000) from 29.7 to 43.3 MB, where
-#: eight values read 30.1 MB (Python 3.11.7).
-_KEPT_VALUES = 8
 
 
 def _split(value) -> tuple[int, int]:
@@ -58,13 +50,8 @@ class Poly:
     build it from the numerators alone on first use, and the polynomial
     keeps it for its life. Arithmetic results start without one and `*`
     builds none, so multiplying out a family's table at import builds no
-    plan and holds no value.
-
-    The plan's last part holds the integer values `eval_int` returned, by
-    point, at most _KEPT_VALUES of them. A point that is not an int is
-    refused before they are looked at, and a value that is not an integer
-    is never kept, so its ValueError is raised on every call. A polynomial
-    built from another's coefficients starts with no plan and no values.
+    plan. A polynomial built from another's coefficients starts with no
+    plan.
     """
 
     __slots__ = ("_num", "_den", "_plan")
@@ -88,12 +75,12 @@ class Poly:
         self._plan = None
 
     def _build_plan(self) -> tuple:
-        """Store and return the plan (s, g, Q's numerators highest degree first, nonzero terms, no values yet)."""
+        """Store and return the plan (s, g, Q's numerators highest degree first, nonzero terms)."""
         num = self._num
         terms = _terms(num)
         shift = terms[0][0] if terms else 0
         stride = gcd(*[k - shift for k, _ in terms]) or 1
-        plan = self._plan = (shift, stride, num[shift::stride][::-1], terms, {})
+        plan = self._plan = (shift, stride, num[shift::stride][::-1], terms)
         return plan
 
     @classmethod
@@ -243,15 +230,13 @@ class Poly:
         """The value at an integer point, which must be an integer.
 
         Horner's rule on the plan's numerators of Q at point**g, times
-        point**s, unless the plan already holds the value at point. A point
-        that is not an int raises TypeError, and a value that is not an
-        integer raises ValueError naming it in lowest terms, on every call.
+        point**s. A point that is not an int, a bool among them, raises
+        TypeError, and a value that is not an integer raises ValueError
+        naming it in lowest terms.
         """
-        if not isinstance(point, int):
+        if type(point) is not int:
             raise TypeError(f"polynomials are evaluated at integers only: {point!r}")
-        shift, stride, strided, _, values = self._plan or self._build_plan()
-        if point in values:
-            return values[point]
+        shift, stride, strided, _ = self._plan or self._build_plan()
         x = point**stride if stride != 1 else point
         num = 0
         for c in strided:
@@ -263,10 +248,7 @@ class Poly:
             if rest:
                 g = gcd(num, self._den)
                 raise ValueError(f"polynomial is not integer-valued at {point}: {num // g}/{self._den // g}")
-            num = value
-        if len(values) == _KEPT_VALUES:
-            values.clear()
-        values[point] = num
+            return value
         return num
 
     # p(x) is p.eval_int(x); bench/spans.py wraps __call__ by name.

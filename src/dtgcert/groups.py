@@ -33,14 +33,21 @@ class CaseFamily(Record, fields="kind h_order index rows min_n param_exponent q_
     param_exponent (a, b) and q = param**q_power; the str param_form spells
     the admissible params in n_of_param's error. Methods take step n,
     except q_value and the inverse n_of_param. The class declares no
-    __slots__: own_mass, the sum of its rows' length * count, is computed
-    on first use and kept in its __dict__.
+    __slots__: own_mass, the sum of its rows' length * count, and
+    own_steps, its own concrete table at its last few steps, are made on
+    first use and kept in its __dict__.
     """
 
     @cached_property
     def own_mass(self) -> Poly:
         """The sum of length * count over the family's own rows; tables.verify_mass_symbolic starts from it."""
         return Poly.sum_of_products((r.length, r.count) for r in self.rows)
+
+    @cached_property
+    def own_steps(self) -> dict:
+        """tables.instantiate's keep for tables other than the family's own: by step n, the family's own
+        ConcreteTable and which own row gave which ConcreteRow; at most tables._KEPT_STEPS steps."""
+        return {}
 
     def check_step(self, n: int) -> int:
         """n itself if it is an int step of the family; ValueError otherwise."""

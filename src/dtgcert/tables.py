@@ -10,7 +10,10 @@ index, and built once at import. This module holds the row and table types,
 Record, the base class of every record type of the package, instantiation
 at a step n and the exactness checks; it names no family. The symbolic mass
 check reads the family's own mass (the sum of its rows' products, computed
-on first use) and multiplies out only the rows a table changed.
+on first use) and multiplies out only the rows a table changed, and
+instantiating a table other than the family's own reads the family's own
+concrete rows at the step (kept for its last few steps) and evaluates only
+the rows the table changed.
 
 Rows that the source table prints as one cell split across two equal halves
 are stored as two distinct rows with a #1/#2 suffix: fusion logic must see
@@ -138,6 +141,14 @@ def build_table(family) -> SuborbitTable:
     return SuborbitTable(family, family.rows)
 
 
+#: Most steps at which a family keeps its own concrete rows
+#: (CaseFamily.own_steps); a full keep forgets them all before it keeps the
+#: next. The fault loop reads every changed table of a family at the same
+#: few steps, while a sweep reads only the family's own table, which keeps
+#: nothing.
+_KEPT_STEPS = 8
+
+
 def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
     """Evaluate every row at step n, whose parameter param_for_n gives, dropping zero counts.
 
@@ -148,13 +159,42 @@ def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
     integers; anything else raises TranscriptionError. A row's length is
     evaluated only once its count is positive, so a zero-count row's length
     is never evaluated.
+
+    The family's own table (its rows are the family's rows) is evaluated in
+    full and keeps nothing. Any other table of the family reads the
+    family's own concrete table at n, built on first need and kept in
+    CaseFamily.own_steps: a row that is the family's own row at the same
+    position, by identity, takes the kept ConcreteRow (or stays dropped),
+    every other row is evaluated with the checks above, and the index, |H|,
+    N and q are the kept ones. That is exact for any table. If the family's
+    own rows fail at n, nothing is kept and the table is evaluated in full.
     """
     family = table.family
     param = family.param_for_n(n)
     var = family.table_variable(n)
     rows = []
     trivial_counts = []
-    for (label, z_order), length_poly, count_poly in table.rows:
+    if table.rows is not family.rows:
+        step = _own_step(family, n, param, var)
+        if step is not None:
+            own, given = step
+            for row, (own_row, concrete) in zip(table.rows, given):
+                if row is not own_row:
+                    _evaluate((row,), param, var, rows, trivial_counts)
+                elif concrete is not None:
+                    rows.append(concrete)
+                    if concrete.length == 1:
+                        trivial_counts.append(concrete.count)
+            _evaluate(table.rows[len(given) :], param, var, rows, trivial_counts)
+            return _concrete_table(family, param, var, rows, trivial_counts, own)
+    _evaluate(table.rows, param, var, rows, trivial_counts)
+    return _concrete_table(family, param, var, rows, trivial_counts)
+
+
+def _evaluate(table_rows, param: int, var: int, rows: list, trivial_counts: list) -> None:
+    """Append each of table_rows with a positive count at var to rows as a ConcreteRow, with instantiate's
+    row checks, and the count of each of length 1 to trivial_counts."""
+    for (label, z_order), length_poly, count_poly in table_rows:
         try:
             count = count_poly.eval_int(var)
         except ValueError as exc:
@@ -173,8 +213,16 @@ def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
             trivial_counts.append(count)
         # what ConcreteRow(label, z_order, length, count) does, without its frame
         rows.append(_tuple_new(ConcreteRow, (label, z_order, length, count)))
+
+
+def _concrete_table(family, param: int, var: int, rows: list, trivial_counts: list, own=None) -> ConcreteTable:
+    """The ConcreteTable of rows at param, after instantiate's trivial suborbit check. Its step values are
+    those of own, a kept table of the family, if given; else the family's index, |H| and N, checked at
+    var, and q."""
     if trivial_counts != [1]:
         raise TranscriptionError(f"expected exactly one trivial suborbit at parameter {param}")
+    if own is not None:
+        return _tuple_new(ConcreteTable, (*own[:-1], tuple(rows)))
     values = []
     for name, poly in (("coset index", family.index), ("|H|", family.h_order), ("suborbit count", family.suborbits)):
         try:
@@ -182,6 +230,27 @@ def instantiate(table: SuborbitTable, n: int) -> ConcreteTable:
         except ValueError as exc:
             raise TranscriptionError(f"{name} at parameter {param}: {exc}") from exc
     return ConcreteTable(family.kind, param, family.q_value(param), *values, tuple(rows))
+
+
+def _own_step(family, n: int, param: int, var: int) -> tuple | None:
+    """The family's own concrete table at step n and, per own row, the pair (row, its ConcreteRow or None
+    for a dropped zero count); kept in family.own_steps. None, keeping nothing, if the own rows fail at n."""
+    steps = family.own_steps
+    step = steps.get(n)
+    if step is None:
+        rows, trivial_counts, given = [], [], []
+        try:
+            for row in family.rows:
+                size = len(rows)
+                _evaluate((row,), param, var, rows, trivial_counts)
+                given.append((row, rows[-1] if len(rows) > size else None))
+            own = _concrete_table(family, param, var, rows, trivial_counts)
+        except TranscriptionError:
+            return None
+        if len(steps) == _KEPT_STEPS:
+            steps.clear()
+        step = steps[n] = (own, tuple(given))
+    return step
 
 
 #: The unit polynomial, the second factor of a lone sum in a sum of products.

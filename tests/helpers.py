@@ -46,6 +46,43 @@ def single_coefficient_mutants(table, offset):
                 yield replace_row(table, i, attr, Poly(coeffs))
 
 
+def reference_instantiate(table, n):
+    """tables.instantiate as one plain loop over every row of the table, with its
+    checks and error texts; the oracle of what instantiate keeps and reuses."""
+    family = table.family
+    param = family.param_for_n(n)
+    var = family.table_variable(n)
+    rows = []
+    trivial_counts = []
+    for (label, z_order), length_poly, count_poly in table.rows:
+        try:
+            count = count_poly.eval_int(var)
+        except ValueError as exc:
+            raise tables.TranscriptionError(f"count of row {label!r} at parameter {param}: {exc}") from exc
+        if count <= 0:
+            if count:
+                raise tables.TranscriptionError(f"count of row {label!r} is {count} at parameter {param}")
+            continue
+        try:
+            length = length_poly.eval_int(var)
+        except ValueError as exc:
+            raise tables.TranscriptionError(f"length of row {label!r} at parameter {param}: {exc}") from exc
+        if length <= 1:
+            if length < 1:
+                raise tables.TranscriptionError(f"length of row {label!r} is {length} at parameter {param}")
+            trivial_counts.append(count)
+        rows.append(tables.ConcreteRow(label, z_order, length, count))
+    if trivial_counts != [1]:
+        raise tables.TranscriptionError(f"expected exactly one trivial suborbit at parameter {param}")
+    values = []
+    for name, poly in (("coset index", family.index), ("|H|", family.h_order), ("suborbit count", family.suborbits)):
+        try:
+            values.append(poly.eval_int(var))
+        except ValueError as exc:
+            raise tables.TranscriptionError(f"{name} at parameter {param}: {exc}") from exc
+    return tables.ConcreteTable(family.kind, param, family.q_value(param), *values, tuple(rows))
+
+
 def measured_row_by_row(ct):
     """tables.measure's three values by their plain definitions, one pass each:
     mass total, suborbit total (the trivial one included), and whether every

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from dtgcert.exact import (
-    _KEPT_VALUES,
     Poly,
     cyclic_order,
     exp_compare,
@@ -16,8 +15,8 @@ from dtgcert.exact import (
 )
 from dtgcert.groups import REE, SUBFIELD
 from dtgcert.pipeline import analyze, verify_tables
-from dtgcert.tables import ONE, build_table
-from helpers import single_coefficient_mutants
+from dtgcert.tables import _KEPT_STEPS, ONE, build_table, instantiate
+from helpers import r2_length_plus_one, single_coefficient_mutants
 
 
 def test_poly_construction_strips_trailing_zeros():
@@ -585,13 +584,9 @@ def _family_polys(family):
     return [family.h_order, family.index, family.suborbits] + [p for row in family.rows for p in (row.length, row.count)]
 
 
-def _kept(p):
-    """The values p's plan keeps, by point; none before the plan exists."""
-    return {} if p._plan is None else p._plan[4]
-
-
 #: Run in a fresh interpreter: importing the package builds no evaluation
-#: plan, so it holds no value either, since a value is kept in a plan alone.
+#: plan and keeps no family step, and the plan eval_int builds holds its
+#: shift, stride, strided numerators and terms, and no value.
 _NO_PLAN_AT_IMPORT_SCRIPT = """
 import gc
 import dtgcert
@@ -601,9 +596,12 @@ polys = [o for o in gc.get_objects() if type(o) is Poly]
 family = [p for f in (dtgcert.REE, dtgcert.SUBFIELD) for p in (f.h_order, f.index, *(q for r in f.rows for q in (r.length, r.count)))]
 assert all(any(p is o for o in polys) for p in family), "gc missed a family polynomial"
 assert all(p._plan is None for p in polys), "import built a plan"
+assert not any("own_steps" in vars(f) for f in (dtgcert.REE, dtgcert.SUBFIELD)), "import kept a step"
 index = dtgcert.REE.index
-value = index.eval_int(3)
-assert index._plan[4] == {3: value}, "eval_int kept its value outside the plan"
+value = index.eval_int(1)
+assert value == 2808 and index._plan[:2] == (6, 2) and len(index._plan) == 4, index._plan
+assert not any(isinstance(part, dict) for part in index._plan), "the plan holds a value store"
+assert index.eval_int(1) == value
 print("ok")
 """
 
@@ -637,25 +635,40 @@ def test_plans_are_built_once_per_polynomial(monkeypatch):
     assert not built
 
 
-def test_a_mutant_fails_after_the_canonical_plans_exist():
+def test_a_mutant_fails_after_the_canonical_plans_exist(monkeypatch):
     table = build_table(REE)
+    monkeypatch.delitem(vars(REE), "own_steps", raising=False)
     assert verify_tables("ree", [3, 27], symbolic=True).ok
     polys = [p for row in table.rows for p in (row.length, row.count)]
     assert all(p._plan is not None for p in polys)
-    # the canonical values at q = 3 and q = 27 are kept before any mutant runs
-    points = [REE.table_variable(REE.n_of_param(param)) for param in (3, 27)]
-    for point in points:
-        assert all(point in _kept(p) for p in (REE.index, REE.h_order))
-        for row in table.rows:
-            assert _kept(row.count)[point] == 0 or point in _kept(row.length)
+    # the family's own table keeps no step; the first mutant keeps both
+    assert "own_steps" not in vars(REE)
+    read = []
+    eval_int = Poly.eval_int
+
+    def counted(self, point):
+        read.append(self)
+        return eval_int(self, point)
+
+    monkeypatch.setattr(Poly, "eval_int", counted)
     canonical = {id(p) for p in polys}
     mutants = 0
     for mutant in single_coefficient_mutants(table, lambda: -1):
-        changed = [p for row in mutant.rows for p in (row.length, row.count) if id(p) not in canonical]
-        assert len(changed) == 1 and not _kept(changed[0])
+        (changed_row,) = [new for new, own in zip(mutant.rows, table.rows) if new is not own]
+        changed = [p for p in (changed_row.length, changed_row.count) if id(p) not in canonical]
+        assert len(changed) == 1
+        read.clear()
         assert not verify_tables("ree", [3, 27], symbolic=True, table=mutant).ok
+        if mutants:
+            # every unchanged row is read from the kept steps: only the changed row's polynomials are evaluated
+            assert any(p is changed[0] for p in read)
+            assert all(p is changed_row.length or p is changed_row.count for p in read)
+            assert len(read) <= 4
+        else:
+            assert len(read) > 4
         mutants += 1
     assert mutants == 152
+    assert set(REE.own_steps) == {0, 1}
 
 
 def _reading(p, point):
@@ -667,23 +680,24 @@ def _reading(p, point):
 
 
 def test_kept_values_equal_a_fresh_reading():
+    # a polynomial read through its plan, again and again, reads as one built
+    # from its coefficients with no plan yet
     points = [3**k for k in range(13)]
     for p in _family_polys(REE) + _family_polys(SUBFIELD):
-        # the second pass reads kept values and values that the bound emptied
         for _ in range(2):
             for point in points:
                 assert _reading(p, point) == _reading(Poly(p.coeffs), point), (p, point)
-                assert len(_kept(p)) <= _KEPT_VALUES
-            assert set(_kept(p)) < set(points)
 
 
 def test_a_point_that_is_not_an_int_is_refused_where_its_int_value_is_kept():
+    # a bool is refused as a float is, though True == 1 and hashes like it
     p = REE.index
-    for point, bad in ((1, 1.0), (27, Fraction(27))):
+    for point, bad in ((1, 1.0), (27, Fraction(27)), (1, True), (0, False)):
         value = p.eval_int(point)
-        assert _kept(p)[point] == value
         with pytest.raises(TypeError, match="polynomials are evaluated at integers only"):
             p.eval_int(bad)
+        with pytest.raises(TypeError, match="polynomials are evaluated at integers only"):
+            p(bad)
         assert p.eval_int(point) == value
 
 
@@ -692,12 +706,23 @@ def test_a_value_that_is_not_an_integer_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="polynomial is not integer-valued at 3: 3/2"):
             half.eval_int(3)
-    assert 3 not in _kept(half)
-    assert half.eval_int(4) == 2 and _kept(half) == {4: 2}
+        assert half.eval_int(4) == 2
 
 
-def test_no_family_polynomial_keeps_more_values_than_the_bound():
+def test_no_family_polynomial_keeps_more_values_than_the_bound(monkeypatch):
+    # the keep is per family, of whole steps: sweeps and the family's own
+    # table keep none, and a changed table read at 20 steps leaves at most
+    # the bound, a full keep forgetting every step before it keeps the next
+    for family in (REE, SUBFIELD):
+        monkeypatch.delitem(vars(family), "own_steps", raising=False)
     analyze("ree", 0, 100)
     analyze("subfield", 1, 40)
-    kept = [len(_kept(p)) for family in (REE, SUBFIELD) for p in _family_polys(family)]
-    assert 0 < max(kept) <= _KEPT_VALUES
+    assert verify_tables("ree", [3, 27, 2187], symbolic=True).ok
+    assert not any("own_steps" in vars(family) for family in (REE, SUBFIELD))
+    for family in (REE, SUBFIELD):
+        changed = r2_length_plus_one(build_table(family))
+        steps = range(family.min_n, family.min_n + 20)
+        for n in steps:
+            instantiate(changed, n)
+            assert 0 < len(family.own_steps) <= _KEPT_STEPS
+        assert set(family.own_steps) == set(steps[2 * _KEPT_STEPS :])

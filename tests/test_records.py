@@ -10,7 +10,8 @@ give for the plain tuple of its fields. Pickle and copy rebuild a record
 through its type's own __new__, so a forged verdict cannot be loaded.
 Fields are read-only, no record but a concrete table and a family has a
 __dict__, each verdict owns its witness dict, a concrete table computes its
-length groups once, and a family's mass is not computed at import. The
+length groups once, and a family's mass is not computed at import. Pickle
+and copy keep neither a family's mass nor its kept steps. The
 package under test, imported in a fresh interpreter, imports none of the
 modules a record library or a timestamp would pull in (typing brings re
 with it, dataclasses inspect, ast and dis), nor fractions (which brings
@@ -41,6 +42,7 @@ from dtgcert.tables import (
     build_table,
     instantiate,
 )
+from helpers import r2_length_plus_one
 
 
 def _ree_table():
@@ -209,10 +211,12 @@ def test_pickle_and_copy_rebuild_a_record_through_its_own_new():
         copy.copy(forged)
     # cached values are not pickled; the copy computes them again on use
     assert REE.own_mass == REE.index
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-        family = _pickled(REE, protocol)
-        assert family == REE and "own_mass" not in vars(family)
-        assert family.own_mass == REE.own_mass
+    instantiate(r2_length_plus_one(build_table(REE)), 1)
+    assert 1 in REE.own_steps
+    copies = [_pickled(REE, protocol) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for family in [*copies, copy.copy(REE), copy.deepcopy(REE)]:
+        assert family == REE and not {"own_mass", "own_steps"} & set(vars(family))
+        assert family.own_mass == REE.own_mass and family.own_steps == {}
 
 
 def test_verdicts_own_their_witnesses():

@@ -23,7 +23,13 @@ from dtgcert.tables import (
     stabilizer_order,
     verify_mass_symbolic,
 )
-from helpers import measured_row_by_row, replace_row, single_coefficient_mutants
+from helpers import (
+    measured_row_by_row,
+    r2_length_plus_one,
+    reference_instantiate,
+    replace_row,
+    single_coefficient_mutants,
+)
 
 
 def test_row_counts():
@@ -402,6 +408,102 @@ def test_instantiate_requires_the_trivial_row_to_count_once():
     with pytest.raises(TranscriptionError) as exc:
         instantiate(SuborbitTable(REE, rows), 0)
     assert str(exc.value) == "expected exactly one trivial suborbit at parameter 3"
+
+
+def _instantiated(instantiate, table, n):
+    """instantiate(table, n), or the text of the TranscriptionError it raises."""
+    try:
+        return instantiate(table, n)
+    except TranscriptionError as exc:
+        return str(exc)
+
+
+#: The steps each family's tables are checked at against the reference.
+AGREEMENT_STEPS = {REE: range(0, 5), SUBFIELD: range(1, 6)}
+
+
+def _agrees_with_the_reference(table, steps, monkeypatch):
+    """instantiate gives the reference's table or error text at each step, both with
+    the family's own step kept beforehand and with none kept."""
+    family = table.family
+    for n in steps:
+        want = _instantiated(reference_instantiate, table, n)
+        monkeypatch.delitem(vars(family), "own_steps", raising=False)
+        assert _instantiated(tables.instantiate, table, n) == want, (n, want)
+        # kept now, unless the family's own rows fail at n
+        assert _instantiated(tables.instantiate, table, n) == want, (n, want)
+
+
+def test_instantiate_of_every_single_coefficient_mutant_agrees_with_the_reference(monkeypatch):
+    rng = random.Random(40)
+    outcomes = set()
+    for family, steps in AGREEMENT_STEPS.items():
+        offsets = lambda: rng.choice((-3, -1, 1, 2, Fraction(1, 2), Fraction(-1, 3)))
+        for mutant in single_coefficient_mutants(build_table(family), offsets):
+            _agrees_with_the_reference(mutant, steps, monkeypatch)
+            outcomes |= {type(_instantiated(reference_instantiate, mutant, n)) for n in steps}
+        assert set(family.own_steps) == {steps[-1]}
+    # both tables and errors were compared
+    assert outcomes == {ConcreteTable, str}
+
+
+def test_instantiate_of_rows_appended_dropped_permuted_and_copied_agrees_with_the_reference(monkeypatch):
+    for family, steps in AGREEMENT_STEPS.items():
+        table = build_table(family)
+        rows = table.rows
+        zero = SuborbitRow(rows[1].z, Poly.const(Fraction(1, 2)), Poly())
+        copies = tuple(SuborbitRow(r.z, Poly(r.length.coeffs), Poly(r.count.coeffs)) for r in rows)
+        for changed in (
+            rows + (zero,),
+            rows + (rows[1],),
+            rows + (rows[0],),
+            rows[:-1],
+            rows[1:],
+            rows[:1] + rows[2:],
+            rows[::-1],
+            rows[1:] + rows[:1],
+            copies,
+            copies[:3] + rows[3:],
+            (),
+        ):
+            _agrees_with_the_reference(_with_rows(table, changed), steps, monkeypatch)
+        # and the family's own table, which keeps nothing
+        monkeypatch.delitem(vars(family), "own_steps", raising=False)
+        for n in steps:
+            assert instantiate(table, n) == reference_instantiate(table, n)
+        assert "own_steps" not in vars(family)
+
+
+def test_instantiate_of_a_family_whose_own_rows_fail_keeps_nothing(monkeypatch):
+    for family, steps in AGREEMENT_STEPS.items():
+        t = Poly.var()
+        # the trivial row's count (t - 3) / 2 + 1 is 1 at t = 3 alone, so
+        # the family's own rows pass at step 1 only
+        broken = replace_row(build_table(family), 0, "count", (t - 3) / 2 + 1).rows
+        broken_family = family._replace(rows=broken)
+        changed_tables = (
+            SuborbitTable(broken_family, family.rows),
+            SuborbitTable(broken_family, family.rows[:1] + broken[1:]),
+            replace_row(SuborbitTable(broken_family, family.rows), 1, "count", Poly.const(2)),
+        )
+        for table in (build_table(broken_family), *changed_tables):
+            _agrees_with_the_reference(table, steps, monkeypatch)
+        for table in changed_tables:
+            for n in steps:
+                monkeypatch.delitem(vars(broken_family), "own_steps", raising=False)
+                instantiate(table, n)
+                assert set(broken_family.own_steps) == ({1} if n == 1 else set())
+
+
+def test_a_kept_step_does_not_take_a_bool_for_its_step(monkeypatch):
+    changed = r2_length_plus_one(build_table(REE))
+    monkeypatch.delitem(vars(REE), "own_steps", raising=False)
+    instantiate(changed, 1)
+    # True == 1 and hashes like it, but no step is a bool
+    assert 1 in REE.own_steps and True in REE.own_steps
+    for table in (changed, build_table(REE)):
+        with pytest.raises(ValueError, match=r"^ree family requires n >= 0$"):
+            instantiate(table, True)
 
 
 def test_stabilizer_orders_ree_q27():
