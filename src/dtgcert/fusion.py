@@ -3,10 +3,14 @@
 An outer subgroup X can merge suborbits into orbits of the extended group,
 but only suborbits of equal length, and never more than |X| of them into one
 orbit. Grouping suborbits by length therefore lower-bounds the number of
-fused orbits, which in turn lower-bounds the diameter of any candidate graph.
-X enters only through its order |X|, passed as a plain int. Tables are read
-through their length_groups and rows; candidates are returned as rows.
+fused orbits, which in turn lower-bounds the diameter of any candidate graph,
+and diameter_cutoff decides whether such a diameter bound already exceeds
+what a distance-regular graph on v vertices allows. X enters only through its
+order |X|, passed as a plain int. The bounds read plain ints (length groups,
+v, a diameter bound as a fraction); candidates are read from a table's rows
+and returned as rows.
 """
+from .exact import exp_compare
 from .tables import ConcreteRow, ConcreteTable
 
 
@@ -24,6 +28,21 @@ def min_fused_classes(groups: tuple[tuple[int, int], ...], x_order: int) -> int:
     for _, mult in groups:
         total -= -mult // x_order
     return total
+
+
+def diameter_cutoff(vertices: int, d_num: int, d_den: int) -> bool:
+    """Whether a diameter d >= d_num/d_den rules out a graph on v vertices.
+
+    Bang, Hiraki and Koolen ("Improving diameter bounds for distance-regular
+    graphs", European J. Combin. 27, 2006) show d < (8/3) log2(v) for a
+    distance-regular graph of valency at least 3 on v vertices. So a lower
+    bound d_num/d_den on d excludes every such graph exactly when
+    d_num/d_den >= (8/3) log2(v), that is when 2**(3*d_num) >= v**(8*d_den),
+    decided here by exact integer comparison. The arguments are ints, v and
+    d_den at least 1 and d_num at least 0. The valency hypothesis is not
+    checked here: it is a fact about the graphs the caller's bound is about.
+    """
+    return exp_compare(2, 3 * d_num, vertices, 8 * d_den) >= 0
 
 
 def smallest_fused_candidates(ct: ConcreteTable) -> tuple[ConcreteRow, ...]:

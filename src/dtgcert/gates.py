@@ -16,12 +16,16 @@ automorphism (meets the graph coset), and the gates that bound fused class
 counts take |X| as a plain int. A verdict lists the ASSUMPTION_* texts it
 relies on, and a certificate's assumptions are the union of its verdicts'
 lists.
+
+The arithmetic that does not depend on the family (the fused class bound and
+the diameter cutoff) lives in fusion as pure functions of plain ints; a gate
+reads its table's v, N, length groups and |X| and passes them on.
 """
 from functools import partial
 from math import gcd
 
 from . import fusion, tables
-from .exact import FactorBoundError, cyclic_order, exp_compare, factorize
+from .exact import FactorBoundError, cyclic_order, factorize
 from .groups import REE, OuterOption
 from .tables import Record, _tuple_new
 
@@ -195,25 +199,27 @@ def involution_gate(ct: tables.ConcreteTable) -> GateVerdict:
 
 
 def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
-    """Exact form of the diameter cutoff d < (8/3) log2(v) for the ree family.
+    """The diameter cutoff d < (8/3) log2(v) on the ree family's table.
 
-    v is the table's coset index and N its suborbit count, the trivial one
-    included: the verdict reads the table's v, N and length groups, and
-    |X|, nothing else. The gate takes d0 = N / |X| fused classes. That
-    overstates the bound: a sphere is a fused class of the N - 1
-    nontrivial suborbits, so d >= ceil((N - 1)/|X|), which is below d0
-    exactly when |X| divides q + 5 (202 of the 688 verdicts of ree
-    0..100). Every verdict still stands under the nontrivial bound, as
+    The cutoff is fusion.diameter_cutoff, which states the Bang-Hiraki-Koolen
+    bound and its hypothesis. v is the table's coset index and N its
+    suborbit count, the trivial one included: the verdict reads the table's
+    v, N and length groups, and |X|, nothing else. The gate takes
+    d0 = N / |X| fused classes. That overstates the bound: a sphere is a
+    fused class of the N - 1 nontrivial suborbits, so
+    d >= ceil((N - 1)/|X|), which is below d0 exactly when |X| divides
+    q + 5 (202 of the 688 verdicts of ree 0..100). Every verdict still stands under the nontrivial bound, as
     test_gates::test_bhk_verdicts_of_ree_sweep_stand_under_the_nontrivial_class_bound
     pins; the witness fix, which changes report bytes, is ROADMAP item 1.
-    With d0 = a/b in lowest terms the cutoff fails exactly when
-    2**(3a) >= v**(8b), decided by exact integer comparison.
-    The sharper class-count bound from the same table is reported as an
-    extra witness but does not feed the verdict; at q = 3 it is inconclusive
-    for both X. An x_order that is not an int >= 1 raises ValueError before
-    any comparison. d0 is written as text, so past Python's int-to-str
-    digit cap (q of more than 4300 digits) the gate needs the cap lifted,
-    as pipeline.analyze does for its sweep.
+    With d0 = a/b in lowest terms the gate excludes exactly when
+    2**(3a) >= v**(8b), decided by diameter_cutoff.
+    The sharper class-count bound from the same table goes through the same
+    cutoff and is reported as an extra witness but does not feed the
+    verdict; at q = 3 it is inconclusive for both X. An x_order that is not
+    an int >= 1 raises ValueError before any comparison. d0 is written as
+    text, so past Python's int-to-str digit cap (q of more than 4300
+    digits) the gate needs the cap lifted, as pipeline.analyze does for its
+    sweep.
     """
     if ct.case != "ree":
         raise ValueError("the diameter cutoff gate applies to the ree family only")
@@ -221,26 +227,20 @@ def bhk_gate(ct: tables.ConcreteTable, x_order: int) -> GateVerdict:
     narrative = "diameter cutoff d < (8/3) log2(v), decided as 2^(3a) vs v^(8b)"
     suborbits = ct.suborbits
     v = ct.index
-    d0 = f"{suborbits}/{x_order}"
     g = gcd(suborbits, x_order)
-    if g == 1:
-        a, b, lowest = suborbits, x_order, d0
-    else:
-        a, b = suborbits // g, x_order // g
-        lowest = f"{a}/{b}"
-    comparison = exp_compare(2, 3 * a, v, 8 * b)
-    refined_excludes = exp_compare(2, 3 * refined, v, 8) >= 0
+    a, b = suborbits // g, x_order // g
+    excludes = fusion.diameter_cutoff(v, a, b)
+    refined_excludes = fusion.diameter_cutoff(v, refined, 1)
 
     witnesses: dict[str, Witness] = {
-        "d0": d0,
-        "d0_lowest_terms": lowest,
+        "d0": f"{suborbits}/{x_order}",
+        "d0_lowest_terms": f"{a}/{b}",
         "vertices": v,
-        "exact_comparison": "2^(3a) >= v^(8b)" if comparison >= 0 else "2^(3a) < v^(8b)",
+        "exact_comparison": "2^(3a) >= v^(8b)" if excludes else "2^(3a) < v^(8b)",
         "refined_min_classes": refined,
         "refined_excludes": "true" if refined_excludes else "false",
     }
-    outcome = EXCLUDES if comparison >= 0 else INCONCLUSIVE
-    return GateVerdict(GATE_BHK, outcome, witnesses, narrative)
+    return GateVerdict(GATE_BHK, EXCLUDES if excludes else INCONCLUSIVE, witnesses, narrative)
 
 
 def kernel_prime_data(q: int) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:

@@ -148,13 +148,16 @@ def analyze(
 ) -> RunReport:
     """Run the family's gate chain for every n in range and every selected X.
 
-    Each end must be an int step of the family, and n_min <= n_max;
-    otherwise ValueError is raised before the table is built. The table is
-    built once, and two polynomial identities, which hold at every n if
-    they hold at all, are checked once: the symbolic mass identity, and
-    that the count polynomials sum to the family's suborbit count N. A
-    table that fails either raises TranscriptionError before any
-    certificate is made. Each n instantiates the table exactly once, with
+    Each end must be an int step of the family, and n_min <= n_max. Each
+    x_filter entry (order, graph) selects the X of that order, which must
+    also meet the graph coset if graph is True; an order no X has selects
+    nothing. A bad range, or an order that is not an int (a bool, a float)
+    or a graph flag that is not a bool, raises ValueError before the table
+    is built. The table is built once, and two polynomial identities,
+    which hold at every n if they hold at all, are checked once: the
+    symbolic mass identity, and that the count polynomials sum to the
+    family's suborbit count N. A table that fails either raises
+    TranscriptionError before any certificate is made. Each n instantiates the table exactly once, with
     its integrality checks, and every gate of every X there reads that one
     table.
 
@@ -170,6 +173,9 @@ def analyze(
     family = get_family(case)
     if family.check_step(n_min) > family.check_step(n_max):
         raise ValueError(f"empty step range {n_min}..{n_max}")
+    for order, require_graph in x_filter or ():
+        if type(order) is not int or type(require_graph) is not bool:
+            raise ValueError(f"x_filter entries are (int order, bool graph) pairs: ({order!r}, {require_graph!r})")
     table = tables.build_table(family)
     if not tables.verify_mass_symbolic(table):
         raise tables.TranscriptionError(f"symbolic mass identity failed for the {family.kind} table")

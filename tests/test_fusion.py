@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from dtgcert.fusion import min_fused_classes, smallest_fused_candidates
-from dtgcert.gates import bcn_small_case_gate, bhk_gate
-from dtgcert.groups import REE, SUBFIELD
-from dtgcert.tables import build_table, instantiate
+from dtgcert.fusion import diameter_cutoff, min_fused_classes, smallest_fused_candidates
+from dtgcert.gates import INCONCLUSIVE, bcn_small_case_gate, bhk_gate
+from dtgcert.groups import REE, SUBFIELD, outer_subgroup_options
+from dtgcert.tables import Z_UNKNOWN, ConcreteRow, ConcreteTable, build_table, instantiate
 
 
 def exhaustive_min_fused_classes(groups: tuple[tuple[int, int], ...], x: int) -> int:
@@ -85,13 +85,41 @@ def test_min_fused_classes_frozen_q27():
         assert min_fused_classes(groups, x) == classes
 
 
+def test_diameter_cutoff_meets_its_boundary_at_eight_vertices():
+    # (8/3) log2(8) is 8 exactly, as 2^24 = 8^8: d = 8 reaches the cutoff
+    # and d = 7 does not
+    assert diameter_cutoff(8, 8, 1)
+    assert not diameter_cutoff(8, 7, 1)
+    # only the fraction counts: 16/2 is 8/1 and 14/2 is 7/1
+    assert diameter_cutoff(8, 16, 2)
+    assert not diameter_cutoff(8, 14, 2)
+    # off a power of 2: (8/3) log2(10) is about 8.86, and 2^27 > 10^8 > 2^24
+    assert diameter_cutoff(10, 9, 1)
+    assert not diameter_cutoff(10, 8, 1)
+    assert not diameter_cutoff(10, 17, 2)
+
+
+def split_cayley_hexagon(q):
+    """(v, d, nontrivial groups) of the points of the split Cayley hexagon GH(q, q).
+
+    G2(q) acts distance-transitively on them for every q, with intersection
+    array {q(q+1), q^2, q^2; 1, 1, q+1} (Brouwer-Cohen-Neumaier, section
+    6.5), so each sphere is one suborbit of a point stabilizer.
+    """
+    return (q**6 - 1) // (q - 1), 3, ((q * (q + 1), 1), (q**3 * (q + 1), 1), (q**5, 1))
+
+
 #: Distance-transitive graphs: vertex count v, diameter d and the nontrivial
 #: (length, multiplicity) groups of the vertex stabilizer's suborbits.
 DISTANCE_TRANSITIVE = {
     "petersen": (10, 2, ((3, 1), (6, 1))),
     "hoffman-singleton": (50, 2, ((7, 1), (42, 1))),
-    "split-cayley-hexagon-GH(3,3)": (364, 3, ((12, 1), (108, 1), (243, 1))),
+    "split-cayley-hexagon-GH(3,3)": split_cayley_hexagon(3),
     "srg(351,126,45,45)": (351, 2, ((126, 1), (224, 1))),
+    "O4": (35, 3, ((4, 1), (12, 1), (18, 1))),
+    "H(6,3)": (729, 6, ((12, 1), (60, 1), (64, 1), (160, 1), (192, 1), (240, 1))),
+    # three spheres of 24 vertices, each one suborbit of PSL(2,17)'s stabilizer
+    "biggs-smith": (102, 7, ((3, 1), (6, 1), (8, 1), (12, 1), (24, 3))),
 }
 
 
@@ -99,12 +127,48 @@ DISTANCE_TRANSITIVE = {
 def test_fused_class_bound_never_exceeds_a_real_graph_diameter(name):
     # each sphere of a distance-transitive graph is one fused class of the
     # nontrivial suborbits, so the bound is at most d, and exactly d with no
-    # fusion; a bound that counts the trivial suborbit reads d + 1 at |X| = 1
+    # fusion; a bound that counts the trivial suborbit reads d + 1 at |X| = 1.
+    # Fusion merges only equal lengths, so each distinct length needs its own
+    # sphere, and a real graph's d, or any lower bound on it, is below the
+    # diameter cutoff
     v, d, groups = DISTANCE_TRANSITIVE[name]
     assert 1 + sum(length * mult for length, mult in groups) == v
     assert min_fused_classes(groups, 1) == d
+    assert len(groups) <= d
+    assert not diameter_cutoff(v, d, 1)
     for x in range(1, 5):
         assert min_fused_classes(groups, x) <= d
+        assert not diameter_cutoff(v, min_fused_classes(groups, x), 1)
+
+
+@pytest.mark.parametrize(
+    "family, steps, f_of_n",
+    [(REE, range(0, 41), lambda n: 2 * n + 1), (SUBFIELD, range(1, 41), lambda n: 2 * n)],
+    ids=["ree", "subfield"],
+)
+def test_the_hexagon_family_is_never_excluded(family, steps, f_of_n):
+    # G2(q) on its hexagon's points, at each step of the family's own
+    # q = 3**f and every |X| dividing |Out G2(q)| = 2f. The control table
+    # carries the ree case only because the cutoff gate admits no other
+    for n in steps:
+        f = f_of_n(n)
+        assert family.field_exponent(n) == f
+        q = 3**f
+        v, d, groups = split_cayley_hexagon(q)
+        assert sum(length for length, _ in groups) == v - 1
+        lengths = (1,) + tuple(length for length, _ in groups)
+        rows = tuple(ConcreteRow(f"P{i}", Z_UNKNOWN, length, 1) for i, length in enumerate(lengths))
+        ct = ConcreteTable("ree", q, q, v, q**6 * (q * q - 1) * (q - 1), 4, rows)
+        assert ct.length_groups == groups
+        x_orders = [x for x in range(1, 2 * f + 1) if 2 * f % x == 0]
+        assert x_orders == [option.order for option in outer_subgroup_options(family, n)]
+        assert not diameter_cutoff(v, d, 1)
+        for x in x_orders:
+            assert min_fused_classes(groups, x) == d
+            verdict = bhk_gate(ct, x)
+            assert verdict.outcome == INCONCLUSIVE, (n, x)
+            assert verdict.witnesses["d0"] == f"4/{x}"
+            assert verdict.witnesses["refined_excludes"] == "false"
 
 
 def test_exhaustive_cross_check_random():

@@ -246,7 +246,7 @@ def test_bhk_witnesses_of_ree_sweep_match_values_computed_here():
             unreduced += 1
         else:
             reduced += 1
-    # both branches of the gate's formatting are reached
+    # d0 is in lowest terms already for some X and not for others
     assert (reduced, unreduced) == (206, 482)
 
 
@@ -510,3 +510,17 @@ def test_no_gate_fusion_or_sweep_step_reaches_a_family_through_a_table():
     assert _reads_of(pipeline, "family") == {"verify_tables"}
     for module in (gates, fusion, pipeline):
         assert _reads_of(module, "q_value") == set(), module.__name__
+
+
+def test_the_diameter_cutoff_is_stated_once():
+    # bhk_gate reaches the cutoff through fusion.diameter_cutoff alone, so
+    # the exponents 3 and 8 of 2^(3a) >= v^(8b) are written in one place
+    def callers(module):
+        return _reads_of(module, "exp_compare") | {
+            getattr(node, "name", "<module>")
+            for node in ast.parse(Path(module.__file__).read_text()).body
+            if any(isinstance(sub, ast.Name) and sub.id == "exp_compare" for sub in ast.walk(node))
+        }
+
+    assert callers(fusion) == {"diameter_cutoff"}
+    assert callers(gates) == callers(pipeline) == set()

@@ -157,6 +157,18 @@ def test_analyze_x_filter():
     assert report.certificates == ()
 
 
+@pytest.mark.parametrize(
+    "entry", [(True, False), (False, False), (2.0, False), ("2", False), (2, 1), (2, None), (2, "graph")], ids=repr
+)
+def test_analyze_x_filter_refuses_an_order_or_flag_of_another_type(monkeypatch, entry):
+    # True == 1 and 2.0 == 2, so a compare by == would select X of order 1
+    # or 2; the entry is refused before the table is built
+    calls = _count_calls(monkeypatch, tables, ("build_table",))
+    with pytest.raises(ValueError, match=r"^x_filter entries are \(int order, bool graph\) pairs: "):
+        analyze("ree", 1, 1, x_filter=[(6, False), entry])
+    assert calls == {}
+
+
 def test_analyze_strict_mode():
     report = analyze("ree", 0, 0, strict=True)
     assert all(c.conclusion == UNDETERMINED for c in report.certificates)
